@@ -1,108 +1,162 @@
-//! The experiment orchestrator CLI: memoized, resumable sweeps over
-//! the paper grid, appended to the BENCH trajectory as `BENCH_6.json`.
+//! The one experiment runner: every table and figure of the paper's
+//! evaluation is a named grid ([`ldr_bench::grids::GRIDS`]) executed
+//! through the memoized, resumable sweep engine.
 //!
 //! ```text
-//! cargo run --release -p ldr-bench --bin sweepbench -- --smoke
-//! cargo run --release -p ldr-bench --bin sweepbench -- --smoke --check BENCH_6.json
+//! cargo run --release -p ldr-bench --bin sweepbench -- --check BENCH_6.json
+//! cargo run --release -p ldr-bench --bin sweepbench -- --grid fig2 --trials 2 --duration 60
+//! cargo run --release -p ldr-bench --bin sweepbench -- --grid paper
 //! ```
 //!
-//! A sweep journals every cell as it completes (`--sweep-dir`), so a
-//! killed run resumes where it stopped, and memoizes cells
-//! content-addressed by their code-relevant configuration, so a rerun
-//! over an unchanged tree executes zero cells and reproduces the BENCH
-//! output byte for byte. `--check` compares that output against the
+//! All of a grid's cells go on the worker pool at once. Every cell is
+//! journaled as it completes (`--sweep-dir`), so a killed run resumes
+//! where it stopped, and memoized content-addressed by its
+//! code-relevant configuration, so grids that share cells (`table1`
+//! after `fig2`…`fig5`) and reruns over an unchanged tree execute
+//! nothing. `--check` compares the rendered BENCH JSON against a
 //! committed trajectory and exits non-zero on any drift (the CI
-//! regression gate). `--max-cells N` stops after N executed cells —
-//! the hook the resumability tests (and impatient humans) use.
+//! regression gate); `--out`/`--table` write the JSON and the printed
+//! tables to files. `--max-cells N` stops after N executed cells — the
+//! hook the resumability tests (and impatient humans) use.
+//! `--telemetry-dir` exports trace + series + prof JSONL for the first
+//! seed of every `(scenario, fault level, protocol)` row as
+//! `<scenario>-l<level>-<protocol>-{trace,series,prof}.jsonl`.
 
-use ldr_bench::sweep::{cells_for, full_cells, run_sweep, smoke_cells, SweepConfig};
+use ldr_bench::grids::{grid, GridOpts, GRIDS};
+use ldr_bench::runner::trial_fault_plan;
+use ldr_bench::sweep::{run_sweep, CellSpec, SweepConfig};
+use ldr_bench::telemetry_export::export_run;
 use ldr_bench::workpool;
+use std::collections::BTreeSet;
+use std::path::Path;
+use std::process::ExitCode;
 
-fn main() {
-    let mut smoke = false;
-    let mut full = false;
-    let mut out = "BENCH_6.json".to_string();
-    let mut table = "results/sweepbench.txt".to_string();
-    let mut sweep_dir = ".sweep".to_string();
-    let mut check: Option<String> = None;
-    let mut threads: Option<usize> = None;
-    let mut max_cells: Option<usize> = None;
-    let mut fresh = false;
-    let mut trials: Option<u32> = None;
-    let mut duration: Option<u64> = None;
-    let mut telemetry_dir: Option<String> = None;
-    let mut it = std::env::args().skip(1);
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--smoke" => smoke = true,
-            "--full" => full = true,
-            "--out" => out = it.next().expect("--out needs a path"),
-            "--table" => table = it.next().expect("--table needs a path"),
-            "--sweep-dir" => sweep_dir = it.next().expect("--sweep-dir needs a directory"),
-            "--check" => check = Some(it.next().expect("--check needs a path")),
-            "--threads" => {
-                threads =
-                    Some(it.next().expect("--threads needs a value").parse().expect("integer"))
+const USAGE: &str = "usage: sweepbench [--grid NAME] [--full] [--trials N] [--duration SECS] \
+[--pauses a,b,c] [--audit]
+                  [--sweep-dir DIR] [--threads N] [--max-cells N] [--fresh]
+                  [--check PATH] [--out PATH] [--table PATH] [--telemetry-dir DIR]";
+
+struct Args {
+    grid: String,
+    opts: GridOpts,
+    out: Option<String>,
+    table: Option<String>,
+    sweep_dir: String,
+    check: Option<String>,
+    threads: Option<usize>,
+    max_cells: Option<usize>,
+    fresh: bool,
+    telemetry_dir: Option<String>,
+}
+
+fn num<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String> {
+    v.trim().parse().map_err(|_| format!("bad {flag} value {v:?}"))
+}
+
+fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        grid: "smoke".to_string(),
+        opts: GridOpts::default(),
+        out: None,
+        table: None,
+        sweep_dir: ".sweep".to_string(),
+        check: None,
+        threads: None,
+        max_cells: None,
+        fresh: false,
+        telemetry_dir: None,
+    };
+    let mut it = argv;
+    while let Some(flag) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{flag} needs a value"));
+        match flag.as_str() {
+            "--grid" => args.grid = value()?,
+            "--full" => args.opts.full = true,
+            "--audit" => args.opts.audit = true,
+            "--trials" => args.opts.trials = Some(num(&flag, value()?)?),
+            "--duration" => args.opts.duration = Some(num(&flag, value()?)?),
+            "--pauses" => {
+                let csv = value()?;
+                let pauses: Result<Vec<u64>, String> =
+                    csv.split(',').map(|p| num(&flag, p.to_string())).collect();
+                args.opts.pauses = Some(pauses?);
             }
-            "--max-cells" => {
-                max_cells =
-                    Some(it.next().expect("--max-cells needs a value").parse().expect("integer"))
-            }
-            "--fresh" => fresh = true,
-            "--trials" => {
-                trials = Some(it.next().expect("--trials needs a value").parse().expect("integer"))
-            }
-            "--duration" => {
-                duration =
-                    Some(it.next().expect("--duration needs a value").parse().expect("seconds"))
-            }
-            "--telemetry-dir" => {
-                telemetry_dir = Some(it.next().expect("--telemetry-dir needs a directory"))
-            }
-            other => {
-                eprintln!(
-                    "unknown flag {other}; supported: --smoke --full --out PATH --table PATH \
-                     --sweep-dir DIR --check PATH --threads N --max-cells N --fresh \
-                     --trials N --duration SECS --telemetry-dir DIR"
-                );
-                std::process::exit(2);
-            }
+            "--out" => args.out = Some(value()?),
+            "--table" => args.table = Some(value()?),
+            "--sweep-dir" => args.sweep_dir = value()?,
+            "--check" => args.check = Some(value()?),
+            "--threads" => args.threads = Some(num(&flag, value()?)?),
+            "--max-cells" => args.max_cells = Some(num(&flag, value()?)?),
+            "--fresh" => args.fresh = true,
+            "--telemetry-dir" => args.telemetry_dir = Some(value()?),
+            other => return Err(format!("unknown flag {other}")),
         }
     }
-    let mode = if full { "full" } else { "smoke" };
-    let _ = smoke; // smoke is the default grid
-    let cells = match (trials, duration) {
-        (None, None) if full => full_cells(),
-        (None, None) => smoke_cells(),
-        _ => cells_for(
-            duration.unwrap_or(if full { 900 } else { 60 }),
-            trials.unwrap_or(if full { 3 } else { 1 }),
-            if full { &[0, 1, 2] } else { &[0, 1] },
-        ),
-    };
+    Ok(args)
+}
 
-    let mut cfg = SweepConfig::rooted(std::path::Path::new(&sweep_dir));
+fn usage_error(msg: &str) -> ExitCode {
+    eprintln!("sweepbench: {msg}\n{USAGE}\ngrids:");
+    for (name, what, _) in GRIDS {
+        eprintln!("  {name:<10} {what}");
+    }
+    ExitCode::from(2)
+}
+
+/// Writes `text` to `path`, creating the parent directory.
+fn write_file(path: &str, text: &str) -> Result<(), String> {
+    if let Some(dir) = Path::new(path).parent() {
+        let _ = std::fs::create_dir_all(dir);
+    }
+    std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// One telemetry-attached, profiled rerun per `(scenario, fault level,
+/// protocol)` row — its first seed, under the same fault plan the
+/// sweep cell ran.
+fn export_telemetry(cells: &[CellSpec], dir: &Path) -> Result<(), String> {
+    let mut seen = BTreeSet::new();
+    for cell in cells {
+        let prefix = format!(
+            "{}-l{}-{}",
+            cell.scenario_name,
+            cell.fault_level,
+            cell.protocol.name().to_lowercase()
+        );
+        if !seen.insert(prefix.clone()) {
+            continue;
+        }
+        let mut scenario = cell.scenario.clone();
+        scenario.profile = true;
+        let plan = trial_fault_plan(&scenario, cell.seed, cell.fault_level);
+        let (_, paths) = export_run(cell.protocol, &scenario, cell.seed, Some(plan), dir, &prefix)
+            .map_err(|e| format!("telemetry export failed for {}: {e}", cell.display()))?;
+        println!("telemetry: wrote {} (+series, +prof)", paths.trace.display());
+    }
+    Ok(())
+}
+
+fn run(args: &Args) -> Result<ExitCode, String> {
+    let Some(grid) = grid(&args.grid, &args.opts) else {
+        return Ok(usage_error(&format!("unknown grid {}", args.grid)));
+    };
+    let mut cfg = SweepConfig::rooted(Path::new(&args.sweep_dir));
     // The cells all run single-worker kernels, so the pool can use
     // every core; an explicit --threads overrides.
-    cfg.threads = threads.unwrap_or_else(workpool::host_cores);
-    cfg.max_cells = max_cells;
-    cfg.fresh = fresh;
+    cfg.threads = args.threads.unwrap_or_else(workpool::host_cores);
+    cfg.max_cells = args.max_cells;
+    cfg.fresh = args.fresh;
 
     eprintln!(
-        "sweepbench {mode}: {} cells, {} pool thread(s), journal {}",
-        cells.len(),
+        "sweepbench {}: {} cells, {} pool thread(s), journal {}",
+        grid.name,
+        grid.cells.len(),
         cfg.threads,
         cfg.journal.display()
     );
-    let outcome = match run_sweep(&cells, &cfg) {
-        Ok(o) => o,
-        Err(e) => {
-            eprintln!("sweep failed: {e}");
-            std::process::exit(2);
-        }
-    };
-    let rendered_table = outcome.to_table(mode);
-    print!("{rendered_table}");
+    let outcome = run_sweep(&grid.cells, &cfg).map_err(|e| format!("sweep failed: {e}"))?;
+    let (rendered, loop_free) = grid.render(&outcome);
+    print!("{rendered}");
 
     if !outcome.complete() {
         let pending = outcome.cells.iter().filter(|(_, r)| r.is_none()).count();
@@ -110,15 +164,13 @@ fn main() {
             "sweep paused after {} executed cell(s); {pending} pending — rerun to resume",
             outcome.executed
         );
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
 
-    let json = outcome.to_json(mode);
-    if let Some(golden) = &check {
-        let committed = std::fs::read_to_string(golden).unwrap_or_else(|e| {
-            eprintln!("cannot read {golden}: {e}");
-            std::process::exit(2);
-        });
+    let json = outcome.to_json(&grid.name);
+    if let Some(golden) = &args.check {
+        let committed =
+            std::fs::read_to_string(golden).map_err(|e| format!("cannot read {golden}: {e}"))?;
         if committed != json {
             let drift = committed
                 .lines()
@@ -126,47 +178,23 @@ fn main() {
                 .position(|(a, b)| a != b)
                 .map_or("length".to_string(), |i| format!("line {}", i + 1));
             eprintln!("REGRESSION: sweep output diverged from {golden} (first drift: {drift})");
-            std::process::exit(1);
+            return Ok(ExitCode::from(1));
         }
         println!("check OK: output is byte-identical to {golden}");
-    } else {
-        std::fs::write(&out, &json).expect("write BENCH json");
+    }
+    if let Some(out) = &args.out {
+        write_file(out, &json)?;
         println!("wrote {out}");
     }
-    if let Some(dir) = std::path::Path::new(&table).parent() {
-        let _ = std::fs::create_dir_all(dir);
+    if let Some(table) = &args.table {
+        write_file(table, &rendered)?;
+        println!("wrote {table}");
     }
-    // One representative telemetry export per paper protocol: the
-    // grid's first scenario, fault-free seed, with the kernel profiler
-    // attached — so the dir carries trace + series + prof JSONL for
-    // each protocol alongside the sweep artifacts.
-    if let Some(dir) = &telemetry_dir {
-        let dir = std::path::Path::new(dir);
-        let mut scenario = cells[0].scenario.clone();
-        scenario.profile = true;
-        for protocol in ldr_bench::Protocol::PAPER_SET {
-            let prefix = format!("{}-{}", cells[0].scenario_name, protocol.name().to_lowercase());
-            match ldr_bench::telemetry_export::export_run(
-                protocol,
-                &scenario,
-                cells[0].seed,
-                None,
-                dir,
-                &prefix,
-            ) {
-                Ok((_, paths)) => {
-                    println!("telemetry: wrote {} (+series, +prof)", paths.trace.display())
-                }
-                Err(e) => {
-                    eprintln!("telemetry export failed for {}: {e}", protocol.name());
-                    std::process::exit(2);
-                }
-            }
-        }
+    if let Some(dir) = &args.telemetry_dir {
+        export_telemetry(&grid.cells, Path::new(dir))?;
     }
-    std::fs::write(&table, &rendered_table).expect("write sweep table");
     println!(
-        "executed {} / memoized {} / journaled {} of {} cells; wrote {table}",
+        "executed {} / memoized {} / journaled {} of {} cells",
         outcome.executed,
         outcome.memo_hits,
         outcome.journal_hits,
@@ -177,6 +205,84 @@ fn main() {
             "{} cell(s) FAILED (panicked trials recorded in the journal)",
             outcome.failures()
         );
-        std::process::exit(1);
+        return Ok(ExitCode::from(1));
+    }
+    Ok(if loop_free { ExitCode::SUCCESS } else { ExitCode::from(1) })
+}
+
+fn main() -> ExitCode {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(a) => a,
+        Err(msg) => return usage_error(&msg),
+    };
+    run(&args).unwrap_or_else(|msg| {
+        eprintln!("sweepbench: {msg}");
+        ExitCode::from(2)
+    })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn defaults_to_the_quick_smoke_grid() {
+        let a = parse(&[]).expect("no flags is valid");
+        assert_eq!(a.grid, "smoke");
+        assert_eq!(a.opts, GridOpts::default());
+        assert_eq!(a.sweep_dir, ".sweep");
+        assert!(a.out.is_none() && a.table.is_none() && a.check.is_none());
+    }
+
+    #[test]
+    fn grid_scale_and_overrides_parse() {
+        let a = parse(&[
+            "--grid",
+            "fig7",
+            "--full",
+            "--audit",
+            "--trials",
+            "4",
+            "--duration",
+            "300",
+            "--pauses",
+            "0, 60,900",
+            "--threads",
+            "2",
+            "--max-cells",
+            "5",
+            "--fresh",
+        ])
+        .expect("valid");
+        assert_eq!(a.grid, "fig7");
+        let want = GridOpts {
+            full: true,
+            trials: Some(4),
+            duration: Some(300),
+            pauses: Some(vec![0, 60, 900]),
+            audit: true,
+        };
+        assert_eq!(a.opts, want);
+        assert_eq!((a.threads, a.max_cells, a.fresh), (Some(2), Some(5), true));
+    }
+
+    #[test]
+    fn malformed_or_missing_values_are_errors_not_panics() {
+        for bad in [
+            &["--trials", "x"][..],
+            &["--trials"],
+            &["--out"],
+            &["--duration", "-3"],
+            &["--pauses", "0,,60"],
+            &["--threads", "two"],
+            &["--smoke"],
+            &["--quick"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
     }
 }

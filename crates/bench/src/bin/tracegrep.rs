@@ -18,7 +18,8 @@
 //! ```
 //!
 //! Without a trace on disk, export one first:
-//! `faultbench --telemetry-dir DIR`, `profbench --out-dir DIR`, or
+//! `sweepbench --grid faults --telemetry-dir DIR` (trace, series and
+//! prof documents per row), or
 //! [`ldr_bench::telemetry_export::export_run`].
 
 use ldr_bench::forensics::{self, TraceFile};

@@ -1,18 +1,17 @@
 //! # ldr-bench — experiment harness for the LDR reproduction
 //!
 //! Reruns the paper's evaluation (§4): scenario definitions, protocol
-//! selection, multi-trial runs with 95% confidence intervals, and the
-//! table/figure printers used by the `table1`, `fig2`–`fig7` and
-//! `ablation` binaries. See `DESIGN.md` for the experiment index and
+//! selection, the memoised/resumable [sweep engine](sweep), the
+//! [registry of named grids](grids) (one per table/figure) that the
+//! `sweepbench` binary drives, and the trace/prof forensics behind
+//! `tracegrep`. See `DESIGN.md` for the experiment index and
 //! `EXPERIMENTS.md` for recorded results.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod experiments;
 pub mod forensics;
-pub mod perf;
-pub mod perf_parallel;
+pub mod grids;
 pub mod profiling;
 pub mod report;
 pub mod runner;
@@ -23,7 +22,6 @@ pub mod workpool;
 
 pub use report::Summary;
 pub use runner::{
-    build_world, build_world_telemetry, run_fault_trials, run_once, run_once_faulted, run_trials,
-    trial_fault_plan,
+    build_world, build_world_telemetry, run_once, run_once_faulted, trial_fault_plan,
 };
 pub use scenario::{Protocol, Scenario, SimFlavor};

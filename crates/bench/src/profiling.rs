@@ -1,24 +1,15 @@
-//! The profbench engine and `manet-prof` report renderer.
+//! The `manet-prof` reader: parses exported profiler JSONL (written by
+//! [`crate::telemetry_export`] for a [`Scenario::profile`] run) back
+//! into a [`ProfView`] and renders the attribution report `tracegrep
+//! --prof` prints — top-K phases, per-protocol cost table,
+//! parallel-efficiency breakdown.
 //!
-//! Runs profiled trials ([`run_profiled`]), parses exported
-//! `manet-prof` JSONL back into a [`ProfView`] (the shape `tracegrep
-//! --prof` consumes), renders the attribution report — top-K phases,
-//! per-protocol cost table, parallel-efficiency breakdown — and hosts
-//! the on-vs-off purity differential ([`purity_check`]) that CI's
-//! prof-smoke job asserts.
+//! [`Scenario::profile`]: crate::scenario::Scenario::profile
 
 use crate::forensics::Json;
-use crate::runner::build_world_telemetry;
-use crate::scenario::{Protocol, Scenario};
-use crate::telemetry_export::render_run;
-use manet_sim::prof::{deterministic_section, prof_to_jsonl, ProfSnapshot};
-use manet_sim::telemetry::TelemetryConfig;
-use manet_sim::time::{SimDuration, SimTime};
 use std::fmt::Write as _;
 
-/// A parsed (or freshly measured) profile of one run — everything the
-/// report renderer needs, whether the numbers came from a live
-/// [`ProfSnapshot`] or from a `manet-prof` JSONL file on disk.
+/// A parsed profile of one run — everything the report renderer needs.
 #[derive(Clone, Debug)]
 pub struct ProfView {
     /// Protocol name from the header.
@@ -39,24 +30,6 @@ pub struct ProfView {
 }
 
 impl ProfView {
-    /// Builds a view from a live snapshot plus its header fields.
-    pub fn from_snapshot(
-        seed: u64,
-        nodes: usize,
-        workers: usize,
-        protocol: &str,
-        scenario: &str,
-        snap: &ProfSnapshot,
-    ) -> Self {
-        let doc = prof_to_jsonl(seed, nodes, workers, protocol, scenario, snap);
-        // Round-trip through the renderer: one code path defines the
-        // document, the parser is its single consumer.
-        match ProfView::parse(&doc) {
-            Ok(v) => v,
-            Err(e) => unreachable!("self-rendered prof document must parse: {e}"),
-        }
-    }
-
     /// Parses one `manet-prof` JSONL document.
     pub fn parse(doc: &str) -> Result<ProfView, String> {
         let mut lines = doc.lines();
@@ -148,51 +121,6 @@ impl ProfView {
         v.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
         v
     }
-}
-
-/// One profiled trial: the live snapshot view plus the exportable
-/// JSONL document and the run's headline numbers.
-#[derive(Clone, Debug)]
-pub struct ProfRun {
-    /// The parsed profile.
-    pub view: ProfView,
-    /// The full `manet-prof` JSONL document (exportable as-is).
-    pub doc: String,
-    /// Events the kernel executed.
-    pub events: u64,
-}
-
-/// Runs one trial with the profiler (and default telemetry) attached
-/// and returns its profile. Deterministic in `(protocol, scenario,
-/// seed)` up to the non-gated wall-time section.
-pub fn run_profiled(protocol: Protocol, scenario: &Scenario, seed: u64) -> ProfRun {
-    let profiled = Scenario { profile: true, ..scenario.clone() };
-    let mut world =
-        build_world_telemetry(protocol, &profiled, seed, None, Some(TelemetryConfig::default()));
-    world.run_until(SimTime::ZERO + SimDuration::from_secs(profiled.duration_secs));
-    world.finalize();
-    let events = world.events_executed();
-    let snap = match world.prof_snapshot() {
-        Some(s) => s,
-        None => unreachable!("profile was just enabled"),
-    };
-    let doc = prof_to_jsonl(
-        seed,
-        profiled.n_nodes,
-        profiled.workers.max(1),
-        &protocol.name(),
-        &profiled.label(),
-        &snap,
-    );
-    let view = ProfView::from_snapshot(
-        seed,
-        profiled.n_nodes,
-        profiled.workers.max(1),
-        &protocol.name(),
-        &profiled.label(),
-        &snap,
-    );
-    ProfRun { view, doc, events }
 }
 
 fn pct(part: u64, total: u64) -> f64 {
@@ -288,102 +216,39 @@ pub fn render_report(views: &[ProfView], top_k: usize) -> String {
     out
 }
 
-/// The smallest attribution across a set of profiles (1.0 for an
-/// empty set). The acceptance gate requires ≥ 0.95 on the paper
-/// scenarios.
-pub fn min_attribution(views: &[ProfView]) -> f64 {
-    views.iter().map(ProfView::attribution).fold(1.0, f64::min)
-}
-
-/// The on-vs-off purity differential: runs `(protocol, scenario,
-/// seed)` once with profiling off and once with it on, and demands
-/// metrics, trace and series stay byte-identical. Returns a
-/// description of the first divergence, if any.
-pub fn purity_check(protocol: Protocol, scenario: &Scenario, seed: u64) -> Result<(), String> {
-    let off = render_run(protocol, &Scenario { profile: false, ..scenario.clone() }, seed, None);
-    let on = render_run(protocol, &Scenario { profile: true, ..scenario.clone() }, seed, None);
-    if off.metrics != on.metrics {
-        return Err(format!(
-            "metrics diverged with profiling on ({} {} seed {seed})",
-            protocol.name(),
-            scenario.label()
-        ));
-    }
-    if off.trace != on.trace {
-        return Err(format!(
-            "trace JSONL diverged with profiling on ({} {} seed {seed})",
-            protocol.name(),
-            scenario.label()
-        ));
-    }
-    if off.series != on.series {
-        return Err(format!(
-            "series JSONL diverged with profiling on ({} {} seed {seed})",
-            protocol.name(),
-            scenario.label()
-        ));
-    }
-    if off.prof.is_some() {
-        return Err("unprofiled run rendered a prof document".to_string());
-    }
-    match &on.prof {
-        None => return Err("profiled run rendered no prof document".to_string()),
-        Some(doc) => {
-            // The deterministic section must reproduce on a rerun.
-            let rerun =
-                render_run(protocol, &Scenario { profile: true, ..scenario.clone() }, seed, None);
-            let a = deterministic_section(doc);
-            let b = rerun.prof.as_deref().map(deterministic_section).unwrap_or_default();
-            if a != b {
-                return Err(format!(
-                    "prof count/hist section not rerun-deterministic ({} {} seed {seed})",
-                    protocol.name(),
-                    scenario.label()
-                ));
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{Protocol, Scenario};
+    use crate::telemetry_export::render_run;
 
-    fn tiny() -> Scenario {
-        Scenario { duration_secs: 12, trials: 1, ..Scenario::n50(3, 0) }
+    fn profiled(protocol: Protocol, workers: usize) -> ProfView {
+        let sc = Scenario { duration_secs: 12, workers, profile: true, ..Scenario::n50(3, 0) };
+        let doc = render_run(protocol, &sc, 5, None).prof.expect("profiled run renders prof");
+        ProfView::parse(&doc).expect("export parses")
     }
 
     #[test]
-    fn profiled_run_attributes_and_round_trips() {
-        let run = run_profiled(Protocol::Ldr, &tiny(), 5);
-        assert!(run.events > 0);
-        assert_eq!(run.view.count("events_executed"), run.events);
-        assert!(run.view.total_nanos > 0, "a real run measures time");
-        let reparsed = ProfView::parse(&run.doc).expect("export parses");
-        assert_eq!(reparsed.counts, run.view.counts);
-        assert_eq!(reparsed.timings, run.view.timings);
-        assert_eq!(reparsed.total_nanos, run.view.total_nanos);
+    fn profiled_export_parses_and_self_times_sum_to_total() {
+        let view = profiled(Protocol::Ldr, 1);
+        assert!(view.count("events_executed") > 0);
+        assert!(view.total_nanos > 0, "a real run measures time");
+        assert_eq!((view.protocol.as_str(), view.scenario.as_str()), ("LDR", "n50-f3-p0"));
         // Self times are exclusive, so the phase lines sum to total.
-        let sum: u64 = run.view.timings.iter().map(|(_, ns)| ns).sum();
-        assert_eq!(sum, run.view.total_nanos);
+        let sum: u64 = view.timings.iter().map(|(_, ns)| ns).sum();
+        assert_eq!(sum, view.total_nanos);
     }
 
     #[test]
     fn report_renders_all_sections() {
-        let seq = run_profiled(Protocol::Ldr, &tiny(), 5);
-        let par = run_profiled(Protocol::Aodv, &Scenario { workers: 2, ..tiny() }, 5);
-        let report = render_report(&[seq.view, par.view.clone()], 8);
+        let seq = profiled(Protocol::Ldr, 1);
+        let par = profiled(Protocol::Aodv, 2);
+        assert_eq!(par.workers, 2);
+        let report = render_report(&[seq, par], 8);
         assert!(report.contains("-- per-protocol cost --"));
         assert!(report.contains("-- parallel efficiency --"));
         assert!(report.contains("LDR"));
         assert!(report.contains("AODV"));
-        assert!(par.view.workers == 2);
-    }
-
-    #[test]
-    fn purity_holds_on_a_small_run() {
-        purity_check(Protocol::Ldr, &tiny(), 5).expect("profiling must be observation-pure");
     }
 
     #[test]

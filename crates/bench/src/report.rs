@@ -1,7 +1,8 @@
 //! Aggregation and table formatting for the paper's six metrics.
 
-use manet_sim::metrics::Metrics;
+use crate::sweep::CellMetrics;
 use manet_sim::stats::Accumulator;
+use std::fmt::Write as _;
 
 /// The scoreboard's throughput figure: kernel events per *simulated*
 /// second per core. Both inputs are deterministic (the kernel's event
@@ -18,12 +19,14 @@ pub fn events_per_simsec_core(events: u64, sim_secs: u64, cores: u64) -> f64 {
     }
 }
 
-/// One trial that panicked instead of producing metrics. The runner
-/// catches the unwind, records the cell here, and keeps the sweep
-/// going — a single bad trial no longer discards every completed cell.
+/// One trial that panicked instead of producing metrics. The pool
+/// catches the unwind, the sweep journals the cell as failed, and the
+/// fold records it here — a single bad trial never discards the
+/// completed cells around it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TrialFailure {
-    /// The trial's seed, for exact reproduction with `run_once`.
+    /// The trial's seed, for exact reproduction with
+    /// [`run_once`](crate::runner::run_once).
     pub seed: u64,
     /// The panic payload, stringified.
     pub panic_msg: String,
@@ -94,48 +97,23 @@ impl Summary {
         self.failed.push(TrialFailure { seed, panic_msg });
     }
 
-    /// Folds one trial's metrics in.
-    pub fn add(&mut self, m: &Metrics) {
-        self.delivery.push(m.delivery_ratio());
-        self.latency.push(m.mean_latency_s());
-        self.net_load.push(m.network_load());
-        self.rreq_load.push(m.rreq_load());
-        self.rrep_init.push(m.rrep_init_per_rreq());
-        self.rrep_recv.push(m.rrep_recv_per_rreq());
-        self.mean_seqno.push(m.mean_own_seqno);
-        self.rreq_tx.push(m.rreq_tx() as f64);
+    /// Folds one sweep cell (one trial) in. Every grid renderer
+    /// aggregates through here, so a confidence interval always sees
+    /// the per-trial samples themselves, never group means.
+    pub fn add_cell(&mut self, m: &CellMetrics) {
+        self.delivery.push(m.delivery);
+        self.latency.push(m.latency_s);
+        self.net_load.push(m.net_load);
+        self.rreq_load.push(m.rreq_load);
+        self.rrep_init.push(m.rrep_init);
+        self.rrep_recv.push(m.rrep_recv);
+        self.mean_seqno.push(m.mean_seqno);
+        self.rreq_tx.push(m.rreq_tx as f64);
         self.loop_violations += m.loop_violations;
         self.invariant_checks += m.invariant_checks;
         self.invariant_breaches += m.invariant_breaches;
         self.faults_injected += m.faults_injected;
         self.node_restarts += m.node_restarts;
-    }
-
-    /// Merges another summary of the same protocol (e.g. across pause
-    /// times, as Table 1 averages "over all pause times and both
-    /// 50-node and 100-node scenarios").
-    pub fn merge(&mut self, other: &Summary) {
-        fn fold(into: &mut Accumulator, from: &Accumulator) {
-            // Accumulators don't retain samples; re-add the mean per
-            // trial to preserve weighting by trial count.
-            for _ in 0..from.count() {
-                into.push(from.mean());
-            }
-        }
-        fold(&mut self.delivery, &other.delivery);
-        fold(&mut self.latency, &other.latency);
-        fold(&mut self.net_load, &other.net_load);
-        fold(&mut self.rreq_load, &other.rreq_load);
-        fold(&mut self.rrep_init, &other.rrep_init);
-        fold(&mut self.rrep_recv, &other.rrep_recv);
-        fold(&mut self.mean_seqno, &other.mean_seqno);
-        fold(&mut self.rreq_tx, &other.rreq_tx);
-        self.loop_violations += other.loop_violations;
-        self.invariant_checks += other.invariant_checks;
-        self.invariant_breaches += other.invariant_breaches;
-        self.faults_injected += other.faults_injected;
-        self.node_restarts += other.node_restarts;
-        self.failed.extend(other.failed.iter().cloned());
     }
 
     /// Number of trials folded in.
@@ -158,115 +136,150 @@ impl Summary {
     }
 }
 
-/// Prints a Table-1-style block (header plus one row per summary).
-pub fn print_table(title: &str, rows: &[Summary]) {
-    println!("\n=== {title} ===");
-    println!(
+/// Renders a Table-1-style block (header plus one row per summary).
+pub fn render_table(title: &str, rows: &[Summary]) -> String {
+    let mut out = format!("\n=== {title} ===\n");
+    let _ = writeln!(
+        out,
         "{:<12} {:>16} {:>16} {:>16} {:>16} {:>14} {:>14}",
         "protocol", "delivery", "latency(s)", "net load", "RREQ load", "RREP init", "RREP recv"
     );
     for r in rows {
-        println!("{}", r.table_row());
+        let _ = writeln!(out, "{}", r.table_row());
     }
+    out
 }
 
-/// Prints a figure-style series: `x` (pause time) against a metric
-/// column per protocol, with CI half-widths.
-pub fn print_series(
+/// Renders a figure-style series: pause time against one `(mean, CI
+/// half-width)` column per protocol; `points` is pause-major
+/// (`points[i * protocols.len() + j]`).
+pub fn render_series(
     title: &str,
-    xlabel: &str,
-    xs: &[u64],
+    pauses: &[u64],
     protocols: &[String],
-    cells: &[Vec<(f64, f64)>],
-) {
-    println!("\n=== {title} ===");
-    print!("{xlabel:>10}");
+    points: &[(f64, f64)],
+) -> String {
+    let mut out = format!("\n=== {title} ===\n{:>10}", "pause(s)");
     for p in protocols {
-        print!(" {p:>22}");
+        let _ = write!(out, " {p:>22}");
     }
-    println!();
-    for (i, x) in xs.iter().enumerate() {
-        print!("{x:>10}");
-        for cell in cells {
-            let (mean, ci) = cell[i];
-            print!(" {:>13.4} ±{:>6.4}", mean, ci);
+    out.push('\n');
+    for (x, row) in pauses.iter().zip(points.chunks(protocols.len().max(1))) {
+        let _ = write!(out, "{x:>10}");
+        for (mean, ci) in row {
+            let _ = write!(out, " {mean:>13.4} ±{ci:>6.4}");
         }
-        println!();
+        out.push('\n');
     }
+    out
+}
+
+/// Renders the fault-degradation ladder: one row per `(level,
+/// protocol)`, `rows` level-major. The loop column is the paper's
+/// safety claim under fire.
+pub fn render_fault_ladder(title: &str, levels: &[u64], rows: &[Summary]) -> String {
+    let mut out = format!("\n=== {title} ===\n");
+    let _ = writeln!(
+        out,
+        "{:>5} {:<10} {:>16} {:>16} {:>8} {:>9} {:>7}",
+        "level", "protocol", "delivery", "latency(s)", "faults", "restarts", "loops"
+    );
+    let per_level = rows.len() / levels.len().max(1);
+    for (level, block) in levels.iter().zip(rows.chunks(per_level.max(1))) {
+        for s in block {
+            let _ = writeln!(
+                out,
+                "{:>5} {:<10} {:>16} {:>16} {:>8} {:>9} {:>7}",
+                level,
+                s.protocol,
+                s.delivery.display(3),
+                s.latency.display(3),
+                s.faults_injected,
+                s.node_restarts,
+                s.loop_violations,
+            );
+        }
+    }
+    out
+}
+
+/// Renders the loop-audit ladder (Theorem 4 at evaluation scale):
+/// violations per pause time and protocol, `rows` pause-major, closed
+/// by the LDR verdict line.
+pub fn render_loop_ladder(
+    title: &str,
+    pauses: &[u64],
+    protocols: &[String],
+    rows: &[Summary],
+) -> String {
+    let mut out = format!("{title}\n{:>10}", "pause(s)");
+    for p in protocols {
+        let _ = write!(out, " {p:>12}");
+    }
+    out.push('\n');
+    for (pause, block) in pauses.iter().zip(rows.chunks(protocols.len().max(1))) {
+        let _ = write!(out, "{pause:>10}");
+        for s in block {
+            let _ = write!(out, " {:>12}", s.loop_violations);
+        }
+        out.push('\n');
+    }
+    let ldr_total = ldr_loop_violations(rows);
+    if ldr_total == 0 {
+        out.push_str("\nLDR: loop-free at every audited instant (Theorem 4 holds).\n");
+    } else {
+        let _ = writeln!(out, "\nLDR VIOLATED LOOP FREEDOM {ldr_total} TIMES — investigate!");
+    }
+    out
+}
+
+/// Loop-audit violations summed over the LDR rows.
+pub fn ldr_loop_violations(rows: &[Summary]) -> u64 {
+    rows.iter().filter(|s| s.protocol == "LDR").map(|s| s.loop_violations).sum()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manet_sim::metrics::Metrics;
     use manet_sim::time::SimDuration;
 
-    fn metrics(delivered: u64, originated: u64) -> Metrics {
+    fn cell(delivered: u64, originated: u64) -> CellMetrics {
         let mut m = Metrics::new();
         m.data_originated = originated;
         for i in 0..delivered {
             m.record_delivery(1, i as u32, SimDuration::from_millis(20));
         }
-        m
-    }
-
-    #[test]
-    fn add_accumulates_ratios() {
-        let mut s = Summary::new("X");
-        s.add(&metrics(90, 100));
-        s.add(&metrics(80, 100));
-        assert_eq!(s.trials(), 2);
-        assert!((s.delivery.mean() - 0.85).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_preserves_trial_weighting() {
-        let mut a = Summary::new("X");
-        a.add(&metrics(100, 100));
-        let mut b = Summary::new("X");
-        b.add(&metrics(50, 100));
-        b.add(&metrics(50, 100));
-        a.merge(&b);
-        assert_eq!(a.trials(), 3);
-        // (1.0 + 0.5 + 0.5) / 3
-        assert!((a.delivery.mean() - 2.0 / 3.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn audit_counters_accumulate_and_merge() {
-        let mut m = metrics(10, 10);
         m.invariant_checks = 5;
         m.invariant_breaches = 1;
-        let mut a = Summary::new("X");
-        a.add(&m);
-        a.add(&m);
-        assert_eq!(a.invariant_checks, 10);
-        assert_eq!(a.invariant_breaches, 2);
-        let mut b = Summary::new("X");
-        b.add(&m);
-        a.merge(&b);
-        assert_eq!(a.invariant_checks, 15);
-        assert_eq!(a.invariant_breaches, 3);
+        CellMetrics::from_metrics(&m, 0)
+    }
+
+    #[test]
+    fn add_cell_accumulates_ratios_and_audit_counters() {
+        let mut s = Summary::new("X");
+        s.add_cell(&cell(90, 100));
+        s.add_cell(&cell(80, 100));
+        assert_eq!(s.trials(), 2);
+        assert!((s.delivery.mean() - 0.85).abs() < 1e-12);
+        assert_eq!(s.invariant_checks, 10);
+        assert_eq!(s.invariant_breaches, 2);
     }
 
     #[test]
     fn failures_are_recorded_without_skewing_accumulators() {
         let mut a = Summary::new("X");
-        a.add(&metrics(90, 100));
+        a.add_cell(&cell(90, 100));
         a.record_failure(41, "index out of bounds".to_string());
         assert_eq!(a.trials(), 1, "a failed trial contributes no samples");
-        assert_eq!(a.failed.len(), 1);
-        let mut b = Summary::new("X");
-        b.record_failure(77, "boom".to_string());
-        a.merge(&b);
-        assert_eq!(a.failed.len(), 2);
-        assert_eq!(a.failed[1], TrialFailure { seed: 77, panic_msg: "boom".to_string() });
+        assert_eq!(a.failed, [TrialFailure { seed: 41, panic_msg: "index out of bounds".into() }]);
     }
 
     #[test]
     fn table_row_contains_protocol_and_ci() {
         let mut s = Summary::new("LDR");
-        s.add(&metrics(90, 100));
-        s.add(&metrics(95, 100));
+        s.add_cell(&cell(90, 100));
+        s.add_cell(&cell(95, 100));
         let row = s.table_row();
         assert!(row.starts_with("LDR"));
         assert!(row.contains('±'));

@@ -1,19 +1,15 @@
-//! Executes scenarios: one deterministic run per `(protocol, scenario,
-//! trial)`, with trials parallelised across the bounded
-//! [work-stealing pool](crate::workpool) — never one OS thread per
-//! trial, and never more than the host's cores even when each trial's
-//! kernel itself runs multi-worker.
+//! Executes one scenario trial: a deterministic run per `(protocol,
+//! scenario, seed, fault plan)`. Anything that runs more than one
+//! trial goes through [`crate::sweep::run_sweep`].
 
-use crate::report::Summary;
 use crate::scenario::{Protocol, Scenario};
-use crate::workpool::{self, PoolStats};
 use manet_sim::config::SimConfig;
 use manet_sim::faults::{FaultIntensity, FaultPlan};
 use manet_sim::metrics::Metrics;
 use manet_sim::mobility::RandomWaypoint;
 use manet_sim::rng::SimRng;
 use manet_sim::telemetry::TelemetryConfig;
-use manet_sim::time::SimDuration;
+use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::traffic::TrafficConfig;
 use manet_sim::world::World;
 
@@ -31,13 +27,10 @@ pub fn run_once_faulted(
     seed: u64,
     plan: Option<FaultPlan>,
 ) -> Metrics {
-    build_world(protocol, scenario, seed, plan).run()
+    run_world(protocol, scenario, seed, plan).into_metrics()
 }
 
-/// Builds the fully-configured (but not yet run) world for one trial —
-/// shared by [`run_once_faulted`] and the perfbench timing loop (which
-/// needs the world alive after the run to read
-/// [`World::events_executed`]).
+/// Builds the fully-configured (but not yet run) world for one trial.
 pub fn build_world(
     protocol: Protocol,
     scenario: &Scenario,
@@ -109,69 +102,19 @@ pub fn trial_seed(seed_base: u64, k: u32) -> u64 {
     seed_base.wrapping_add(u64::from(k))
 }
 
-/// All trial seeds for a scenario, with an explicit collision check —
-/// if a future seed-derivation change ever maps two trials to one
-/// seed, the sweep must refuse to silently run duplicate cells.
-pub fn trial_seeds(scenario: &Scenario) -> Vec<u64> {
-    let seeds: Vec<u64> = (0..scenario.trials).map(|k| trial_seed(scenario.seed_base, k)).collect();
-    let mut sorted = seeds.clone();
-    sorted.sort_unstable();
-    let before = sorted.len();
-    sorted.dedup();
-    assert_eq!(sorted.len(), before, "trial seed collision: seed_base={}", scenario.seed_base);
-    seeds
-}
-
-/// Trial-pool width for a scenario: the host's cores divided by the
-/// inner kernel workers each trial itself spawns, so the product never
-/// oversubscribes the machine (the pre-PR-9 runner spawned
-/// `trials × workers` threads with no cap at all).
-pub fn pool_threads(scenario: &Scenario) -> usize {
-    let cores = workpool::host_cores();
-    let inner = scenario.workers.max(1);
-    (cores / inner).clamp(1, cores)
-}
-
-/// Shared trial loop: derives the seeds, fans `run(k, seed)` out over
-/// the bounded pool, folds successes into the summary, and records a
-/// panicking trial as a [`crate::report::TrialFailure`] instead of
-/// aborting the batch.
-fn run_trials_core(
+/// Runs one trial to completion and hands back the finished world, so
+/// the caller can read kernel counters ([`World::events_executed`],
+/// [`World::parallel_windows`]) next to [`World::metrics`].
+pub fn run_world(
     protocol: Protocol,
     scenario: &Scenario,
-    run: &(dyn Fn(u32, u64) -> Metrics + Sync),
-) -> (Summary, PoolStats) {
-    let seeds = trial_seeds(scenario);
-    let jobs: Vec<_> =
-        seeds.iter().enumerate().map(|(i, &seed)| move || run(i as u32, seed)).collect();
-    let (results, stats) = workpool::run_jobs(pool_threads(scenario), jobs);
-    let mut summary = Summary::new(protocol.name());
-    for (i, r) in results.into_iter().enumerate() {
-        match r {
-            Ok(m) => summary.add(&m),
-            Err(panic_msg) => summary.record_failure(seeds[i], panic_msg),
-        }
-    }
-    (summary, stats)
-}
-
-/// Runs all trials of a scenario at a fault-intensity level (across
-/// the bounded worker pool) and aggregates them into a [`Summary`].
-/// A panicking trial is recorded in [`Summary::failed`]; the remaining
-/// trials still run.
-pub fn run_fault_trials(protocol: Protocol, scenario: &Scenario, level: u32) -> Summary {
-    run_trials_core(protocol, scenario, &|_k, seed| {
-        let plan = trial_fault_plan(scenario, seed, level);
-        run_once_faulted(protocol, scenario, seed, Some(plan))
-    })
-    .0
-}
-
-/// Runs all trials of a scenario (across the bounded worker pool) and
-/// aggregates them into a [`Summary`]. A panicking trial is recorded
-/// in [`Summary::failed`]; the remaining trials still run.
-pub fn run_trials(protocol: Protocol, scenario: &Scenario) -> Summary {
-    run_trials_core(protocol, scenario, &|_k, seed| run_once(protocol, scenario, seed)).0
+    seed: u64,
+    plan: Option<FaultPlan>,
+) -> World {
+    let mut world = build_world(protocol, scenario, seed, plan);
+    world.run_until(SimTime::ZERO + SimDuration::from_secs(scenario.duration_secs));
+    world.finalize();
+    world
 }
 
 #[cfg(test)]
@@ -229,117 +172,42 @@ mod tests {
         assert_eq!(a.collisions, b.collisions);
     }
 
-    #[test]
-    fn trials_aggregate_into_summary() {
-        let scenario = Scenario {
+    fn small_audited() -> Scenario {
+        Scenario {
             n_nodes: 15,
             terrain: (700.0, 300.0),
-            n_flows: 3,
-            pause_secs: 0,
-            duration_secs: 40,
-            trials: 3,
-            seed_base: 100,
-            flavor: crate::scenario::SimFlavor::Default,
-            audit: false,
-            spatial_grid: true,
-            workers: 1,
-            recycle_pools: true,
-            profile: false,
-        };
-        let s = run_trials(Protocol::Aodv, &scenario);
-        assert_eq!(s.trials(), 3);
-        assert!(s.delivery.mean() > 0.0);
-    }
-
-    #[test]
-    fn fault_level_zero_is_empty_and_matches_fault_free_trials() {
-        let scenario = Scenario {
-            n_nodes: 15,
-            terrain: (700.0, 300.0),
-            n_flows: 3,
-            pause_secs: 0,
             duration_secs: 40,
             trials: 2,
             seed_base: 100,
-            flavor: crate::scenario::SimFlavor::Default,
             audit: true,
-            spatial_grid: true,
-            workers: 1,
-            recycle_pools: true,
-            profile: false,
-        };
-        assert!(trial_fault_plan(&scenario, scenario.seed_base, 0).is_empty());
-        let faulted = run_fault_trials(Protocol::Ldr, &scenario, 0);
-        let plain = run_trials(Protocol::Ldr, &scenario);
+            ..Scenario::n50(3, 0)
+        }
+    }
+
+    #[test]
+    fn fault_level_zero_is_empty_and_matches_the_fault_free_trial() {
+        // The sweep always passes a plan; level 0 must be a no-op.
+        let scenario = small_audited();
+        let plan = trial_fault_plan(&scenario, scenario.seed_base, 0);
+        assert!(plan.is_empty());
+        let faulted = run_once_faulted(Protocol::Ldr, &scenario, scenario.seed_base, Some(plan));
         assert_eq!(faulted.faults_injected, 0);
-        assert_eq!(faulted.node_restarts, 0);
-        assert_eq!(faulted.delivery.mean(), plain.delivery.mean());
-        assert_eq!(faulted.latency.mean(), plain.latency.mean());
-        assert_eq!(faulted.loop_violations, plain.loop_violations);
+        assert_eq!(faulted, run_once(Protocol::Ldr, &scenario, scenario.seed_base));
     }
 
     #[test]
     fn fault_trials_are_deterministic_and_protocol_agnostic() {
-        let scenario = Scenario {
-            n_nodes: 15,
-            terrain: (700.0, 300.0),
-            n_flows: 3,
-            pause_secs: 0,
-            duration_secs: 40,
-            trials: 2,
-            seed_base: 100,
-            flavor: crate::scenario::SimFlavor::Default,
-            audit: true,
-            spatial_grid: true,
-            workers: 1,
-            recycle_pools: true,
-            profile: false,
-        };
+        let scenario = small_audited();
         // The per-trial plan depends only on (scenario, seed, level),
         // never the protocol, so every row faces the same schedule.
         let p1 = trial_fault_plan(&scenario, 107, 2);
         let p2 = trial_fault_plan(&scenario, 107, 2);
         assert!(!p1.is_empty());
         assert_eq!(p1.entries(), p2.entries());
-        let a = run_fault_trials(Protocol::Aodv, &scenario, 2);
-        let b = run_fault_trials(Protocol::Aodv, &scenario, 2);
+        let a = run_once_faulted(Protocol::Aodv, &scenario, 107, Some(p1));
+        let b = run_once_faulted(Protocol::Aodv, &scenario, 107, Some(p2));
         assert!(a.faults_injected > 0, "level 2 must actually inject faults");
-        assert_eq!(a.faults_injected, b.faults_injected);
-        assert_eq!(a.node_restarts, b.node_restarts);
-        assert_eq!(a.delivery.mean(), b.delivery.mean());
-        assert_eq!(a.latency.mean(), b.latency.mean());
-    }
-
-    #[test]
-    fn threaded_trials_equal_sequential_aggregation() {
-        let scenario = Scenario {
-            n_nodes: 15,
-            terrain: (700.0, 300.0),
-            n_flows: 3,
-            pause_secs: 0,
-            duration_secs: 40,
-            trials: 3,
-            seed_base: 100,
-            flavor: crate::scenario::SimFlavor::Default,
-            audit: true,
-            spatial_grid: true,
-            workers: 1,
-            recycle_pools: true,
-            profile: false,
-        };
-        let threaded = run_trials(Protocol::Ldr, &scenario);
-        let mut sequential = Summary::new(Protocol::Ldr.name());
-        for k in 0..scenario.trials {
-            let m = run_once(Protocol::Ldr, &scenario, trial_seed(scenario.seed_base, k));
-            sequential.add(&m);
-        }
-        assert_eq!(threaded.trials(), sequential.trials());
-        assert!(threaded.failed.is_empty());
-        assert_eq!(threaded.delivery.mean(), sequential.delivery.mean());
-        assert_eq!(threaded.latency.mean(), sequential.latency.mean());
-        assert_eq!(threaded.net_load.mean(), sequential.net_load.mean());
-        assert_eq!(threaded.rreq_tx.mean(), sequential.rreq_tx.mean());
-        assert_eq!(threaded.loop_violations, sequential.loop_violations);
+        assert_eq!(a, b);
     }
 
     #[test]
@@ -348,78 +216,8 @@ mod tests {
         // debug builds and silently wrapped in release. Wrapping is
         // now the contract, and the seeds must stay pairwise distinct
         // across the boundary.
-        let scenario = Scenario { seed_base: u64::MAX - 1, trials: 4, ..Scenario::n50(4, 0) };
-        let seeds = trial_seeds(&scenario);
+        let seeds: Vec<u64> = (0..4).map(|k| trial_seed(u64::MAX - 1, k)).collect();
         assert_eq!(seeds, vec![u64::MAX - 1, u64::MAX, 0, 1]);
         assert_eq!(trial_seed(u64::MAX, 1), 0);
-    }
-
-    #[test]
-    fn a_panicking_trial_is_recorded_and_the_rest_survive() {
-        let scenario = Scenario {
-            n_nodes: 15,
-            terrain: (700.0, 300.0),
-            n_flows: 3,
-            pause_secs: 0,
-            duration_secs: 30,
-            trials: 3,
-            seed_base: 100,
-            flavor: crate::scenario::SimFlavor::Default,
-            audit: false,
-            spatial_grid: true,
-            workers: 1,
-            recycle_pools: true,
-            profile: false,
-        };
-        let (summary, _) = run_trials_core(Protocol::Ldr, &scenario, &|k, seed| {
-            if k == 1 {
-                panic!("injected fault in trial {k}");
-            }
-            run_once(Protocol::Ldr, &scenario, seed)
-        });
-        assert_eq!(summary.trials(), 2, "the two healthy trials must complete");
-        assert_eq!(summary.failed.len(), 1);
-        assert_eq!(summary.failed[0].seed, trial_seed(scenario.seed_base, 1));
-        assert!(summary.failed[0].panic_msg.contains("injected fault in trial 1"));
-    }
-
-    #[test]
-    fn trial_pool_is_bounded_by_host_cores_not_trials_times_workers() {
-        // workers = 4 inner kernel threads per trial: the pre-PR-9
-        // runner would have run all trials at once (trials × workers
-        // OS threads). The pool must instead divide the host's cores
-        // by the inner width.
-        let scenario = Scenario {
-            n_nodes: 15,
-            terrain: (700.0, 300.0),
-            n_flows: 3,
-            pause_secs: 0,
-            duration_secs: 30,
-            trials: 5,
-            seed_base: 100,
-            flavor: crate::scenario::SimFlavor::Default,
-            audit: false,
-            spatial_grid: true,
-            workers: 4,
-            recycle_pools: true,
-            profile: false,
-        };
-        let cores = crate::workpool::host_cores();
-        let cap = pool_threads(&scenario);
-        assert!(cap <= cores, "pool cap must never exceed the host");
-        assert!(
-            cap * scenario.workers <= cores.max(scenario.workers),
-            "trial-level × kernel-level threads would oversubscribe: {cap} × {}",
-            scenario.workers
-        );
-        let (summary, stats) = run_trials_core(Protocol::Aodv, &scenario, &|_k, seed| {
-            run_once(Protocol::Aodv, &scenario, seed)
-        });
-        assert_eq!(summary.trials(), 5);
-        assert!(
-            stats.peak_live_workers <= cap,
-            "peak live trial threads {} exceeded the cap {cap}",
-            stats.peak_live_workers
-        );
     }
 }

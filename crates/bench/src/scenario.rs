@@ -142,8 +142,8 @@ pub struct Scenario {
     pub audit: bool,
     /// Serve range queries from the spatial neighbor grid
     /// ([`manet_sim::spatial`]). Byte-identical to the linear scan —
-    /// only faster — so it defaults to on; perfbench flips it off to
-    /// time the reference baseline.
+    /// only faster — so it defaults to on; the grid differential tests
+    /// flip it off to diff against the reference scan.
     pub spatial_grid: bool,
     /// Worker threads for the deterministic parallel event kernel
     /// (`manet_sim::parallel`). `0`/`1` run the sequential kernel; any
@@ -202,7 +202,7 @@ impl Scenario {
     }
 
     /// A stable label for file names and prof headers
-    /// (`n<nodes>-f<flows>-p<pause>`), matching the perfbench case
+    /// (`n<nodes>-f<flows>-p<pause>`), matching the sweep's cell
     /// names.
     pub fn label(&self) -> String {
         format!("n{}-f{}-p{}", self.n_nodes, self.n_flows, self.pause_secs)
@@ -215,9 +215,34 @@ impl Scenario {
     pub const PAUSE_SWEEP_QUICK: [u64; 3] = [0, 120, 600];
 }
 
+/// The two scoreboard scenarios: 50 nodes / 10 flows and 100 nodes /
+/// 30 flows, both at pause 0 (continuous motion — the worst case for a
+/// position cache, hence the honest one to measure).
+pub fn paper_cases(duration_secs: u64, trials: u32) -> Vec<(String, Scenario)> {
+    [Scenario::n50(10, 0), Scenario::n100(30, 0)]
+        .into_iter()
+        .map(|sc| (sc.label(), Scenario { duration_secs, trials, ..sc }))
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn paper_cases_match_the_paper_topologies() {
+        let cases = paper_cases(900, 3);
+        assert_eq!(cases.len(), 2);
+        assert_eq!((cases[0].0.as_str(), cases[1].0.as_str()), ("n50-f10-p0", "n100-f30-p0"));
+        assert_eq!(cases[0].1.n_nodes, 50);
+        assert_eq!(cases[0].1.terrain, (1500.0, 300.0));
+        assert_eq!(cases[1].1.n_nodes, 100);
+        assert_eq!(cases[1].1.terrain, (2200.0, 600.0));
+        for (_, sc) in &cases {
+            assert_eq!(sc.pause_secs, 0, "bench at max mobility");
+            assert_eq!((sc.duration_secs, sc.trials), (900, 3));
+        }
+    }
 
     #[test]
     fn paper_scenarios_match_section4() {

@@ -27,16 +27,16 @@
 //!   the committed file byte for byte.
 //!
 //! A cell whose trial panics is journaled as `failed` (the sweep keeps
-//! going — see the runner's panic-isolation contract) but **never
+//! going — see the pool's panic-isolation contract) but **never
 //! cached**: a panic is a bug, and a fixed binary must re-run the
 //! cell rather than resurrect the failure from disk.
 
 use crate::forensics::Json;
-use crate::runner::{trial_fault_plan, trial_seed};
-use crate::scenario::{Protocol, Scenario, SimFlavor};
+use crate::runner::{run_world, trial_fault_plan, trial_seed};
+use crate::scenario::{paper_cases, Protocol, Scenario, SimFlavor};
 use crate::workpool;
 use manet_sim::metrics::Metrics;
-use manet_sim::time::{SimDuration, SimTime};
+use manet_sim::telemetry::json_escape;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::fs;
@@ -121,12 +121,12 @@ impl CellSpec {
     }
 }
 
-/// The standard sweep grid: both paper topologies × the four paper
+/// The scoreboard grid: both paper topologies × the four paper
 /// protocols × the given fault levels × `trials` seeds per cell, in
 /// canonical (scenario, protocol, level, seed) order.
 pub fn cells_for(duration_secs: u64, trials: u32, levels: &[u32]) -> Vec<CellSpec> {
     let mut out = Vec::new();
-    for (name, scenario) in crate::perf::paper_cases(duration_secs, trials) {
+    for (name, scenario) in paper_cases(duration_secs, trials) {
         for protocol in Protocol::PAPER_SET {
             for &level in levels {
                 for k in 0..trials {
@@ -142,19 +142,6 @@ pub fn cells_for(duration_secs: u64, trials: u32, levels: &[u32]) -> Vec<CellSpe
         }
     }
     out
-}
-
-/// The CI smoke sweep: 60 s simulated, one trial per cell, fault
-/// levels 0 and 1 — 16 cells. This is the grid the committed
-/// `BENCH_6.json` records.
-pub fn smoke_cells() -> Vec<CellSpec> {
-    cells_for(60, 1, &[0, 1])
-}
-
-/// The paper-scale sweep: 900 s simulated, three seeds per cell, fault
-/// levels 0–2 (72 cells).
-pub fn full_cells() -> Vec<CellSpec> {
-    cells_for(900, 3, &[0, 1, 2])
 }
 
 // ----- per-cell results -------------------------------------------------
@@ -239,24 +226,6 @@ pub enum CellRecord {
 
 // ----- record (de)serialization -----------------------------------------
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Bit-exact `f64` rendering: 16 hex digits of the IEEE-754 pattern.
 fn f64_hex(x: f64) -> String {
     format!("{:016x}", x.to_bits())
@@ -311,7 +280,7 @@ fn u64_values(m: &CellMetrics) -> [u64; 9] {
 /// Renders one journal/cache line (stable field order, no wall-clock).
 pub fn record_line(key: &str, cell: &str, record: &CellRecord) -> String {
     let mut s = String::new();
-    let _ = write!(s, "{{\"key\":\"{}\",\"cell\":\"{}\"", esc(key), esc(cell));
+    let _ = write!(s, "{{\"key\":\"{}\",\"cell\":\"{}\"", json_escape(key), json_escape(cell));
     match record {
         CellRecord::Done(m) => {
             s.push_str(",\"status\":\"ok\"");
@@ -323,7 +292,8 @@ pub fn record_line(key: &str, cell: &str, record: &CellRecord) -> String {
             }
         }
         CellRecord::Failed { panic_msg } => {
-            let _ = write!(s, ",\"status\":\"failed\",\"panic_msg\":\"{}\"", esc(panic_msg));
+            let _ =
+                write!(s, ",\"status\":\"failed\",\"panic_msg\":\"{}\"", json_escape(panic_msg));
         }
     }
     s.push('}');
@@ -439,13 +409,9 @@ fn run_cell(cell: &CellSpec) -> CellMetrics {
     // Level 0 yields an empty plan, which the kernel treats exactly
     // like no plan (covered by the runner's level-zero test).
     let plan = trial_fault_plan(&cell.scenario, cell.seed, cell.fault_level);
-    // Kept alive past the run so the kernel's event counter — the
-    // deterministic numerator of the scoreboard's throughput column —
-    // can be read alongside the metrics.
-    let mut world =
-        crate::runner::build_world(cell.protocol, &cell.scenario, cell.seed, Some(plan));
-    world.run_until(SimTime::ZERO + SimDuration::from_secs(cell.scenario.duration_secs));
-    world.finalize();
+    let world = run_world(cell.protocol, &cell.scenario, cell.seed, Some(plan));
+    // The kernel's event counter is the deterministic numerator of the
+    // scoreboard's throughput column.
     CellMetrics::from_metrics(world.metrics(), world.events_executed())
 }
 
@@ -576,15 +542,15 @@ impl SweepOutcome {
         s.push_str("{\n");
         s.push_str("  \"bench\": \"sweepbench\",\n");
         s.push_str("  \"schema\": 1,\n");
-        let _ = writeln!(s, "  \"mode\": \"{}\",", esc(mode));
-        let _ = writeln!(s, "  \"code_rev\": \"{}\",", esc(SWEEP_CODE_REV));
+        let _ = writeln!(s, "  \"mode\": \"{}\",", json_escape(mode));
+        let _ = writeln!(s, "  \"code_rev\": \"{}\",", json_escape(SWEEP_CODE_REV));
         let _ = writeln!(s, "  \"cells\": [");
         for (i, (cell, rec)) in self.cells.iter().enumerate() {
             s.push_str("    {\n");
             let _ = writeln!(s, "      \"key\": \"{}\",", cell.key());
-            let _ = writeln!(s, "      \"cell\": \"{}\",", esc(&cell.display()));
-            let _ = writeln!(s, "      \"scenario\": \"{}\",", esc(&cell.scenario_name));
-            let _ = writeln!(s, "      \"protocol\": \"{}\",", esc(&cell.protocol.name()));
+            let _ = writeln!(s, "      \"cell\": \"{}\",", json_escape(&cell.display()));
+            let _ = writeln!(s, "      \"scenario\": \"{}\",", json_escape(&cell.scenario_name));
+            let _ = writeln!(s, "      \"protocol\": \"{}\",", json_escape(&cell.protocol.name()));
             let _ = writeln!(s, "      \"fault_level\": {},", cell.fault_level);
             let _ = writeln!(s, "      \"seed\": {},", cell.seed);
             match rec {
@@ -610,7 +576,7 @@ impl SweepOutcome {
                 }
                 Some(CellRecord::Failed { panic_msg }) => {
                     s.push_str("      \"status\": \"failed\",\n");
-                    let _ = writeln!(s, "      \"panic_msg\": \"{}\"", esc(panic_msg));
+                    let _ = writeln!(s, "      \"panic_msg\": \"{}\"", json_escape(panic_msg));
                 }
                 None => {
                     s.push_str("      \"status\": \"pending\"\n");
@@ -796,16 +762,5 @@ mod tests {
         assert!(parse_record(torn).is_none(), "a torn line must parse to None, not panic");
         assert!(parse_record("").is_none());
         assert!(parse_record("{\"key\":\"x\"}").is_none(), "missing status");
-    }
-
-    #[test]
-    fn smoke_grid_shape_and_key_uniqueness() {
-        let cells = smoke_cells();
-        assert_eq!(cells.len(), 2 * 4 * 2, "2 scenarios × 4 protocols × 2 levels × 1 trial");
-        let mut keys: Vec<String> = cells.iter().map(CellSpec::key).collect();
-        keys.sort();
-        keys.dedup();
-        assert_eq!(keys.len(), cells.len(), "all smoke cell keys distinct");
-        assert!(cells.iter().all(|c| c.scenario.duration_secs == 60));
     }
 }

@@ -11,7 +11,7 @@
 //! the release benchmark), but both trials still cross many grid
 //! rebuild epochs and route-repair cycles.
 
-use ldr_bench::perf::run_timed;
+use ldr_bench::runner::run_once;
 use ldr_bench::scenario::{Protocol, Scenario};
 
 fn assert_grid_matches_linear(mut scenario: Scenario, duration_secs: u64, seed: u64) {
@@ -19,14 +19,14 @@ fn assert_grid_matches_linear(mut scenario: Scenario, duration_secs: u64, seed: 
     for protocol in Protocol::PAPER_SET {
         let mut grid_sc = scenario.clone();
         grid_sc.spatial_grid = true;
-        let g = run_timed(protocol, &grid_sc, seed);
+        let g = run_once(protocol, &grid_sc, seed);
         let mut lin_sc = scenario.clone();
         lin_sc.spatial_grid = false;
-        let l = run_timed(protocol, &lin_sc, seed);
-        assert!(g.metrics.data_originated > 0, "{}: silent run", protocol.name());
+        let l = run_once(protocol, &lin_sc, seed);
+        assert!(g.data_originated > 0, "{}: silent run", protocol.name());
         assert_eq!(
-            g.metrics,
-            l.metrics,
+            g,
+            l,
             "{} diverged between grid and linear at {} nodes (seed {seed})",
             protocol.name(),
             scenario.n_nodes,

@@ -18,8 +18,7 @@
 //! run on the sequential path — which is itself the property under
 //! test: the kernel must *choose* correctly, not just merge correctly.
 
-use ldr_bench::perf::run_timed;
-use ldr_bench::runner::{run_once_faulted, trial_fault_plan};
+use ldr_bench::runner::{run_once_faulted, run_world, trial_fault_plan};
 use ldr_bench::scenario::{Protocol, Scenario};
 use ldr_bench::telemetry_export::render_run;
 
@@ -28,16 +27,21 @@ fn assert_workers_match_sequential(mut scenario: Scenario, duration_secs: u64, s
     for protocol in Protocol::PAPER_SET {
         let mut seq_sc = scenario.clone();
         seq_sc.workers = 1;
-        let s = run_timed(protocol, &seq_sc, seed);
-        assert!(s.metrics.data_originated > 0, "{}: silent run", protocol.name());
+        let s = run_world(protocol, &seq_sc, seed, None);
+        assert!(s.metrics().data_originated > 0, "{}: silent run", protocol.name());
         for workers in [2, 8] {
             let mut par_sc = scenario.clone();
             par_sc.workers = workers;
-            let p = run_timed(protocol, &par_sc, seed);
-            assert_eq!(p.events, s.events, "{}: event count diverged", protocol.name());
+            let p = run_world(protocol, &par_sc, seed, None);
             assert_eq!(
-                p.metrics,
-                s.metrics,
+                p.events_executed(),
+                s.events_executed(),
+                "{}: event count diverged",
+                protocol.name()
+            );
+            assert_eq!(
+                p.metrics(),
+                s.metrics(),
                 "{} diverged at {} workers, {} nodes (seed {seed})",
                 protocol.name(),
                 workers,
@@ -118,16 +122,21 @@ fn randomized_small_worlds_are_identical_across_worker_counts() {
             recycle_pools: true,
             profile: false,
         };
-        let s = run_timed(Protocol::Ldr, &scenario, seed);
+        let s = run_world(Protocol::Ldr, &scenario, seed, None);
         for workers in [2, 4, 8] {
             let mut par_sc = scenario.clone();
             par_sc.workers = workers;
-            let p = run_timed(Protocol::Ldr, &par_sc, seed);
+            let p = run_world(Protocol::Ldr, &par_sc, seed, None);
             assert_eq!(
-                p.metrics, s.metrics,
+                p.metrics(),
+                s.metrics(),
                 "case {case} (seed {seed}) diverged at {workers} workers"
             );
-            assert_eq!(p.events, s.events, "case {case}: event count diverged");
+            assert_eq!(
+                p.events_executed(),
+                s.events_executed(),
+                "case {case}: event count diverged"
+            );
         }
     }
 }

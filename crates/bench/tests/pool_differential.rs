@@ -14,8 +14,7 @@
 //! benchmark), but both trials still cross many route-repair cycles
 //! and push every pooled buffer through thousands of take/put rounds.
 
-use ldr_bench::perf::run_timed;
-use ldr_bench::runner::{run_once_faulted, trial_fault_plan};
+use ldr_bench::runner::{run_once_faulted, run_world, trial_fault_plan};
 use ldr_bench::scenario::{Protocol, Scenario};
 use ldr_bench::telemetry_export::render_run;
 
@@ -24,15 +23,20 @@ fn assert_pooled_matches_unpooled(mut scenario: Scenario, duration_secs: u64, se
     for protocol in Protocol::PAPER_SET {
         let mut pooled_sc = scenario.clone();
         pooled_sc.recycle_pools = true;
-        let p = run_timed(protocol, &pooled_sc, seed);
+        let p = run_world(protocol, &pooled_sc, seed, None);
         let mut fresh_sc = scenario.clone();
         fresh_sc.recycle_pools = false;
-        let f = run_timed(protocol, &fresh_sc, seed);
-        assert!(p.metrics.data_originated > 0, "{}: silent run", protocol.name());
-        assert_eq!(p.events, f.events, "{}: event count diverged", protocol.name());
+        let f = run_world(protocol, &fresh_sc, seed, None);
+        assert!(p.metrics().data_originated > 0, "{}: silent run", protocol.name());
         assert_eq!(
-            p.metrics,
-            f.metrics,
+            p.events_executed(),
+            f.events_executed(),
+            "{}: event count diverged",
+            protocol.name()
+        );
+        assert_eq!(
+            p.metrics(),
+            f.metrics(),
             "{} diverged between pooled and allocate-per-event at {} nodes (seed {seed})",
             protocol.name(),
             scenario.n_nodes,

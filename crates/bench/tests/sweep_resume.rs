@@ -2,8 +2,10 @@
 //! (ISSUE 9 satellite): a finished sweep re-runs with zero executed
 //! cells and byte-identical BENCH output, an interrupted sweep resumes
 //! with the remainder only and still matches a clean run byte for
-//! byte, and the content-addressed cache serves cells across journals.
+//! byte, and the content-addressed cache serves cells across journals
+//! — and across named grids that share cells.
 
+use ldr_bench::grids::{grid, GridOpts};
 use ldr_bench::scenario::{Protocol, Scenario};
 use ldr_bench::sweep::{run_sweep, CellRecord, CellSpec, SweepConfig};
 use std::path::{Path, PathBuf};
@@ -151,6 +153,35 @@ fn journaled_failures_are_honored_but_never_cached() {
         !cfg.cache_dir.join(format!("{}.json", cells[0].key())).exists(),
         "failed cells must never enter the content-addressed cache"
     );
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn table1_after_the_delivery_figures_executes_nothing() {
+    // §4 is one matrix: Table 1 averages exactly the cells Figs. 2–5
+    // plot, so in a shared sweep dir it must be served from the cache.
+    let dir = fresh_dir("cross-grid");
+    let opts = GridOpts {
+        trials: Some(1),
+        duration: Some(3),
+        pauses: Some(vec![0]),
+        ..GridOpts::default()
+    };
+    // One journal per grid, as separate invocations sharing a cache.
+    let cfg_for =
+        |name: &str| SweepConfig { journal: dir.join(format!("{name}.jsonl")), ..cfg_in(&dir) };
+    for fig in ["fig2", "fig3", "fig4", "fig5"] {
+        let g = grid(fig, &opts).expect("registered");
+        let out = run_sweep(&g.cells, &cfg_for(fig)).expect("figure sweep");
+        assert_eq!(out.executed, g.cells.len(), "{fig}: cold cells simulate");
+    }
+    let t1 = grid("table1", &opts).expect("registered");
+    let out = run_sweep(&t1.cells, &cfg_for("table1")).expect("table sweep");
+    assert!(out.complete());
+    assert_eq!(out.executed, 0, "Table 1 shares every cell with Figs. 2–5");
+    assert_eq!(out.memo_hits, t1.cells.len());
+    assert_eq!(t1.cells.len(), 2 * 2 * 4, "2 node counts × 2 flow counts × 4 protocols");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

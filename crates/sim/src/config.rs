@@ -135,7 +135,7 @@ pub struct SimConfig {
     /// byte-identical (metrics and trace) to linear-scan runs — the
     /// toggle only changes how fast the same answer is computed — so it
     /// defaults to on. Set `false` to force the reference linear scan
-    /// (used by the differential tests and as the perfbench baseline).
+    /// (used by the differential tests).
     /// The grid also silently falls back to the linear scan when the
     /// mobility model cannot promise a finite speed bound
     /// ([`crate::mobility::MobilityModel::max_speed_mps`]).
