@@ -85,72 +85,6 @@ impl Terrain {
     }
 }
 
-/// A uniform cell decomposition of an axis-aligned rectangle, the
-/// geometric substrate of the spatial neighbor index
-/// ([`crate::spatial`]). Positions map to integer `(col, row)` cells;
-/// out-of-rectangle positions clamp to the border cells, so every
-/// position has a cell and range queries stay total.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct CellGrid {
-    /// Lower-left corner of the covered rectangle.
-    pub origin: Position,
-    /// Cell edge length in metres (> 0).
-    pub cell: f64,
-    /// Number of columns (≥ 1).
-    pub cols: usize,
-    /// Number of rows (≥ 1).
-    pub rows: usize,
-}
-
-impl CellGrid {
-    /// The grid of `cell`-sized squares covering the axis-aligned
-    /// bounding box `[min, max]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `cell` is positive and finite and `min <= max` on
-    /// both axes.
-    pub fn covering(min: Position, max: Position, cell: f64) -> Self {
-        assert!(cell.is_finite() && cell > 0.0, "bad cell size {cell}");
-        assert!(min.x <= max.x && min.y <= max.y, "empty bounding box {min:?}..{max:?}");
-        let cols = (((max.x - min.x) / cell).floor() as usize + 1).max(1);
-        let rows = (((max.y - min.y) / cell).floor() as usize + 1).max(1);
-        CellGrid { origin: min, cell, cols, rows }
-    }
-
-    /// The `(col, row)` cell containing `p`, clamped to the grid.
-    pub fn cell_of(&self, p: Position) -> (usize, usize) {
-        let cx = ((p.x - self.origin.x) / self.cell).floor();
-        let cy = ((p.y - self.origin.y) / self.cell).floor();
-        let cx = if cx.is_finite() && cx > 0.0 { cx as usize } else { 0 };
-        let cy = if cy.is_finite() && cy > 0.0 { cy as usize } else { 0 };
-        (cx.min(self.cols - 1), cy.min(self.rows - 1))
-    }
-
-    /// Flat row-major index of a `(col, row)` cell.
-    pub fn index(&self, col: usize, row: usize) -> usize {
-        row * self.cols + col
-    }
-
-    /// Total number of cells.
-    pub fn n_cells(&self) -> usize {
-        self.cols * self.rows
-    }
-
-    /// The inclusive `(col, row)` ranges of every cell intersecting the
-    /// disc of radius `radius` around `p` — the candidate neighborhood
-    /// for a range query.
-    pub fn cells_within(
-        &self,
-        p: Position,
-        radius: f64,
-    ) -> (std::ops::RangeInclusive<usize>, std::ops::RangeInclusive<usize>) {
-        let (c0, r0) = self.cell_of(Position::new(p.x - radius, p.y - radius));
-        let (c1, r1) = self.cell_of(Position::new(p.x + radius, p.y + radius));
-        (c0..=c1, r0..=r1)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,39 +129,5 @@ mod tests {
     #[should_panic]
     fn terrain_rejects_zero_width() {
         Terrain::new(0.0, 10.0);
-    }
-
-    #[test]
-    fn cell_grid_covers_and_clamps() {
-        let g = CellGrid::covering(Position::new(0.0, 0.0), Position::new(1500.0, 300.0), 295.0);
-        assert_eq!((g.cols, g.rows), (6, 2));
-        assert_eq!(g.cell_of(Position::new(0.0, 0.0)), (0, 0));
-        assert_eq!(g.cell_of(Position::new(294.9, 294.9)), (0, 0));
-        assert_eq!(g.cell_of(Position::new(295.0, 295.0)), (1, 1));
-        // Outside positions clamp to border cells.
-        assert_eq!(g.cell_of(Position::new(-50.0, 1e9)), (0, 1));
-        assert_eq!(g.cell_of(Position::new(1e9, -1.0)), (5, 0));
-        assert_eq!(g.n_cells(), 12);
-        assert_eq!(g.index(5, 1), 11);
-    }
-
-    #[test]
-    fn cell_grid_range_query_covers_disc() {
-        let g = CellGrid::covering(Position::new(0.0, 0.0), Position::new(1000.0, 1000.0), 100.0);
-        let (cs, rs) = g.cells_within(Position::new(500.0, 500.0), 150.0);
-        assert_eq!((cs, rs), (3..=6, 3..=6));
-        // A query near the corner clamps without panicking.
-        let (cs, rs) = g.cells_within(Position::new(10.0, 990.0), 300.0);
-        assert_eq!(*cs.start(), 0);
-        assert_eq!(*rs.end(), g.rows - 1);
-    }
-
-    #[test]
-    fn cell_grid_degenerate_bbox() {
-        // All nodes at one point: a 1×1 grid.
-        let p = Position::new(7.0, 7.0);
-        let g = CellGrid::covering(p, p, 275.0);
-        assert_eq!((g.cols, g.rows), (1, 1));
-        assert_eq!(g.cell_of(Position::new(-100.0, 100.0)), (0, 0));
     }
 }

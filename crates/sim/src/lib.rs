@@ -25,8 +25,8 @@
 //!   state loss, administrative link churn, regional partitions,
 //!   per-link loss/corruption, stale-advert replay — scheduled on the
 //!   same future event list ([`faults`]);
-//! * a spatial neighbor index (uniform grid + epoch-cached positions)
-//!   that answers radio range queries without scanning all N nodes,
+//! * a spatial neighbor index (kinetic candidate lists + epoch-cached
+//!   positions) that answers radio range queries without scanning all N nodes,
 //!   byte-identical to the linear scan ([`spatial`],
 //!   [`SimConfig::spatial_grid`](config::SimConfig::spatial_grid));
 //! * an observation-pure telemetry layer — bounded per-node flight

@@ -64,7 +64,8 @@ pub(crate) struct RxInProgress {
     pub(crate) frame: Arc<Frame>,
     pub(crate) end: SimTime,
     pub(crate) corrupted: bool,
-    /// Transmitter-to-receiver distance, for the capture model.
+    /// Transmitter-to-receiver distance, for the capture model; NaN
+    /// (never read) when capture is not configured.
     pub(crate) sender_dist: f64,
 }
 
@@ -325,7 +326,9 @@ impl World {
         if let Some(interval) = world.cfg.telemetry.as_ref().and_then(|t| t.sample_interval) {
             world.fel.schedule(SimTime::ZERO + interval, Event::TelemetrySample);
         }
-        if let Some(plan) = world.cfg.fault_plan.clone() {
+        // An empty plan is no plan: the sweep passes one at every fault
+        // level, and level 0 must not pay for the fault layer.
+        if let Some(plan) = world.cfg.fault_plan.clone().filter(|p| !p.is_empty()) {
             for (i, (at, _)) in plan.entries().iter().enumerate() {
                 world.fel.schedule(*at, Event::Fault { idx: i as u32 });
             }
@@ -464,14 +467,21 @@ impl World {
     }
 
     /// Every node within radio range of `of` at the current time
-    /// (excluding `of`), ascending, with exact squared distances —
-    /// answered by the spatial index when enabled, by the linear scan
-    /// otherwise. The two paths are bitwise identical (same set, same
-    /// order, same distances); faults are *not* applied here.
+    /// (excluding `of`), ascending — answered by the spatial index
+    /// when enabled, by the linear scan otherwise. The two paths are
+    /// bitwise identical in set and order, and in the squared
+    /// distances whenever those have a reader: the index computes them
+    /// only under first-frame capture, their one consumer, and leaves
+    /// the slots NaN otherwise. Faults are *not* applied here.
     fn in_range_into(&self, of: NodeId, out: &mut Vec<(NodeId, f64)>) {
         let now = self.now;
         if let Some(grid) = self.grid.as_ref() {
-            grid.borrow_mut().query_into(self.mobility.as_ref(), of, now, out);
+            let (mut grid, mobility) = (grid.borrow_mut(), self.mobility.as_ref());
+            if self.cfg.phy.capture_distance_ratio.is_some() {
+                grid.query_into(mobility, of, now, out);
+            } else {
+                grid.query_ids_into(mobility, of, now, out);
+            }
             return;
         }
         out.clear();
@@ -1157,7 +1167,9 @@ pub(crate) trait Kern {
     /// the sequential kernel does for unimpaired links.
     fn rx_fate(&mut self, sender: NodeId, receiver: NodeId) -> RxFate;
     /// Nodes in radio range of `of` (excluding `of`), ascending, with
-    /// exact squared distances.
+    /// squared distances that are exact whenever
+    /// [`PhyConfig::capture_distance_ratio`] is set (nothing reads them
+    /// otherwise).
     fn in_range_into(&mut self, of: NodeId, out: &mut Vec<(NodeId, f64)>);
     /// Takes the reusable range-query buffer.
     fn take_scratch(&mut self) -> Vec<(NodeId, f64)>;
@@ -1264,6 +1276,10 @@ impl Kern for World {
         }
     }
     fn emit(&mut self, event: TraceEvent) {
+        // Nothing listens: no work, so no span either.
+        if !Kern::trace_on(self) {
+            return;
+        }
         if self.prof.is_some() {
             Kern::prof_enter(self, PHASE_TRACE_EMIT);
             World::emit(self, event);
@@ -1624,7 +1640,7 @@ pub(crate) fn propagate<K: Kern>(
         if fate == RxFate::Lose {
             continue;
         }
-        let sender_dist = dist_sq.sqrt();
+        let sender_dist = if capture.is_some() { dist_sq.sqrt() } else { f64::NAN };
         let receiver = k.slot(m);
         // A station that is itself transmitting cannot receive.
         let mut corrupted = fate == RxFate::Corrupt || !receiver.mac.radio_free(now);
@@ -2292,8 +2308,10 @@ mod tests {
         assert_eq!(m.sim_seconds, 30.0);
     }
 
-    #[test]
-    fn grid_and_linear_worlds_are_byte_identical() {
+    /// Runs one random-waypoint world on the spatial index and one on
+    /// the linear scan and demands the same metrics and the same trace;
+    /// returns the metrics.
+    fn grid_and_linear_agree(capture: Option<f64>) -> Metrics {
         use crate::geometry::Terrain;
         use crate::mobility::RandomWaypoint;
         use crate::trace::MemoryTrace;
@@ -2307,6 +2325,7 @@ mod tests {
                 SimRng::stream(9, "mobility"),
             );
             let cfg = SimConfig {
+                phy: PhyConfig { capture_distance_ratio: capture, ..PhyConfig::default() },
                 duration: SimDuration::from_secs(20),
                 seed: 9,
                 spatial_grid,
@@ -2332,6 +2351,56 @@ mod tests {
         assert_eq!(gm, lm, "metrics must be byte-identical");
         assert_eq!(gt, lt, "traces must be byte-identical");
         assert!(ge < le, "fast path should execute fewer events ({ge} !< {le})");
+        gm
+    }
+
+    #[test]
+    fn grid_and_linear_worlds_are_byte_identical() {
+        grid_and_linear_agree(None);
+    }
+
+    /// With capture on, the index serves exact distances (without it,
+    /// none): the same whole-kernel equality pins that path. The ratio
+    /// is low so that many receptions are captured and a wrong distance
+    /// would change which.
+    #[test]
+    fn grid_and_linear_worlds_are_byte_identical_with_capture_on() {
+        let captured = grid_and_linear_agree(Some(1.5));
+        // Not vacuous: had no reception been captured, the run would
+        // equal the capture-off run.
+        assert_ne!(captured, grid_and_linear_agree(None), "no reception was ever captured");
+    }
+
+    #[test]
+    fn empty_fault_plan_installs_no_fault_layer() {
+        use crate::faults::FaultPlan;
+        use crate::trace::MemoryTrace;
+        let run = |fault_plan: Option<FaultPlan>| {
+            let cfg = SimConfig {
+                duration: SimDuration::from_secs(10),
+                seed: 27,
+                fault_plan,
+                ..SimConfig::default()
+            };
+            let topo = StaticRouting::tables_for_line(5);
+            let mut w = World::new(cfg, Box::new(StaticMobility::line(5, 200.0)), move |id, _| {
+                Box::new(StaticRouting::new(id, topo.clone()))
+            });
+            let shared = MemoryTrace::shared();
+            w.set_trace(Box::new(shared.clone()));
+            w.with_cbr(TrafficConfig::paper(2));
+            w.run_until(SimTime::from_secs(10));
+            w.finalize();
+            // No fault state, so no per-receiver probes, no crash gate
+            // and no retained control frames.
+            assert!(w.faults.is_none(), "an empty plan must not install the fault layer");
+            assert!(w.nodes.iter().all(|slot| slot.last_control.is_none()));
+            let trace: Vec<_> = shared.lock().map(|t| t.events().to_vec()).unwrap_or_default();
+            (w.metrics().clone(), trace, w.events_executed())
+        };
+        let (empty, none) = (run(Some(FaultPlan::new(Vec::new()))), run(None));
+        assert!(empty.0.data_delivered > 0, "the run must carry traffic");
+        assert_eq!(empty, none, "level 0 must be a kernel no-op");
     }
 
     #[test]
