@@ -12,9 +12,8 @@
 //!
 //! tracegrep --prof FILE [FILE...] [--top K]
 //!   renders the profiler report for one or more `manet-prof` JSONL
-//!   files: top-K phases by self time per run, the per-protocol cost
-//!   table, and the parallel-efficiency breakdown for multi-worker
-//!   runs
+//!   files: top-K phases by self time per run and the per-protocol
+//!   cost table
 //! ```
 //!
 //! Without a trace on disk, export one first:

@@ -1,8 +1,7 @@
 //! The `manet-prof` reader: parses exported profiler JSONL (written by
 //! [`crate::telemetry_export`] for a [`Scenario::profile`] run) back
 //! into a [`ProfView`] and renders the attribution report `tracegrep
-//! --prof` prints — top-K phases, per-protocol cost table,
-//! parallel-efficiency breakdown.
+//! --prof` prints — top-K phases and the per-protocol cost table.
 //!
 //! [`Scenario::profile`]: crate::scenario::Scenario::profile
 
@@ -16,10 +15,8 @@ pub struct ProfView {
     pub protocol: String,
     /// Scenario label from the header.
     pub scenario: String,
-    /// Kernel worker threads.
-    pub workers: u64,
     /// Deterministic counters, in document order (phase counts, pool
-    /// hit/miss, `events_executed`, `parallel_windows`).
+    /// hit/miss, `events_executed`).
     pub counts: Vec<(String, u64)>,
     /// Histograms: name → per-bucket counts (power-of-two buckets).
     pub hists: Vec<(String, Vec<u64>)>,
@@ -30,7 +27,9 @@ pub struct ProfView {
 }
 
 impl ProfView {
-    /// Parses one `manet-prof` JSONL document.
+    /// Parses one `manet-prof` JSONL document. Lines are read by name,
+    /// so version 1 files (which carry a `workers` header field and
+    /// `par_*` / `parallel_windows` lines) still load.
     pub fn parse(doc: &str) -> Result<ProfView, String> {
         let mut lines = doc.lines();
         let head = lines.next().ok_or("empty prof document")?;
@@ -38,13 +37,12 @@ impl ProfView {
         if head.str_field("schema") != Some("manet-prof") {
             return Err(format!("not a manet-prof file (schema {:?})", head.str_field("schema")));
         }
-        if head.u64_field("version") != Some(1) {
+        if !matches!(head.u64_field("version"), Some(1 | 2)) {
             return Err(format!("unsupported manet-prof version {:?}", head.u64_field("version")));
         }
         let mut view = ProfView {
             protocol: head.str_field("protocol").unwrap_or("?").to_string(),
             scenario: head.str_field("scenario").unwrap_or("?").to_string(),
-            workers: head.u64_field("workers").unwrap_or(1),
             counts: Vec::new(),
             hists: Vec::new(),
             timings: Vec::new(),
@@ -132,17 +130,15 @@ fn pct(part: u64, total: u64) -> f64 {
 }
 
 /// Renders the attribution report for a set of profiles: per-run
-/// top-K phase tables, the per-protocol cost table, and a
-/// parallel-efficiency breakdown for multi-worker runs.
+/// top-K phase tables and the per-protocol cost table.
 pub fn render_report(views: &[ProfView], top_k: usize) -> String {
     let mut out = String::new();
     for v in views {
         let _ = writeln!(
             out,
-            "== {} · {} · workers={} ==  total {:.3} ms, attribution {:.2}%",
+            "== {} · {} ==  total {:.3} ms, attribution {:.2}%",
             v.protocol,
             v.scenario,
-            v.workers,
             v.total_nanos as f64 / 1e6,
             100.0 * v.attribution(),
         );
@@ -163,55 +159,23 @@ pub fn render_report(views: &[ProfView], top_k: usize) -> String {
     let _ = writeln!(out, "-- per-protocol cost --");
     let _ = writeln!(
         out,
-        "{:<12} {:<14} {:>3} {:>12} {:>11} {:>9} {:>12} {:>7}",
-        "protocol", "scenario", "w", "events", "wall ms", "ns/event", "events/s", "attr%"
+        "{:<12} {:<14} {:>12} {:>11} {:>9} {:>12} {:>7}",
+        "protocol", "scenario", "events", "wall ms", "ns/event", "events/s", "attr%"
     );
     for v in views {
         let events = v.count("events_executed");
         let ns_per_event = if events == 0 { 0.0 } else { v.total_nanos as f64 / events as f64 };
         let _ = writeln!(
             out,
-            "{:<12} {:<14} {:>3} {:>12} {:>11.3} {:>9.1} {:>12.0} {:>6.2}%",
+            "{:<12} {:<14} {:>12} {:>11.3} {:>9.1} {:>12.0} {:>6.2}%",
             v.protocol,
             v.scenario,
-            v.workers,
             events,
             v.total_nanos as f64 / 1e6,
             ns_per_event,
             v.events_per_sec(),
             100.0 * v.attribution(),
         );
-    }
-
-    let parallel: Vec<&ProfView> = views.iter().filter(|v| v.workers >= 2).collect();
-    if !parallel.is_empty() {
-        out.push('\n');
-        let _ = writeln!(out, "-- parallel efficiency --");
-        let _ = writeln!(
-            out,
-            "{:<12} {:<14} {:>3} {:>8} {:>8} {:>8} {:>8} {:>8} {:>10}",
-            "protocol", "scenario", "w", "plan%", "build%", "exec%", "replay%", "seq%", "windows"
-        );
-        for v in parallel {
-            let plan = v.timing("par_plan");
-            let build = v.timing("par_build");
-            let exec = v.timing("par_execute");
-            let replay = v.timing("par_replay");
-            let seq = v.total_nanos.saturating_sub(plan + build + exec + replay);
-            let _ = writeln!(
-                out,
-                "{:<12} {:<14} {:>3} {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}% {:>7.2}% {:>10}",
-                v.protocol,
-                v.scenario,
-                v.workers,
-                pct(plan, v.total_nanos),
-                pct(build, v.total_nanos),
-                pct(exec, v.total_nanos),
-                pct(replay, v.total_nanos),
-                pct(seq, v.total_nanos),
-                v.count("parallel_windows"),
-            );
-        }
     }
     out
 }
@@ -222,15 +186,15 @@ mod tests {
     use crate::scenario::{Protocol, Scenario};
     use crate::telemetry_export::render_run;
 
-    fn profiled(protocol: Protocol, workers: usize) -> ProfView {
-        let sc = Scenario { duration_secs: 12, workers, profile: true, ..Scenario::n50(3, 0) };
+    fn profiled(protocol: Protocol) -> ProfView {
+        let sc = Scenario { duration_secs: 12, profile: true, ..Scenario::n50(3, 0) };
         let doc = render_run(protocol, &sc, 5, None).prof.expect("profiled run renders prof");
         ProfView::parse(&doc).expect("export parses")
     }
 
     #[test]
     fn profiled_export_parses_and_self_times_sum_to_total() {
-        let view = profiled(Protocol::Ldr, 1);
+        let view = profiled(Protocol::Ldr);
         assert!(view.count("events_executed") > 0);
         assert!(view.total_nanos > 0, "a real run measures time");
         assert_eq!((view.protocol.as_str(), view.scenario.as_str()), ("LDR", "n50-f3-p0"));
@@ -241,12 +205,8 @@ mod tests {
 
     #[test]
     fn report_renders_all_sections() {
-        let seq = profiled(Protocol::Ldr, 1);
-        let par = profiled(Protocol::Aodv, 2);
-        assert_eq!(par.workers, 2);
-        let report = render_report(&[seq, par], 8);
+        let report = render_report(&[profiled(Protocol::Ldr), profiled(Protocol::Aodv)], 8);
         assert!(report.contains("-- per-protocol cost --"));
-        assert!(report.contains("-- parallel efficiency --"));
         assert!(report.contains("LDR"));
         assert!(report.contains("AODV"));
     }
@@ -255,6 +215,14 @@ mod tests {
     fn parse_rejects_foreign_documents() {
         assert!(ProfView::parse("").is_err());
         assert!(ProfView::parse("{\"schema\":\"manet-trace\",\"version\":1}").is_err());
-        assert!(ProfView::parse("{\"schema\":\"manet-prof\",\"version\":2}").is_err());
+        assert!(ProfView::parse("{\"schema\":\"manet-prof\",\"version\":3}").is_err());
+    }
+
+    #[test]
+    fn version_1_documents_still_parse() {
+        let v1 = "{\"schema\":\"manet-prof\",\"version\":1,\"workers\":2,\"protocol\":\"LDR\"}\n\
+                  {\"i\":0,\"sect\":\"count\",\"name\":\"par_replay\",\"count\":4}";
+        let view = ProfView::parse(v1).expect("v1 parses");
+        assert_eq!((view.protocol.as_str(), view.count("par_replay")), ("LDR", 4));
     }
 }

@@ -5,17 +5,16 @@ use manet_sim::stats::Accumulator;
 use std::fmt::Write as _;
 
 /// The scoreboard's throughput figure: kernel events per *simulated*
-/// second per core. Both inputs are deterministic (the kernel's event
-/// counter and the cell's configuration), so — unlike a wall-clock
-/// rate — the column reproduces byte-exactly on reruns and can live
-/// in committed artifacts like `BENCH_6.json`-derived tables.
-/// `cores` is the worker count (1 for the sequential kernel).
-pub fn events_per_simsec_core(events: u64, sim_secs: u64, cores: u64) -> f64 {
-    let denom = (sim_secs * cores.max(1)) as f64;
-    if denom == 0.0 {
+/// second per core (a trial runs on one). Both inputs are
+/// deterministic (the kernel's event counter and the cell's
+/// configuration), so — unlike a wall-clock rate — the column
+/// reproduces byte-exactly on reruns and can live in committed
+/// artifacts like `BENCH_6.json`-derived tables.
+pub fn events_per_simsec_core(events: u64, sim_secs: u64) -> f64 {
+    if sim_secs == 0 {
         0.0
     } else {
-        events as f64 / denom
+        events as f64 / sim_secs as f64
     }
 }
 

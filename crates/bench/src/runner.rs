@@ -62,7 +62,6 @@ pub fn build_world_telemetry(
         fault_plan: plan,
         spatial_grid: scenario.spatial_grid,
         telemetry,
-        workers: scenario.workers,
         recycle_pools: scenario.recycle_pools,
         profile: scenario.profile,
     };
@@ -103,8 +102,8 @@ pub fn trial_seed(seed_base: u64, k: u32) -> u64 {
 }
 
 /// Runs one trial to completion and hands back the finished world, so
-/// the caller can read kernel counters ([`World::events_executed`],
-/// [`World::parallel_windows`]) next to [`World::metrics`].
+/// the caller can read kernel counters ([`World::events_executed`])
+/// next to [`World::metrics`].
 pub fn run_world(
     protocol: Protocol,
     scenario: &Scenario,
@@ -125,17 +124,11 @@ mod tests {
         let scenario = Scenario {
             n_nodes: 20,
             terrain: (800.0, 300.0),
-            n_flows: 4,
-            pause_secs: 30,
             duration_secs: 60,
             trials: 1,
             seed_base: 7,
-            flavor: crate::scenario::SimFlavor::Default,
             audit: true,
-            spatial_grid: true,
-            workers: 1,
-            recycle_pools: true,
-            profile: false,
+            ..Scenario::n50(4, 30)
         };
         run_once(protocol, &scenario, 7)
     }

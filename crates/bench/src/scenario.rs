@@ -145,9 +145,9 @@ pub struct Scenario {
     /// only faster — so it defaults to on; the grid differential tests
     /// flip it off to diff against the reference scan.
     pub spatial_grid: bool,
-    /// Worker threads for the deterministic parallel event kernel
-    /// (`manet_sim::parallel`). `0`/`1` run the sequential kernel; any
-    /// value is byte-identical, so this only changes wall-clock time.
+    /// Inert: [`crate::runner::build_world`] ignores it (the parallel
+    /// kernel is gone, DESIGN.md §14). Read only by the frozen
+    /// `probe.parallel` in `benchmark/`, and goes with it.
     pub workers: usize,
     /// Recycle hot-path buffers through the kernel's free lists
     /// ([`manet_sim::pool`]). Byte-identical to allocate-per-event —

@@ -12,10 +12,10 @@
 //!   [`SWEEP_CODE_REV`]). Completed cells land in an on-disk cache
 //!   under `<cache>/<key>.json`; a later sweep that contains the same
 //!   cell reads the cached record instead of simulating.
-//!   `spatial_grid`, `workers`, `recycle_pools` and `profile` are
-//!   deliberately *excluded* from the key: the kernel's determinism
-//!   contract makes them byte-identical, so they can never change a
-//!   cell's result — only its wall-clock.
+//!   `spatial_grid`, `recycle_pools` and `profile` are deliberately
+//!   *excluded* from the key: the kernel's determinism contract makes
+//!   them byte-identical, so they can never change a cell's result —
+//!   only its wall-clock.
 //! * **A completion journal** — each cell is appended to a JSONL
 //!   journal the moment it finishes (single writer: the pool's
 //!   coordinator thread). A sweep killed mid-flight restarts, replays
@@ -353,9 +353,8 @@ pub struct SweepConfig {
     pub cache_dir: PathBuf,
     /// Completion journal (JSONL, appended as cells finish).
     pub journal: PathBuf,
-    /// Worker-pool width. Callers should derive this from
-    /// [`workpool::host_cores`] divided by the cells' inner kernel
-    /// workers — never `cells × workers`.
+    /// Worker-pool width; callers derive it from
+    /// [`workpool::host_cores`] (a cell runs on one thread).
     pub threads: usize,
     /// Stop scheduling after this many *executed* cells (interruption
     /// hook for the resumability tests); `None` runs everything.
@@ -610,8 +609,9 @@ impl SweepOutcome {
             let label =
                 format!("{}/L{} {}", cell.scenario_name, cell.fault_level, cell.protocol.name());
             let slot = *index.entry(label.clone()).or_insert(i);
-            let denom = cell.scenario.duration_secs * cell.scenario.workers.max(1) as u64;
-            let entry = groups.entry(slot).or_insert_with(|| (label, Vec::new(), 0, denom));
+            let entry = groups
+                .entry(slot)
+                .or_insert_with(|| (label, Vec::new(), 0, cell.scenario.duration_secs));
             match rec {
                 Some(CellRecord::Done(m)) => entry.1.push(m),
                 Some(CellRecord::Failed { .. }) => entry.2 += 1,
@@ -630,7 +630,7 @@ impl SweepOutcome {
             "ev/ssc",
             "failed"
         );
-        for (_, (label, ms, failed, denom)) in groups {
+        for (_, (label, ms, failed, duration_secs)) in groups {
             let n = ms.len();
             let mean = |f: fn(&CellMetrics) -> f64| -> f64 {
                 if n == 0 {
@@ -643,7 +643,8 @@ impl SweepOutcome {
             // Events per simulated second per core: deterministic (no
             // wall-clock), so the rendered table reproduces byte-exactly.
             let total_events: u64 = ms.iter().map(|m| m.events).sum();
-            let ev_ssc = crate::report::events_per_simsec_core(total_events, denom * n as u64, 1);
+            let ev_ssc =
+                crate::report::events_per_simsec_core(total_events, duration_secs * n as u64);
             let _ = writeln!(
                 s,
                 "{:<28} {:>6} {:>10.4} {:>12.4} {:>10.3} {:>7} {:>10.1} {:>7}",
@@ -691,11 +692,10 @@ mod tests {
         let mut c = cell(7, 0);
         c.scenario.duration_secs = 11;
         assert_ne!(a.key(), c.key(), "duration is code-relevant");
-        // The determinism contract: grid/workers change wall-clock
-        // only, so they must NOT invalidate cached cells.
+        // The determinism contract: grid/pools/profile change
+        // wall-clock only, so they must NOT invalidate cached cells.
         let mut d = cell(7, 0);
         d.scenario.spatial_grid = false;
-        d.scenario.workers = 4;
         d.scenario.recycle_pools = false;
         d.scenario.profile = true;
         assert_eq!(a.key(), d.key(), "wall-clock-only knobs must not change the key");

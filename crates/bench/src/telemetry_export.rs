@@ -67,14 +67,7 @@ pub fn render_run(
         Err(poisoned) => poisoned.into_inner().contents().to_string(),
     };
     let prof = world.prof_snapshot().map(|snap| {
-        prof_to_jsonl(
-            seed,
-            scenario.n_nodes,
-            scenario.workers.max(1),
-            &protocol.name(),
-            &scenario.label(),
-            &snap,
-        )
+        prof_to_jsonl(seed, scenario.n_nodes, &protocol.name(), &scenario.label(), &snap)
     });
     RenderedRun { metrics, trace, series, prof }
 }
@@ -116,17 +109,10 @@ mod tests {
         Scenario {
             n_nodes: 12,
             terrain: (600.0, 300.0),
-            n_flows: 3,
-            pause_secs: 0,
             duration_secs: 25,
             trials: 1,
             seed_base: 11,
-            flavor: crate::scenario::SimFlavor::Default,
-            audit: false,
-            spatial_grid: true,
-            workers: 1,
-            recycle_pools: true,
-            profile: false,
+            ..Scenario::n50(3, 0)
         }
     }
 
@@ -163,7 +149,7 @@ mod tests {
             export_run(Protocol::Ldr, &scenario, 11, None, &dir, "smoke").expect("export");
         let prof_path = paths.prof.expect("profiled run exports a prof file");
         let prof = fs::read_to_string(&prof_path).expect("prof written");
-        assert!(prof.starts_with("{\"schema\":\"manet-prof\",\"version\":1,"), "{prof}");
+        assert!(prof.starts_with("{\"schema\":\"manet-prof\",\"version\":2,"), "{prof}");
         assert!(prof.contains("\"protocol\":\"LDR\""));
         assert!(prof.contains("\"scenario\":\"n12-f3-p0\""));
         assert!(prof.contains("\"sect\":\"timing\",\"name\":\"total\""));

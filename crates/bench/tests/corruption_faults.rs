@@ -13,7 +13,7 @@
 //! all four protocols without a panic.
 
 use ldr_bench::runner::{run_once_faulted, trial_fault_plan};
-use ldr_bench::scenario::{Protocol, Scenario, SimFlavor};
+use ldr_bench::scenario::{Protocol, Scenario};
 use manet_sim::faults::{FaultAction, FaultPlan};
 use manet_sim::packet::{ControlKind, ControlPacket, NodeId};
 use manet_sim::protocol::{Action, Ctx};
@@ -107,17 +107,11 @@ fn corruption_ppm_fault_plans_replay_without_panics() {
     let scenario = Scenario {
         n_nodes: 15,
         terrain: (700.0, 300.0),
-        n_flows: 3,
-        pause_secs: 0,
         duration_secs: 25,
         trials: 1,
         seed_base: 300,
-        flavor: SimFlavor::Default,
         audit: true,
-        spatial_grid: true,
-        workers: 1,
-        recycle_pools: true,
-        profile: false,
+        ..Scenario::n50(3, 0)
     };
     for protocol in Protocol::PAPER_SET {
         let plan = corruption_heavy_plan(&scenario, 301);

@@ -12,7 +12,7 @@
 
 use ldr_bench::grids::{Grid, GridBuilder, Measure, Render};
 use ldr_bench::runner::{run_once, trial_seed};
-use ldr_bench::scenario::{Protocol, Scenario, SimFlavor};
+use ldr_bench::scenario::{Protocol, Scenario};
 use ldr_bench::sweep::{run_sweep, CellMetrics, SweepConfig, SweepOutcome};
 use ldr_bench::Summary;
 use manet_sim::metrics::Metrics;
@@ -25,17 +25,11 @@ fn golden_scenario() -> Scenario {
     Scenario {
         n_nodes: 10,
         terrain: (600.0, 300.0),
-        n_flows: 3,
-        pause_secs: 10,
         duration_secs: 30,
         trials: 2,
         seed_base: 2003,
-        flavor: SimFlavor::Default,
         audit: true,
-        spatial_grid: true,
-        workers: 1,
-        recycle_pools: true,
-        profile: false,
+        ..Scenario::n50(3, 10)
     }
 }
 

@@ -11,14 +11,12 @@
 //! 3. a prof document present iff profiling is on,
 //! 4. rerun byte-determinism of the prof count/hist section.
 //!
-//! Exercised for every paper protocol, both paper scenarios (smoke
-//! durations) and both kernels — `workers=1` takes the sequential
-//! path, `workers=2` the windowed parallel path, whose plan/build/
-//! execute/replay spans are the likeliest place for a probe to leak.
+//! Exercised for every paper protocol on both paper scenarios (smoke
+//! durations).
 //!
-//! The same loops carry the attribution gate: at least 95% of the
+//! The same loop carries the attribution gate: at least 95% of the
 //! measured kernel wall time must land in named phases (everything but
-//! the `kern_loop` bottom-frame residue), on both kernels.
+//! the `kern_loop` bottom-frame residue).
 
 use ldr_bench::profiling::ProfView;
 use ldr_bench::scenario::{Protocol, Scenario};
@@ -57,13 +55,13 @@ fn purity_check(protocol: Protocol, scenario: &Scenario, seed: u64) -> Result<St
 }
 
 /// Purity plus the attribution gate for one case.
-fn assert_pure_and_attributed(kernel: &str, protocol: Protocol, scenario: &Scenario, seed: u64) {
-    let doc = purity_check(protocol, scenario, seed)
-        .unwrap_or_else(|e| panic!("{kernel} purity violated: {e}"));
+fn assert_pure_and_attributed(protocol: Protocol, scenario: &Scenario, seed: u64) {
+    let doc =
+        purity_check(protocol, scenario, seed).unwrap_or_else(|e| panic!("purity violated: {e}"));
     let view = ProfView::parse(&doc).unwrap_or_else(|e| panic!("prof export must parse: {e}"));
     assert!(
         view.attribution() >= 0.95,
-        "{kernel} kernel attributed only {:.2}% of wall time to named phases ({} {})",
+        "kernel attributed only {:.2}% of wall time to named phases ({} {})",
         100.0 * view.attribution(),
         protocol.name(),
         scenario.label()
@@ -85,17 +83,7 @@ fn smoke_scenarios() -> Vec<(Scenario, u64)> {
 fn profiling_is_observation_pure_on_the_sequential_kernel() {
     for (scenario, seed) in smoke_scenarios() {
         for proto in [Protocol::Ldr, Protocol::Aodv, Protocol::Dsr, Protocol::Olsr] {
-            assert_pure_and_attributed("sequential", proto, &scenario, seed);
-        }
-    }
-}
-
-#[test]
-fn profiling_is_observation_pure_on_the_parallel_kernel() {
-    for (mut scenario, seed) in smoke_scenarios() {
-        scenario.workers = 2;
-        for proto in [Protocol::Ldr, Protocol::Aodv, Protocol::Dsr, Protocol::Olsr] {
-            assert_pure_and_attributed("parallel", proto, &scenario, seed);
+            assert_pure_and_attributed(proto, &scenario, seed);
         }
     }
 }

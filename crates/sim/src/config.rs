@@ -146,14 +146,6 @@ pub struct SimConfig {
     /// observable bit of the run (metrics and trace are byte-identical
     /// either way; enforced by test).
     pub telemetry: Option<TelemetryConfig>,
-    /// Worker threads for the deterministic parallel event kernel
-    /// ([`crate::parallel`]). `0` and `1` mean sequential execution;
-    /// ≥ 2 shards the world spatially and executes conservative time
-    /// windows on worker threads. Every worker count produces output
-    /// byte-identical to the sequential kernel (metrics, trace and
-    /// telemetry; enforced by differential tests), so this knob only
-    /// changes how fast the same answer is computed.
-    pub workers: usize,
     /// Recycle hot-path buffers (protocol action lists, receiver
     /// batches) through [`crate::pool::VecPool`] free lists instead of
     /// allocating per event. Pooled runs are byte-identical (metrics,
@@ -163,9 +155,8 @@ pub struct SimConfig {
     /// allocate-per-event reference.
     pub recycle_pools: bool,
     /// Attach the deterministic kernel profiler ([`crate::prof`]):
-    /// per-phase wall-time attribution, phase counts, and FEL-depth /
-    /// window-size / component-count histograms, exported as
-    /// `manet-prof` JSONL. The profiler is strictly observational —
+    /// per-phase wall-time attribution, phase counts and the FEL-depth
+    /// histogram, exported as `manet-prof` JSONL. The profiler is strictly observational —
     /// its wall-clock readings never feed simulation state, so a
     /// profiled run is byte-identical (metrics, trace and telemetry)
     /// to an unprofiled one (enforced by differential tests). Off by
@@ -185,7 +176,6 @@ impl Default for SimConfig {
             fault_plan: None,
             spatial_grid: true,
             telemetry: None,
-            workers: 1,
             recycle_pools: true,
             profile: false,
         }

@@ -400,15 +400,6 @@ impl FaultState {
         }
     }
 
-    /// Whether any link currently carries a loss/corruption impairment.
-    /// The parallel kernel ([`crate::parallel`]) uses this to route
-    /// windows with live impairments through the sequential path, so
-    /// the shared `"faults"` RNG stream is only ever drawn from in
-    /// canonical event order.
-    pub fn has_impairments(&self) -> bool {
-        !self.impair.is_empty()
-    }
-
     /// Whether the link `a <-> b` is severed by a cut or the partition.
     pub fn link_severed(&self, a: NodeId, b: NodeId) -> bool {
         if self.cut.contains(&link_key(a, b)) {

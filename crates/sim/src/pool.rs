@@ -3,7 +3,7 @@
 //! At paper scale every protocol callback used to allocate (and drop)
 //! a fresh `Vec<Action>`, and every fast-path transmission a receiver
 //! batch — millions of short-lived heap round-trips per run. The PR 4
-//! `Arc<Frame>` steal removed the per-receiver payload clones; this
+//! shared-`Frame` steal removed the per-receiver payload clones; this
 //! module extends that toward a steady-state zero-allocation loop by
 //! keeping cleared buffers on a small free list instead of returning
 //! them to the allocator.

@@ -3,8 +3,7 @@
 //! A hand-rolled lexer ([`lexer`]) feeds a lightweight scope model
 //! ([`model`]) under a pass framework ([`passes`]) whose rules encode
 //! the properties the type system cannot see: determinism of seeded
-//! runs, the parallel kernel's buffered-effect discipline, and a
-//! panic-free wire surface. Reports render as text or byte-stable JSON
+//! runs and a panic-free wire surface. Reports render as text or byte-stable JSON
 //! ([`report`]). See DESIGN.md §15 for the architecture and rule
 //! catalog.
 
@@ -227,46 +226,5 @@ fn stray() -> Instant {
         let diags = analyze_file("crates/sim/src/prof.rs", src, &registry);
         assert_eq!(diags.len(), 1, "only the uncovered read may fire: {diags:?}");
         assert_eq!((diags[0].rule, diags[0].line), ("determinism", 6));
-    }
-
-    #[test]
-    fn effect_discipline_catches_direct_world_mutation_in_worker() {
-        // The acceptance demo: a deliberately-introduced direct World
-        // mutation inside a worker closure must fail the pass. This
-        // stays a test — the violation is never committed to the tree.
-        let registry = passes::registry();
-        let src = "\
-fn kernel(scope: &Scope) {
-    scope.spawn(move || {
-        world.metrics.data_delivered += 1.0;
-    });
-}
-";
-        let diags = analyze_file("crates/sim/src/parallel.rs", src, &registry);
-        assert!(
-            diags.iter().any(|d| d.rule == "effect-discipline" && d.line == 3),
-            "expected an effect-discipline finding: {diags:?}"
-        );
-    }
-
-    #[test]
-    fn effect_discipline_follows_local_calls_and_impls() {
-        let registry = passes::registry();
-        let src = "\
-fn kernel(scope: &Scope) {
-    scope.spawn(move || run_component());
-}
-fn run_component() {
-    let s = Shard::new();
-}
-impl Shard {
-    fn new() { telemetry.record(); }
-}
-";
-        let diags = analyze_file("crates/sim/src/parallel.rs", src, &registry);
-        assert!(
-            diags.iter().any(|d| d.rule == "effect-discipline" && d.line == 8),
-            "expected the impl body to join the worker region: {diags:?}"
-        );
     }
 }

@@ -1,7 +1,6 @@
-//! `fault-determinism`: the fault, spatial, telemetry, parallel, pool
-//! and profiler layers run on the hot replay path where even
-//! *probe-only* std
-//! hash maps have bitten before (capacity-dependent rehash cost skews
+//! `fault-determinism`: the fault, spatial, telemetry, pool and
+//! profiler layers run on the hot replay path where even *probe-only*
+//! std hash maps have bitten before (capacity-dependent rehash cost skews
 //! wall-clock telemetry; accidental later iteration is one refactor
 //! away). These files ban `HashMap`/`HashSet` outright — use the
 //! deterministic `FxBuild` maps or ordered collections. The bench
@@ -18,7 +17,6 @@ const FILES: &[&str] = &[
     "crates/sim/src/faults.rs",
     "crates/sim/src/spatial.rs",
     "crates/sim/src/telemetry.rs",
-    "crates/sim/src/parallel.rs",
     "crates/sim/src/pool.rs",
     "crates/sim/src/prof.rs",
     "crates/bench/src/sweep.rs",
