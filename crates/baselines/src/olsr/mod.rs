@@ -5,7 +5,17 @@
 //! *multipoint relays* (MPRs — the minimal neighbour subset covering
 //! the two-hop neighbourhood); only MPRs forward topology-control (TC)
 //! floods, and only MPR-selector links are advertised. Routes are
-//! recomputed by breadth-first search over the learned topology.
+//! hop-count shortest paths, recomputed by breadth-first search over
+//! the learned topology.
+//!
+//! The three functions that dominate the protocol's cost at paper scale
+//! work on the layout their access pattern wants: TC receipt keeps one
+//! advertised set per originator (`handle_tc`), MPR selection is a
+//! greedy set cover over bitset rows (`recompute_mprs`), and the route
+//! BFS runs over unsorted adjacency lists into a table indexed by node
+//! id (`recompute_routes`). The map-based formulations they replaced
+//! live on in `tests.rs` as the oracle a differential proptest holds
+//! them to.
 //!
 //! The paper found the INRIA OLSR code suffered packet-jitter problems
 //! and added "a new FIFO jitter queue … a uniformly chosen inter-packet
@@ -21,14 +31,13 @@ use manet_sim::protocol::{Ctx, DropReason, RouteDump, RouteTelemetry, RoutingPro
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, TraceEvent};
 use messages::{Hello, Tc};
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 /// Protocol state maps use the deterministic Fx hasher: every iteration
 /// over them is order-insensitive (sorted or commutative afterwards),
 /// and SipHash was a measurable slice of OLSR's per-hello and
 /// per-recompute cost at paper scale.
 type FxMap<K, V> = HashMap<K, V, FxBuild>;
-type FxSet<K> = HashSet<K, FxBuild>;
 
 const HELLO_TOKEN: u64 = 1;
 const TC_TOKEN: u64 = 2;
@@ -94,13 +103,25 @@ pub struct Olsr {
     links: FxMap<NodeId, LinkState>,
     /// neighbour → (its symmetric neighbours, expiry).
     two_hop: FxMap<NodeId, (Vec<NodeId>, SimTime)>,
-    mpr_set: FxSet<NodeId>,
+    /// Selected multipoint relays, ascending by id.
+    mpr_set: Vec<NodeId>,
     mpr_selectors: FxMap<NodeId, SimTime>,
-    /// (originator, selector) → (ansn, expiry).
-    topology: FxMap<(NodeId, NodeId), (u16, SimTime)>,
+    /// originator → (ansn, [(selector, expiry)]): the advertised link
+    /// `(originator, selector)` is known under `ansn` until `expiry`.
+    ///
+    /// One ANSN per originator is not a simplification: entries are only
+    /// written by the accepting arm of [`Olsr::handle_tc`], which either
+    /// finds the set empty, clears it because the TC is newer, or finds
+    /// the TC's ANSN equal to the stored one (of two distinct ANSNs
+    /// exactly one is [`ansn_newer`], and an older TC is rejected) — so
+    /// all of an originator's entries always carry the same ANSN. An
+    /// empty set is the same as no set, whatever ANSN it last held.
+    topology: FxMap<NodeId, (u16, Vec<(NodeId, SimTime)>)>,
     /// TC duplicate set: (originator, seq) → expiry.
     dup: FxMap<(NodeId, u16), SimTime>,
-    table: FxMap<NodeId, (NodeId, u32)>,
+    /// The routing table, indexed by destination id: `(next hop, hops)`,
+    /// with `hops == 0` for "no route" (and for this node itself).
+    table: Vec<(NodeId, u32)>,
     dirty: bool,
     ansn: u16,
     tc_seq: u16,
@@ -108,18 +129,26 @@ pub struct Olsr {
     outq: VecDeque<(ControlKind, Vec<u8>, bool)>,
     drain_scheduled: bool,
     clock: SimTime,
-    /// Reusable buffers for [`Olsr::recompute_routes`] (no protocol
-    /// state — purely an allocation cache).
-    scratch: RouteScratch,
+    /// Reusable buffers for [`Olsr::recompute_routes`] and
+    /// [`Olsr::recompute_mprs`] (no protocol state — purely an
+    /// allocation cache).
+    scratch: Scratch,
 }
 
-/// Scratch space reused across route recomputations.
+/// Scratch space reused across route and MPR recomputations.
 #[derive(Clone, Debug, Default)]
-struct RouteScratch {
+struct Scratch {
+    /// Adjacency lists by node id, unsorted, duplicates allowed.
     edges: Vec<Vec<NodeId>>,
-    dist: Vec<u32>,
-    first_hop: Vec<NodeId>,
-    queue: VecDeque<NodeId>,
+    /// The BFS queue; nothing is popped, a cursor walks it.
+    queue: Vec<NodeId>,
+    /// (two-hop id, index into the sorted one-hop set of a provider).
+    pairs: Vec<(NodeId, u32)>,
+    /// One coverage bitset row per one-hop neighbour, then one row of
+    /// still-uncovered two-hop nodes.
+    cover: Vec<u64>,
+    /// Per one-hop neighbour: chosen as an MPR in this selection.
+    selected: Vec<bool>,
 }
 
 impl Olsr {
@@ -130,21 +159,21 @@ impl Olsr {
             cfg,
             links: FxMap::default(),
             two_hop: FxMap::default(),
-            mpr_set: FxSet::default(),
+            mpr_set: Vec::new(),
             mpr_selectors: FxMap::default(),
             topology: FxMap::default(),
             // Pre-sized: one insert per flooded TC received; the
             // periodic retain keeps capacity, so reserving once
             // removes every growth rehash from the hot path.
             dup: FxMap::with_capacity_and_hasher(256, Default::default()),
-            table: FxMap::default(),
+            table: Vec::new(),
             dirty: false,
             ansn: 0,
             tc_seq: 0,
             outq: VecDeque::new(),
             drain_scheduled: false,
             clock: SimTime::ZERO,
-            scratch: RouteScratch::default(),
+            scratch: Scratch::default(),
         }
     }
 
@@ -153,14 +182,23 @@ impl Olsr {
         move |id, _| Box::new(Olsr::new(id, cfg.clone()))
     }
 
-    /// Currently selected multipoint relays.
-    pub fn mprs(&self) -> &HashSet<NodeId, FxBuild> {
+    /// Currently selected multipoint relays, ascending by id.
+    pub fn mprs(&self) -> &[NodeId] {
         &self.mpr_set
     }
 
-    /// The computed routing table: destination → (next hop, hops).
-    pub fn table(&self) -> &HashMap<NodeId, (NodeId, u32), FxBuild> {
-        &self.table
+    /// The computed route towards `dest`: (next hop, hops).
+    pub fn route(&self, dest: NodeId) -> Option<(NodeId, u32)> {
+        self.table.get(dest.index()).copied().filter(|&(_, hops)| hops != 0)
+    }
+
+    /// Every computed route as (destination, next hop, hops), ascending
+    /// by destination.
+    fn routes(&self) -> impl Iterator<Item = (NodeId, NodeId, u32)> + '_ {
+        (0..=u16::MAX)
+            .zip(&self.table)
+            .filter(|(_, &(_, hops))| hops != 0)
+            .map(|(dest, &(next, hops))| (NodeId(dest), next, hops))
     }
 
     // ----- verification hooks ----------------------------------------------
@@ -177,9 +215,12 @@ impl Olsr {
     pub fn force_expire(&mut self, dest: NodeId) -> bool {
         let mut removed = self.links.remove(&dest).is_some();
         removed |= self.two_hop.remove(&dest).is_some();
-        let before = self.topology.len();
-        self.topology.retain(|&(orig, sel), _| orig != dest && sel != dest);
-        removed |= self.topology.len() != before;
+        removed |= self.topology.remove(&dest).is_some_and(|(_, sels)| !sels.is_empty());
+        for (_, sels) in self.topology.values_mut() {
+            let before = sels.len();
+            sels.retain(|&(sel, _)| sel != dest);
+            removed |= sels.len() != before;
+        }
         if removed {
             self.dirty = true;
         }
@@ -225,10 +266,8 @@ impl Olsr {
             }
             push_u64(out, exp.as_nanos());
         }
-        let mut mprs: Vec<NodeId> = self.mpr_set.iter().copied().collect();
-        mprs.sort_unstable_by_key(|n| n.0);
-        push_u64(out, mprs.len() as u64);
-        for n in mprs {
+        push_u64(out, self.mpr_set.len() as u64);
+        for &n in &self.mpr_set {
             push_id(out, n);
         }
         let mut selectors: Vec<(&NodeId, &SimTime)> = self.mpr_selectors.iter().collect();
@@ -238,12 +277,12 @@ impl Olsr {
             push_id(out, *n);
             push_u64(out, exp.as_nanos());
         }
-        let mut topology: Vec<_> = self.topology.iter().collect();
-        topology.sort_unstable_by_key(|&(&(o, s), _)| (o.0, s.0));
+        let mut topology = self.topology_entries();
+        topology.sort_unstable_by_key(|&(o, s, ..)| (o.0, s.0));
         push_u64(out, topology.len() as u64);
-        for ((orig, sel), (ansn, exp)) in topology {
-            push_id(out, *orig);
-            push_id(out, *sel);
+        for (orig, sel, ansn, exp) in topology {
+            push_id(out, orig);
+            push_id(out, sel);
             out.extend_from_slice(&ansn.to_le_bytes());
             push_u64(out, exp.as_nanos());
         }
@@ -255,12 +294,10 @@ impl Olsr {
             out.extend_from_slice(&seq.to_le_bytes());
             push_u64(out, exp.as_nanos());
         }
-        let mut table: Vec<(&NodeId, &(NodeId, u32))> = self.table.iter().collect();
-        table.sort_unstable_by_key(|(d, _)| d.0);
-        push_u64(out, table.len() as u64);
-        for (dest, (next, hops)) in table {
-            push_id(out, *dest);
-            push_id(out, *next);
+        push_u64(out, self.routes().count() as u64);
+        for (dest, next, hops) in self.routes() {
+            push_id(out, dest);
+            push_id(out, next);
             out.extend_from_slice(&hops.to_le_bytes());
         }
         out.push(u8::from(self.dirty));
@@ -277,7 +314,17 @@ impl Olsr {
         push_u64(out, self.clock.as_nanos());
     }
 
-    fn sym_neighbors(&self, now: SimTime) -> Vec<NodeId> {
+    /// The topology set flattened to (originator, selector, ansn,
+    /// expiry), in no particular order.
+    fn topology_entries(&self) -> Vec<(NodeId, NodeId, u16, SimTime)> {
+        let mut v = Vec::new();
+        for (&orig, (ansn, sels)) in &self.topology {
+            v.extend(sels.iter().map(|&(sel, exp)| (orig, sel, *ansn, exp)));
+        }
+        v
+    }
+
+    pub(crate) fn sym_neighbors(&self, now: SimTime) -> Vec<NodeId> {
         let mut v: Vec<NodeId> =
             self.links.iter().filter(|(_, l)| l.sym && l.expires > now).map(|(&n, _)| n).collect();
         v.sort_unstable_by_key(|n| n.0);
@@ -291,145 +338,138 @@ impl Olsr {
         v
     }
 
-    /// Greedy MPR selection: cover every strict two-hop neighbour.
-    pub(crate) fn recompute_mprs(&mut self, now: SimTime) {
-        let n1: Vec<NodeId> = self.sym_neighbors(now);
-        let n1_set: HashSet<NodeId> = n1.iter().copied().collect();
-        // coverage[n2] = the one-hop neighbours reaching it. Ordered
-        // maps: the greedy loop below iterates these, and iteration
-        // order must not depend on process-level hash state.
-        let mut coverage: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
-        for &n in &n1 {
+    /// Greedy MPR selection over `n1`, the current symmetric
+    /// neighbours ascending by id: cover every strict two-hop neighbour.
+    ///
+    /// Every listing of a strict two-hop node `t` by a neighbour
+    /// becomes a `(t, provider)` pair; sorting the pairs groups them by
+    /// `t`, each group gets the next bit index, and each neighbour a
+    /// bitset row of the two-hop nodes it reaches. A neighbour is
+    /// mandatory when it is the only *listing* of some `t` — a group of
+    /// length one. Multiplicity counts: a (corrupt) hello naming `t`
+    /// twice makes a group of two, which the greedy step covers like
+    /// any other. That step takes the neighbour covering the most
+    /// uncovered nodes, the smallest id among equals (`n1` order and a
+    /// strict `>`).
+    pub(crate) fn recompute_mprs(&mut self, now: SimTime, n1: &[NodeId]) {
+        let scr = &mut self.scratch;
+        scr.pairs.clear();
+        for (p, &n) in (0u32..).zip(n1) {
             if let Some((twos, exp)) = self.two_hop.get(&n) {
                 if *exp > now {
-                    for &t in twos {
-                        if t != self.id && !n1_set.contains(&t) {
-                            coverage.entry(t).or_default().push(n);
-                        }
-                    }
+                    let strict = |t: &&NodeId| **t != self.id && n1.binary_search(t).is_err();
+                    scr.pairs.extend(twos.iter().filter(strict).map(|&t| (t, p)));
                 }
             }
         }
-        let mut mprs: FxSet<NodeId> = FxSet::default();
-        let mut uncovered: BTreeSet<NodeId> = coverage.keys().copied().collect();
-        // Mandatory: sole providers.
-        for providers in coverage.values() {
-            if providers.len() == 1 {
-                mprs.insert(providers[0]);
+        scr.pairs.sort_unstable();
+        let groups = || scr.pairs.chunk_by(|a, b| a.0 == b.0);
+        let words = groups().count().div_ceil(64);
+        scr.cover.clear();
+        scr.cover.resize((n1.len() + 1) * words, 0);
+        scr.selected.clear();
+        scr.selected.resize(n1.len(), false);
+        let (cover, uncovered) = scr.cover.split_at_mut(n1.len() * words);
+        for (bit, group) in groups().enumerate() {
+            uncovered[bit / 64] |= 1 << (bit % 64);
+            for &(_, p) in group {
+                cover[p as usize * words + bit / 64] |= 1 << (bit % 64);
+            }
+            if let [(_, sole)] = group {
+                scr.selected[*sole as usize] = true;
             }
         }
-        uncovered.retain(|t| !coverage[t].iter().any(|p| mprs.contains(p)));
-        // Greedy: max coverage, ties by smallest id (deterministic).
-        while !uncovered.is_empty() {
-            let mut best: Option<(usize, NodeId)> = None;
-            for &n in &n1 {
-                if mprs.contains(&n) {
-                    continue;
-                }
-                let covers = uncovered.iter().filter(|t| coverage[t].contains(&n)).count();
-                if covers > 0 {
-                    let cand = (covers, n);
-                    best = Some(match best {
-                        None => cand,
-                        Some((bc, bn)) => {
-                            if covers > bc || (covers == bc && n.0 < bn.0) {
-                                cand
-                            } else {
-                                (bc, bn)
-                            }
-                        }
-                    });
-                }
-            }
-            match best {
-                Some((_, n)) => {
-                    mprs.insert(n);
-                    uncovered.retain(|t| !coverage[t].contains(&n));
-                }
-                None => break, // unreachable two-hop nodes
+        let row = |p: usize| &cover[p * words..(p + 1) * words];
+        let strike = |uncovered: &mut [u64], p: usize| {
+            uncovered.iter_mut().zip(row(p)).for_each(|(u, c)| *u &= !c);
+        };
+        for p in 0..n1.len() {
+            if scr.selected[p] {
+                strike(uncovered, p);
             }
         }
-        self.mpr_set = mprs;
+        while uncovered.iter().any(|&w| w != 0) {
+            let mut best = (0, 0);
+            for p in (0..n1.len()).filter(|&p| !scr.selected[p]) {
+                let covers: u32 =
+                    row(p).iter().zip(&*uncovered).map(|(c, u)| (c & u).count_ones()).sum();
+                if covers > best.0 {
+                    best = (covers, p);
+                }
+            }
+            if best.0 == 0 {
+                break; // unreachable: every uncovered node has an unselected provider
+            }
+            scr.selected[best.1] = true;
+            strike(uncovered, best.1);
+        }
+        self.mpr_set.clear();
+        self.mpr_set.extend(n1.iter().zip(&scr.selected).filter(|(_, &s)| s).map(|(&n, _)| n));
     }
 
-    /// Breadth-first route computation over links + topology.
+    /// Hop-count shortest paths by breadth-first search over links,
+    /// two-hop lists and topology.
     ///
     /// Runs once per forwarding decision after a topology change, so it
     /// is the hottest code in the protocol at paper scale. Node ids are
-    /// compact (`0..n`), so the graph and the BFS bookkeeping live in
-    /// dense arrays indexed by id rather than hash maps; the visit
-    /// order (sorted one-hop set, sorted adjacency lists, FIFO queue)
-    /// and the resulting table are exactly those of the map-based
-    /// formulation.
+    /// compact (`0..n`), so adjacency lists and the table are arrays
+    /// indexed by id, and the lists are left as they come — unsorted,
+    /// with duplicates. The order does not reach the table: the queue
+    /// starts as the one-hop set ascending by id, so at every level the
+    /// vertices sharing a first hop sit together, smaller first hops
+    /// before larger ones, however each parent's children are ordered
+    /// among themselves. A vertex is claimed by its earliest-queued
+    /// parent, which therefore carries the smallest first hop of any
+    /// shortest path to it (DESIGN.md §3 has the induction).
     fn recompute_routes(&mut self, now: SimTime) {
         self.dirty = false;
         let n1 = self.sym_neighbors(now);
-        let mut max_id = self.id.0;
-        for &n in &n1 {
-            max_id = max_id.max(n.0);
-        }
-        for (&n, (twos, exp)) in &self.two_hop {
-            if *exp > now {
-                max_id = max_id.max(n.0);
-                for &t in twos {
-                    max_id = max_id.max(t.0);
-                }
-            }
-        }
-        for (&(orig, sel), &(_, exp)) in &self.topology {
-            if exp > now {
-                max_id = max_id.max(orig.0).max(sel.0);
-            }
-        }
-        let size = max_id as usize + 1;
-        let mut scr = std::mem::take(&mut self.scratch);
+        let scr = &mut self.scratch;
         scr.edges.iter_mut().for_each(Vec::clear);
-        scr.edges.resize_with(size.max(scr.edges.len()), Vec::new);
-        scr.edges[self.id.index()].extend_from_slice(&n1);
+        let mut link = |from: NodeId, to: NodeId| {
+            let size = from.index().max(to.index()) + 1;
+            if scr.edges.len() < size {
+                scr.edges.resize_with(size, Vec::new);
+            }
+            scr.edges[from.index()].push(to);
+        };
+        // Our own list is never expanded (the queue starts at `n1`), but
+        // linking it sizes the arrays for every id the search can meet.
+        for &n in &n1 {
+            link(self.id, n);
+        }
         for (&n, (twos, exp)) in &self.two_hop {
             if *exp > now {
-                scr.edges[n.index()].extend(twos.iter().copied());
+                twos.iter().for_each(|&t| link(n, t));
             }
         }
-        for (&(orig, sel), &(_, exp)) in &self.topology {
-            if exp > now {
-                scr.edges[orig.index()].push(sel);
-                scr.edges[sel.index()].push(orig);
-            }
-        }
-        for v in scr.edges.iter_mut().take(size) {
-            v.sort_unstable_by_key(|n| n.0);
-            v.dedup();
-        }
-        const UNSET: u32 = u32::MAX;
-        scr.dist.clear();
-        scr.dist.resize(size, UNSET);
-        scr.first_hop.clear();
-        scr.first_hop.resize(size, NodeId(0));
-        scr.queue.clear();
-        self.table.clear();
-        scr.dist[self.id.index()] = 0;
-        for &n in &n1 {
-            if scr.dist[n.index()] == UNSET {
-                scr.dist[n.index()] = 1;
-                scr.first_hop[n.index()] = n;
-                self.table.insert(n, (n, 1));
-                scr.queue.push_back(n);
-            }
-        }
-        while let Some(u) = scr.queue.pop_front() {
-            let du = scr.dist[u.index()];
-            let fh = scr.first_hop[u.index()];
-            for &v in &scr.edges[u.index()] {
-                if scr.dist[v.index()] == UNSET {
-                    scr.dist[v.index()] = du + 1;
-                    scr.first_hop[v.index()] = fh;
-                    self.table.insert(v, (fh, du + 1));
-                    scr.queue.push_back(v);
+        for (&orig, (_, sels)) in &self.topology {
+            for &(sel, exp) in sels {
+                if exp > now {
+                    link(orig, sel);
+                    link(sel, orig);
                 }
             }
         }
-        self.scratch = scr;
+        self.table.clear();
+        self.table.resize(scr.edges.len(), (NodeId(0), 0));
+        let me = self.id;
+        scr.queue.clear();
+        for &n in n1.iter().filter(|&&n| n != me) {
+            self.table[n.index()] = (n, 1);
+            scr.queue.push(n);
+        }
+        let mut head = 0;
+        while let Some(&u) = scr.queue.get(head) {
+            head += 1;
+            let (first_hop, hops) = self.table[u.index()];
+            for &v in &scr.edges[u.index()] {
+                if self.table[v.index()].1 == 0 && v != me {
+                    self.table[v.index()] = (first_hop, hops + 1);
+                    scr.queue.push(v);
+                }
+            }
+        }
     }
 
     /// Recomputes routes if the topology is dirty, emitting
@@ -445,14 +485,10 @@ impl Olsr {
             self.recompute_routes(ctx.now());
             return;
         }
-        let snapshot = |table: &FxMap<NodeId, (NodeId, u32)>| {
-            let mut v: Vec<(NodeId, (NodeId, u32))> = table.iter().map(|(&d, &e)| (d, e)).collect();
-            v.sort_unstable_by_key(|(d, _)| d.0);
-            v
-        };
-        let before = snapshot(&self.table);
+        let snapshot = |o: &Olsr| o.routes().map(|(d, n, h)| (d, (n, h))).collect::<Vec<_>>();
+        let before = snapshot(self);
         self.recompute_routes(ctx.now());
-        let after = snapshot(&self.table);
+        let after = snapshot(self);
         let node = self.id;
         // Destinations that dropped out of the shortest-path tree.
         for &(dest, _) in &before {
@@ -517,10 +553,9 @@ impl Olsr {
 
     fn send_hello(&mut self, ctx: &mut Ctx) {
         let now = ctx.now();
-        self.recompute_mprs(now);
-        let mut mpr: Vec<NodeId> = self.mpr_set.iter().copied().collect();
-        mpr.sort_unstable_by_key(|n| n.0);
-        let hello = Hello { sym: self.sym_neighbors(now), heard: self.heard_neighbors(now), mpr };
+        let sym = self.sym_neighbors(now);
+        self.recompute_mprs(now, &sym);
+        let hello = Hello { sym, heard: self.heard_neighbors(now), mpr: self.mpr_set.clone() };
         self.enqueue_control(ctx, ControlKind::Hello, hello.encode(), true);
     }
 
@@ -549,13 +584,14 @@ impl Olsr {
         let hold = self.cfg.neighbor_hold;
         // Link sensing: symmetric once the neighbour lists us.
         let hears_us = h.sym.contains(&self.id) || h.heard.contains(&self.id);
+        let selects_us = h.mpr.contains(&self.id);
         let entry = self.links.entry(prev).or_insert(LinkState { sym: false, expires: now + hold });
         entry.sym = hears_us;
         entry.expires = now + hold;
         // Two-hop set (only via symmetric links).
-        self.two_hop.insert(prev, (h.sym.clone(), now + hold));
+        self.two_hop.insert(prev, (h.sym, now + hold));
         // MPR selector set.
-        if h.mpr.contains(&self.id) {
+        if selects_us {
             self.mpr_selectors.insert(prev, now + hold);
         } else {
             self.mpr_selectors.remove(&prev);
@@ -573,20 +609,19 @@ impl Olsr {
         if !seen {
             self.dup.insert(dkey, now + self.cfg.duplicate_hold);
             // ANSN logic: ignore stale sets; replace older ones.
-            let current = self
-                .topology
-                .iter()
-                .filter(|((o, _), _)| *o == tc.originator)
-                .map(|(_, &(a, _))| a)
-                .max();
-            let stale = current.is_some_and(|a| ansn_newer(a, tc.ansn));
+            let (ansn, sels) = self.topology.entry(tc.originator).or_default();
+            let stale = !sels.is_empty() && ansn_newer(*ansn, tc.ansn);
             if !stale {
-                if current.is_some_and(|a| ansn_newer(tc.ansn, a)) {
-                    self.topology.retain(|(o, _), _| *o != tc.originator);
+                if *ansn != tc.ansn {
+                    sels.clear();
+                    *ansn = tc.ansn;
                 }
+                let expires = now + self.cfg.topology_hold;
                 for &sel in &tc.selectors {
-                    self.topology
-                        .insert((tc.originator, sel), (tc.ansn, now + self.cfg.topology_hold));
+                    match sels.iter_mut().find(|(s, _)| *s == sel) {
+                        Some(known) => known.1 = expires,
+                        None => sels.push((sel, expires)),
+                    }
                 }
                 self.dirty = true;
             }
@@ -647,8 +682,8 @@ impl RoutingProtocol for Olsr {
             return;
         }
         self.recompute_traced(ctx);
-        match self.table.get(&data.dst) {
-            Some(&(next, _)) => ctx.send_data(next, data),
+        match self.route(data.dst) {
+            Some((next, _)) => ctx.send_data(next, data),
             None => ctx.drop_data(data, DropReason::NoRoute),
         }
     }
@@ -665,8 +700,8 @@ impl RoutingProtocol for Olsr {
         }
         data.ttl -= 1;
         self.recompute_traced(ctx);
-        match self.table.get(&data.dst) {
-            Some(&(next, _)) => ctx.send_data(next, data),
+        match self.route(data.dst) {
+            Some((next, _)) => ctx.send_data(next, data),
             None => ctx.drop_data(data, DropReason::NoRoute),
         }
     }
@@ -707,7 +742,10 @@ impl RoutingProtocol for Olsr {
             CLEANUP_TOKEN => {
                 let now = ctx.now();
                 self.dup.retain(|_, &mut e| e > now);
-                self.topology.retain(|_, &mut (_, e)| e > now);
+                self.topology.retain(|_, (_, sels)| {
+                    sels.retain(|&(_, e)| e > now);
+                    !sels.is_empty()
+                });
                 self.links.retain(|_, l| l.expires > now);
                 self.two_hop.retain(|_, (_, e)| *e > now);
                 self.dirty = true;
@@ -727,24 +765,20 @@ impl RoutingProtocol for Olsr {
         if let PacketBody::Data(data) = packet.body {
             // Try once more over the recomputed topology.
             self.recompute_traced(ctx);
-            match self.table.get(&data.dst) {
-                Some(&(next, _)) if next != next_hop => ctx.send_data(next, data),
+            match self.route(data.dst) {
+                Some((next, _)) if next != next_hop => ctx.send_data(next, data),
                 _ => ctx.drop_data(data, DropReason::NoRoute),
             }
         }
     }
 
     fn route_successors(&self) -> Vec<(NodeId, NodeId)> {
-        let mut v: Vec<(NodeId, NodeId)> = self.table.iter().map(|(&d, &(n, _))| (d, n)).collect();
-        v.sort_unstable_by_key(|(d, _)| d.0);
-        v
+        self.routes().map(|(dest, next, _)| (dest, next)).collect()
     }
 
     fn route_table_dump(&self) -> Vec<RouteDump> {
-        let mut v: Vec<RouteDump> = self
-            .table
-            .iter()
-            .map(|(&dest, &(next, hops))| RouteDump {
+        self.routes()
+            .map(|(dest, next, hops)| RouteDump {
                 dest,
                 next,
                 dist: hops,
@@ -752,15 +786,13 @@ impl RoutingProtocol for Olsr {
                 seqno: None,
                 valid: true,
             })
-            .collect();
-        v.sort_unstable_by_key(|r| r.dest.0);
-        v
+            .collect()
     }
 
     fn telemetry_snapshot(&self) -> RouteTelemetry {
         // Every BFS-computed entry is usable until the next recompute,
         // so entries and valid coincide.
-        let n = self.table.len() as u64;
+        let n = self.routes().count() as u64;
         RouteTelemetry { entries: n, valid: n }
     }
 }

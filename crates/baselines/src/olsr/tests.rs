@@ -37,6 +37,16 @@ impl Node {
     fn tc_from(&mut self, prev: u16, t: Tc) -> Vec<Action> {
         self.call(|o, ctx| o.handle_tc(ctx, NodeId(prev), t))
     }
+
+    fn select_mprs(&mut self) {
+        let n1 = self.olsr.sym_neighbors(self.now);
+        self.olsr.recompute_mprs(self.now, &n1);
+    }
+
+    /// Whether the topology set holds the link `orig → sel`.
+    fn knows(&self, orig: u16, sel: u16) -> bool {
+        self.olsr.topology_entries().iter().any(|&(o, s, ..)| (o, s) == (NodeId(orig), NodeId(sel)))
+    }
 }
 
 fn ids(v: &[u16]) -> Vec<NodeId> {
@@ -94,7 +104,7 @@ fn mpr_selection_covers_two_hop_neighbourhood() {
     // Neighbours 1 and 2; 1 reaches {3, 4}, 2 reaches {4}.
     n.hello_from(1, hello(&[0, 3, 4], &[], &[]));
     n.hello_from(2, hello(&[0, 4], &[], &[]));
-    n.olsr.recompute_mprs(n.now);
+    n.select_mprs();
     // 1 alone covers everything; greedy picks it.
     assert!(n.olsr.mprs().contains(&NodeId(1)));
     assert!(!n.olsr.mprs().contains(&NodeId(2)), "2 adds no coverage");
@@ -105,7 +115,7 @@ fn sole_provider_is_mandatory_mpr() {
     let mut n = Node::new(0);
     n.hello_from(1, hello(&[0, 3], &[], &[]));
     n.hello_from(2, hello(&[0, 3, 4], &[], &[]));
-    n.olsr.recompute_mprs(n.now);
+    n.select_mprs();
     // Only 2 reaches 4 — it must be selected.
     assert!(n.olsr.mprs().contains(&NodeId(2)));
 }
@@ -149,7 +159,7 @@ fn tc_forwarded_only_by_mprs_of_the_sender() {
     m.hello_from(5, hello(&[0], &[], &[]));
     let acts = m.tc_from(5, tc);
     assert_eq!(broadcasts(&acts, ControlKind::Tc), 0);
-    assert!(m.olsr.topology.contains_key(&(NodeId(9), NodeId(4))), "still learned");
+    assert!(m.knows(9, 4), "still learned");
 }
 
 #[test]
@@ -160,13 +170,13 @@ fn stale_ansn_ignored_newer_replaces() {
     // Older ANSN (different seq so it passes dup check): ignored.
     let old = Tc { originator: NodeId(9), ansn: 4, seq: 2, ttl: 10, selectors: ids(&[6]) };
     n.tc_from(5, old);
-    assert!(n.olsr.topology.contains_key(&(NodeId(9), NodeId(4))));
-    assert!(!n.olsr.topology.contains_key(&(NodeId(9), NodeId(6))));
+    assert!(n.knows(9, 4));
+    assert!(!n.knows(9, 6));
     // Newer ANSN replaces the set.
     let new = Tc { originator: NodeId(9), ansn: 6, seq: 3, ttl: 10, selectors: ids(&[7]) };
     n.tc_from(5, new);
-    assert!(!n.olsr.topology.contains_key(&(NodeId(9), NodeId(4))));
-    assert!(n.olsr.topology.contains_key(&(NodeId(9), NodeId(7))));
+    assert!(!n.knows(9, 4));
+    assert!(n.knows(9, 7));
 }
 
 #[test]
@@ -177,10 +187,11 @@ fn routes_computed_over_links_and_topology() {
     let tc = Tc { originator: NodeId(2), ansn: 1, seq: 1, ttl: 10, selectors: ids(&[3]) };
     n.tc_from(1, tc);
     n.olsr.recompute_routes(n.now);
-    let t = n.olsr.table();
-    assert_eq!(t.get(&NodeId(1)), Some(&(NodeId(1), 1)));
-    assert_eq!(t.get(&NodeId(2)), Some(&(NodeId(1), 2)));
-    assert_eq!(t.get(&NodeId(3)), Some(&(NodeId(1), 3)));
+    assert_eq!(n.olsr.route(NodeId(1)), Some((NodeId(1), 1)));
+    assert_eq!(n.olsr.route(NodeId(2)), Some((NodeId(1), 2)));
+    assert_eq!(n.olsr.route(NodeId(3)), Some((NodeId(1), 3)));
+    assert_eq!(n.olsr.route(NodeId(0)), None, "no route to ourselves");
+    assert_eq!(n.olsr.route(NodeId(4)), None);
 }
 
 #[test]
@@ -228,7 +239,7 @@ fn link_layer_feedback_reroutes_or_drops() {
     n.hello_from(1, hello(&[0, 9], &[], &[]));
     n.hello_from(2, hello(&[0, 9], &[], &[]));
     n.olsr.recompute_routes(n.now);
-    let next = n.olsr.table()[&NodeId(9)].0;
+    let (next, _) = n.olsr.route(NodeId(9)).expect("9 is two hops away");
     let other = if next == NodeId(1) { NodeId(2) } else { NodeId(1) };
     let p = Packet { uid: 1, origin: NodeId(0), body: PacketBody::Data(data(0, 9)) };
     let acts = n.call(|o, ctx| o.handle_unicast_failure(ctx, next, p));
@@ -253,4 +264,569 @@ fn start_schedules_periodic_timers() {
     let acts = n.call(|o, ctx| o.start(ctx));
     let timers = acts.iter().filter(|a| matches!(a, Action::SetTimer { .. })).count();
     assert!(timers >= 3, "hello, tc and cleanup timers");
+}
+
+/// Two level-2 vertices (3 via first hop 2, 4 via first hop 1) both
+/// reach the level-3 vertex 9. The queue holds level 2 as [4, 3] — 4
+/// was claimed by the earlier-queued parent 1 — so 9 must inherit first
+/// hop 1, although the smaller-id level-2 vertex 3 says 2. The order in
+/// which 9's links were learned must not matter either.
+#[test]
+fn bfs_tie_goes_to_the_earlier_queued_parent_not_the_smaller_id() {
+    for selectors in [[3, 4], [4, 3]] {
+        let mut n = Node::new(0);
+        n.hello_from(1, hello(&[0, 4], &[], &[]));
+        n.hello_from(2, hello(&[0, 3], &[], &[]));
+        n.tc_from(
+            1,
+            Tc { originator: NodeId(9), ansn: 1, seq: 1, ttl: 10, selectors: ids(&selectors) },
+        );
+        n.olsr.recompute_routes(n.now);
+        assert_eq!(n.olsr.route(NodeId(4)), Some((NodeId(1), 2)));
+        assert_eq!(n.olsr.route(NodeId(3)), Some((NodeId(2), 2)));
+        assert_eq!(n.olsr.route(NodeId(9)), Some((NodeId(1), 3)), "parent 4 was queued before 3");
+    }
+}
+
+/// Neighbour 5 is the only one listing two-hop node 20, but lists it
+/// twice: two listings are not a sole provider, so nobody is mandatory
+/// and the greedy step starts from nothing — 7 covers three nodes and
+/// goes first, then only 20 is left and 5 takes it. (Were 5 mandatory,
+/// its 10 would be struck first, 3 and 7 would tie on {11, 12} and 3
+/// would be chosen instead of 7.)
+#[test]
+fn doubly_listed_two_hop_node_does_not_make_its_lister_mandatory() {
+    let mut n = Node::new(0);
+    n.hello_from(3, hello(&[0, 11, 12], &[], &[]));
+    n.hello_from(5, hello(&[0, 20, 20, 10], &[], &[]));
+    n.hello_from(7, hello(&[0, 10, 11, 12], &[], &[]));
+    n.select_mprs();
+    assert_eq!(n.olsr.mprs(), ids(&[5, 7]));
+}
+
+/// 3 and 7 cover the same number of two-hop nodes: the smaller id wins,
+/// whichever hello arrived first, and 7 then has nothing left to add.
+#[test]
+fn mpr_coverage_tie_goes_to_the_smaller_id() {
+    let mut n = Node::new(0);
+    n.hello_from(7, hello(&[0, 10, 11], &[], &[]));
+    n.hello_from(3, hello(&[0, 11, 10], &[], &[]));
+    n.select_mprs();
+    assert_eq!(n.olsr.mprs(), ids(&[3]));
+}
+
+/// The map-based formulation of the link-state core that `mod.rs`
+/// shipped before it moved to per-originator topology sets, bitset MPR
+/// cover and BFS over unsorted lists: the oracle for [`differential`].
+/// `handle_tc`'s ANSN logic and `recompute_mprs` are the old bodies
+/// verbatim; `recompute_routes` is the old search — FIFO queue over
+/// ascending, duplicate-free adjacency lists — with ordered maps where
+/// the old body had already grown id-indexed arrays. The state around
+/// them is the node's soft state over ordered std maps, so every
+/// iteration is already in digest order. The jitter queue is not
+/// modelled — the digest takes it from the node under test.
+mod reference {
+    use super::super::*;
+    use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+
+    pub struct Reference {
+        pub id: NodeId,
+        pub cfg: OlsrConfig,
+        pub links: BTreeMap<NodeId, LinkState>,
+        pub two_hop: BTreeMap<NodeId, (Vec<NodeId>, SimTime)>,
+        pub mpr_set: BTreeSet<NodeId>,
+        pub mpr_selectors: BTreeMap<NodeId, SimTime>,
+        /// (originator, selector) → (ansn, expiry).
+        pub topology: BTreeMap<(NodeId, NodeId), (u16, SimTime)>,
+        pub dup: BTreeMap<(NodeId, u16), SimTime>,
+        pub table: BTreeMap<NodeId, (NodeId, u32)>,
+        pub dirty: bool,
+        pub ansn: u16,
+        pub tc_seq: u16,
+        pub clock: SimTime,
+    }
+
+    impl Reference {
+        pub fn new(id: NodeId, cfg: OlsrConfig) -> Self {
+            Reference {
+                id,
+                cfg,
+                links: BTreeMap::new(),
+                two_hop: BTreeMap::new(),
+                mpr_set: BTreeSet::new(),
+                mpr_selectors: BTreeMap::new(),
+                topology: BTreeMap::new(),
+                dup: BTreeMap::new(),
+                table: BTreeMap::new(),
+                dirty: false,
+                ansn: 0,
+                tc_seq: 0,
+                clock: SimTime::ZERO,
+            }
+        }
+
+        pub fn sym_neighbors(&self, now: SimTime) -> Vec<NodeId> {
+            self.links.iter().filter(|(_, l)| l.sym && l.expires > now).map(|(&n, _)| n).collect()
+        }
+
+        pub fn recompute_mprs(&mut self, now: SimTime) {
+            let n1: Vec<NodeId> = self.sym_neighbors(now);
+            let n1_set: HashSet<NodeId> = n1.iter().copied().collect();
+            let mut coverage: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
+            for &n in &n1 {
+                if let Some((twos, exp)) = self.two_hop.get(&n) {
+                    if *exp > now {
+                        for &t in twos {
+                            if t != self.id && !n1_set.contains(&t) {
+                                coverage.entry(t).or_default().push(n);
+                            }
+                        }
+                    }
+                }
+            }
+            let mut mprs: BTreeSet<NodeId> = BTreeSet::new();
+            let mut uncovered: BTreeSet<NodeId> = coverage.keys().copied().collect();
+            // Mandatory: sole providers.
+            for providers in coverage.values() {
+                if providers.len() == 1 {
+                    mprs.insert(providers[0]);
+                }
+            }
+            uncovered.retain(|t| !coverage[t].iter().any(|p| mprs.contains(p)));
+            // Greedy: max coverage, ties by smallest id (deterministic).
+            while !uncovered.is_empty() {
+                let mut best: Option<(usize, NodeId)> = None;
+                for &n in &n1 {
+                    if mprs.contains(&n) {
+                        continue;
+                    }
+                    let covers = uncovered.iter().filter(|t| coverage[t].contains(&n)).count();
+                    if covers > 0 {
+                        let cand = (covers, n);
+                        best = Some(match best {
+                            None => cand,
+                            Some((bc, bn)) => {
+                                if covers > bc || (covers == bc && n.0 < bn.0) {
+                                    cand
+                                } else {
+                                    (bc, bn)
+                                }
+                            }
+                        });
+                    }
+                }
+                match best {
+                    Some((_, n)) => {
+                        mprs.insert(n);
+                        uncovered.retain(|t| !coverage[t].contains(&n));
+                    }
+                    None => break, // unreachable two-hop nodes
+                }
+            }
+            self.mpr_set = mprs;
+        }
+
+        pub fn recompute_routes(&mut self, now: SimTime) {
+            self.dirty = false;
+            let n1 = self.sym_neighbors(now);
+            // Ascending, duplicate-free adjacency lists.
+            let mut edges: BTreeMap<NodeId, BTreeSet<NodeId>> = BTreeMap::new();
+            edges.entry(self.id).or_default().extend(&n1);
+            for (&n, (twos, exp)) in &self.two_hop {
+                if *exp > now {
+                    edges.entry(n).or_default().extend(twos);
+                }
+            }
+            for (&(orig, sel), &(_, exp)) in &self.topology {
+                if exp > now {
+                    edges.entry(orig).or_default().insert(sel);
+                    edges.entry(sel).or_default().insert(orig);
+                }
+            }
+            let mut seen: BTreeSet<NodeId> = BTreeSet::from([self.id]);
+            let mut queue = VecDeque::new();
+            self.table.clear();
+            for &n in &n1 {
+                if seen.insert(n) {
+                    self.table.insert(n, (n, 1));
+                    queue.push_back(n);
+                }
+            }
+            while let Some(u) = queue.pop_front() {
+                let (first_hop, hops) = self.table[&u];
+                for &v in edges.get(&u).into_iter().flatten() {
+                    if seen.insert(v) {
+                        self.table.insert(v, (first_hop, hops + 1));
+                        queue.push_back(v);
+                    }
+                }
+            }
+        }
+
+        pub fn recompute_if_dirty(&mut self, now: SimTime) {
+            if self.dirty {
+                self.recompute_routes(now);
+            }
+        }
+
+        pub fn handle_hello(&mut self, now: SimTime, prev: NodeId, h: &Hello) {
+            let hold = self.cfg.neighbor_hold;
+            let hears_us = h.sym.contains(&self.id) || h.heard.contains(&self.id);
+            self.links.insert(prev, LinkState { sym: hears_us, expires: now + hold });
+            self.two_hop.insert(prev, (h.sym.clone(), now + hold));
+            if h.mpr.contains(&self.id) {
+                self.mpr_selectors.insert(prev, now + hold);
+            } else {
+                self.mpr_selectors.remove(&prev);
+            }
+            self.dirty = true;
+        }
+
+        pub fn handle_tc(&mut self, now: SimTime, tc: &Tc) {
+            if tc.originator == self.id {
+                return;
+            }
+            let dkey = (tc.originator, tc.seq);
+            let seen = self.dup.get(&dkey).is_some_and(|&e| e > now);
+            if !seen {
+                self.dup.insert(dkey, now + self.cfg.duplicate_hold);
+                // ANSN logic: ignore stale sets; replace older ones.
+                let current = self
+                    .topology
+                    .iter()
+                    .filter(|((o, _), _)| *o == tc.originator)
+                    .map(|(_, &(a, _))| a)
+                    .max();
+                let stale = current.is_some_and(|a| ansn_newer(a, tc.ansn));
+                if !stale {
+                    if current.is_some_and(|a| ansn_newer(tc.ansn, a)) {
+                        self.topology.retain(|(o, _), _| *o != tc.originator);
+                    }
+                    for &sel in &tc.selectors {
+                        self.topology
+                            .insert((tc.originator, sel), (tc.ansn, now + self.cfg.topology_hold));
+                    }
+                    self.dirty = true;
+                }
+            }
+        }
+
+        /// The TC timer's effect on soft state (the TC itself goes to
+        /// the unmodelled queue).
+        pub fn send_tc(&mut self, now: SimTime) {
+            self.mpr_selectors.retain(|_, &mut e| e > now);
+            if !self.mpr_selectors.is_empty() {
+                self.ansn = self.ansn.wrapping_add(1);
+                self.tc_seq = self.tc_seq.wrapping_add(1);
+            }
+        }
+
+        pub fn cleanup(&mut self, now: SimTime) {
+            self.dup.retain(|_, &mut e| e > now);
+            self.topology.retain(|_, &mut (_, e)| e > now);
+            self.links.retain(|_, l| l.expires > now);
+            self.two_hop.retain(|_, (_, e)| *e > now);
+            self.dirty = true;
+        }
+
+        pub fn link_failure(&mut self, next_hop: NodeId) {
+            self.links.remove(&next_hop);
+            self.two_hop.remove(&next_hop);
+            self.dirty = true;
+        }
+
+        pub fn force_expire(&mut self, dest: NodeId) -> bool {
+            let mut removed = self.links.remove(&dest).is_some();
+            removed |= self.two_hop.remove(&dest).is_some();
+            let before = self.topology.len();
+            self.topology.retain(|&(orig, sel), _| orig != dest && sel != dest);
+            removed |= self.topology.len() != before;
+            if removed {
+                self.dirty = true;
+            }
+            removed
+        }
+
+        pub fn reboot(&mut self) {
+            *self = Reference { clock: self.clock, ..Reference::new(self.id, self.cfg.clone()) };
+        }
+
+        /// [`Olsr::verification_digest`] as it was, over this state and
+        /// the jitter queue of `node`.
+        pub fn digest(&self, node: &Olsr, out: &mut Vec<u8>) {
+            fn push_u64(out: &mut Vec<u8>, v: u64) {
+                out.extend_from_slice(&v.to_le_bytes());
+            }
+            fn push_id(out: &mut Vec<u8>, n: NodeId) {
+                out.extend_from_slice(&n.0.to_le_bytes());
+            }
+            push_u64(out, self.links.len() as u64);
+            for (n, l) in &self.links {
+                push_id(out, *n);
+                out.push(u8::from(l.sym));
+                push_u64(out, l.expires.as_nanos());
+            }
+            push_u64(out, self.two_hop.len() as u64);
+            for (n, (twos, exp)) in &self.two_hop {
+                push_id(out, *n);
+                push_u64(out, twos.len() as u64);
+                for t in twos {
+                    push_id(out, *t);
+                }
+                push_u64(out, exp.as_nanos());
+            }
+            push_u64(out, self.mpr_set.len() as u64);
+            for n in &self.mpr_set {
+                push_id(out, *n);
+            }
+            push_u64(out, self.mpr_selectors.len() as u64);
+            for (n, exp) in &self.mpr_selectors {
+                push_id(out, *n);
+                push_u64(out, exp.as_nanos());
+            }
+            push_u64(out, self.topology.len() as u64);
+            for ((orig, sel), (ansn, exp)) in &self.topology {
+                push_id(out, *orig);
+                push_id(out, *sel);
+                out.extend_from_slice(&ansn.to_le_bytes());
+                push_u64(out, exp.as_nanos());
+            }
+            push_u64(out, self.dup.len() as u64);
+            for ((orig, seq), exp) in &self.dup {
+                push_id(out, *orig);
+                out.extend_from_slice(&seq.to_le_bytes());
+                push_u64(out, exp.as_nanos());
+            }
+            push_u64(out, self.table.len() as u64);
+            for (dest, (next, hops)) in &self.table {
+                push_id(out, *dest);
+                push_id(out, *next);
+                out.extend_from_slice(&hops.to_le_bytes());
+            }
+            out.push(u8::from(self.dirty));
+            out.extend_from_slice(&self.ansn.to_le_bytes());
+            out.extend_from_slice(&self.tc_seq.to_le_bytes());
+            push_u64(out, node.outq.len() as u64);
+            for (kind, bytes, initiated) in &node.outq {
+                out.push(*kind as u8);
+                push_u64(out, bytes.len() as u64);
+                out.extend_from_slice(bytes);
+                out.push(u8::from(*initiated));
+            }
+            out.push(u8::from(node.drain_scheduled));
+            push_u64(out, self.clock.as_nanos());
+        }
+    }
+}
+
+/// One node under test next to its [`reference::Reference`], driven
+/// through random HELLO / TC / timer / data / link-failure /
+/// `force_expire` / reboot sequences with everything observable
+/// compared after every step.
+mod differential {
+    use super::reference::Reference;
+    use super::*;
+    use proptest::prelude::*;
+
+    const ME: u16 = 2;
+
+    /// How a case draws node ids: from a pool of `pool` small ids (this
+    /// node among them, so ids collide and repeat), and in a `wide`
+    /// case also from the very top of the id range and anywhere in it.
+    /// Only one case in 64 is wide: a single id near 65535 makes every
+    /// id-indexed array that long, and the debug build then spends
+    /// ~15 ms on each step of the case.
+    #[derive(Clone, Copy)]
+    struct Ids {
+        pool: u16,
+        wide: bool,
+    }
+
+    impl Ids {
+        fn node(self, raw: u16) -> NodeId {
+            match raw % 8 {
+                0 if self.wide => NodeId(raw),
+                1 if self.wide => NodeId(u16::MAX - raw / 8 % 3),
+                _ => NodeId(raw / 8 % self.pool),
+            }
+        }
+
+        fn nodes(self, raw: &[u16]) -> Vec<NodeId> {
+            raw.iter().map(|&r| self.node(r)).collect()
+        }
+    }
+
+    /// An ANSN near `base`: equal, just older, just newer, or half the
+    /// number space away (where "newer" flips) — and since each draw
+    /// moves `base`, around every wrap position in turn.
+    fn ansn(base: u16, pick: u16) -> u16 {
+        const STEPS: [u16; 9] = [0, 0, 1, 2, u16::MAX, u16::MAX - 1, 32767, 32768, 32769];
+        base.wrapping_add(STEPS[usize::from(pick) % STEPS.len()])
+    }
+
+    /// Clock steps in ms: mostly sub-second, sometimes across
+    /// `neighbor_hold` (6 s) or `topology_hold` (15 s).
+    const CLOCK_STEPS_MS: [u64; 16] =
+        [0, 0, 1, 1, 50, 300, 300, 900, 900, 2100, 2100, 2100, 2100, 3100, 6100, 16000];
+
+    /// One step: (what, two raw ids, three raw id lists, a free pick).
+    type Step = (u8, u16, u16, Vec<u16>, Vec<u16>, Vec<u16>, u16);
+
+    struct Pair {
+        node: Node,
+        reference: Reference,
+        ids: Ids,
+        /// The ANSN the next TC is drawn around.
+        last_ansn: u16,
+    }
+
+    impl Pair {
+        fn new(ids: Ids) -> Self {
+            let cfg = OlsrConfig::default();
+            Pair {
+                node: Node::with_cfg(ME, cfg.clone()),
+                reference: Reference::new(NodeId(ME), cfg),
+                ids,
+                last_ansn: 65533,
+            }
+        }
+
+        fn step(&mut self, (what, a, b, xs, ys, zs, pick): Step) {
+            let (n, r, ids) = (&mut self.node, &mut self.reference, self.ids);
+            n.now += SimDuration::from_millis(CLOCK_STEPS_MS[usize::from(b) % 16]);
+            let now = n.now;
+            let expire = what % 16 == 15 && pick % 4 != 0;
+            if !expire {
+                r.clock = now; // every callback stamps the clock; the verification hook does not
+            }
+            let control = |n: &mut Node, prev: NodeId, kind, bytes| {
+                n.call(|o, ctx| o.handle_control(ctx, prev, ControlPacket { kind, bytes }, true));
+            };
+            match what % 16 {
+                0..=4 => {
+                    let mut h =
+                        Hello { sym: ids.nodes(&xs), heard: ids.nodes(&ys), mpr: ids.nodes(&zs) };
+                    if pick % 4 != 0 {
+                        h.sym.push(NodeId(ME)); // most neighbours hear us: symmetric links
+                    }
+                    if pick / 4 % 4 == 0 {
+                        h.sym.extend(h.sym.first().copied()); // a double listing
+                    }
+                    r.handle_hello(now, ids.node(a), &h);
+                    control(n, ids.node(a), ControlKind::Hello, h.encode());
+                }
+                5..=8 => {
+                    self.last_ansn = ansn(self.last_ansn, pick);
+                    let tc = Tc {
+                        originator: ids.node(a),
+                        ansn: self.last_ansn,
+                        seq: pick % 5, // collides often: the duplicate arm
+                        ttl: 3,
+                        selectors: ids.nodes(if pick % 2 == 0 { &xs } else { &ys }),
+                    };
+                    r.handle_tc(now, &tc);
+                    control(n, ids.node(b), ControlKind::Tc, tc.encode());
+                }
+                9 => {
+                    r.recompute_mprs(now);
+                    n.call(|o, ctx| o.handle_timer(ctx, HELLO_TOKEN));
+                }
+                10 => {
+                    r.send_tc(now);
+                    n.call(|o, ctx| o.handle_timer(ctx, TC_TOKEN));
+                }
+                11 => {
+                    r.cleanup(now);
+                    n.call(|o, ctx| o.handle_timer(ctx, CLEANUP_TOKEN));
+                }
+                12 | 13 => {
+                    let dst = ids.node(a);
+                    if dst.0 != ME {
+                        r.recompute_if_dirty(now); // data for ourselves is delivered, not routed
+                    }
+                    let acts = n.call(|o, ctx| o.handle_data_origination(ctx, data(ME, dst.0)));
+                    let sent = acts.iter().find_map(|act| match act {
+                        Action::SendData { next, .. } => Some(*next),
+                        _ => None,
+                    });
+                    let expected = r.table.get(&dst).map(|&(next, _)| next).filter(|_| dst.0 != ME);
+                    assert_eq!(sent, expected, "forwarding decision towards {dst:?}");
+                }
+                14 => {
+                    r.link_failure(ids.node(a));
+                    r.recompute_if_dirty(now);
+                    let body = PacketBody::Data(data(ME, ids.node(b).0));
+                    let p = Packet { uid: 1, origin: NodeId(ME), body };
+                    n.call(|o, ctx| o.handle_unicast_failure(ctx, ids.node(a), p));
+                }
+                _ if expire => {
+                    assert_eq!(n.olsr.force_expire(ids.node(a)), r.force_expire(ids.node(a)));
+                }
+                _ => {
+                    r.reboot();
+                    n.call(|o, ctx| o.handle_reboot(ctx));
+                }
+            }
+        }
+
+        /// Brings both derived states up to date, so that every step —
+        /// not only the timer and data steps — ends in a comparison of
+        /// freshly selected MPRs and freshly computed routes. Neither
+        /// is an input to anything but its own next recomputation.
+        fn recompute(&mut self) {
+            self.node.select_mprs();
+            self.node.olsr.force_recompute();
+            self.reference.recompute_mprs(self.node.now);
+            self.reference.recompute_if_dirty(self.reference.clock);
+        }
+
+        fn assert_same(&self) {
+            let (o, r) = (&self.node.olsr, &self.reference);
+            assert_eq!(o.mprs(), r.mpr_set.iter().copied().collect::<Vec<_>>(), "mprs");
+            let mut topology = o.topology_entries();
+            topology.sort_unstable();
+            let expected: Vec<_> =
+                r.topology.iter().map(|(&(o, s), &(a, e))| (o, s, a, e)).collect();
+            assert_eq!(topology, expected, "topology");
+            let successors: Vec<_> = r.table.iter().map(|(&d, &(n, _))| (d, n)).collect();
+            assert_eq!(o.route_successors(), successors, "route_successors");
+            let dump: Vec<_> =
+                o.route_table_dump().iter().map(|e| (e.dest, e.next, e.dist)).collect();
+            let expected: Vec<_> = r.table.iter().map(|(&d, &(n, h))| (d, n, h)).collect();
+            assert_eq!(dump, expected, "route_table_dump");
+            assert_eq!(o.telemetry_snapshot().entries, r.table.len() as u64);
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            o.verification_digest(&mut got);
+            r.digest(o, &mut want);
+            assert_eq!(got, want, "verification_digest");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn rewritten_core_matches_the_map_based_reference(
+            shape in 0u16..64,
+            steps in prop::collection::vec(
+                (
+                    any::<u8>(),
+                    any::<u16>(),
+                    any::<u16>(),
+                    prop::collection::vec(any::<u16>(), 0..7),
+                    prop::collection::vec(any::<u16>(), 0..4),
+                    prop::collection::vec(any::<u16>(), 0..4),
+                    any::<u16>(),
+                ),
+                1..60,
+            ),
+        ) {
+            let mut pair = Pair::new(Ids { pool: 6 + shape % 8, wide: shape == 0 });
+            for step in steps {
+                pair.step(step);
+                pair.assert_same();
+                pair.recompute();
+                pair.assert_same();
+            }
+        }
+    }
 }

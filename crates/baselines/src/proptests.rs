@@ -122,8 +122,8 @@ proptest! {
             );
             n1_twos.push((n1, sym));
         }
-        olsr.recompute_mprs(now);
-        let mprs = olsr.mprs().clone();
+        olsr.recompute_mprs(now, &olsr.sym_neighbors(now));
+        let mprs = olsr.mprs();
         // Every strict two-hop node must be covered by an MPR.
         let n1_set: std::collections::HashSet<NodeId> =
             n1_twos.iter().map(|(n, _)| *n).collect();
