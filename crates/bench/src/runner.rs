@@ -57,12 +57,9 @@ pub fn build_world_telemetry(
         duration: SimDuration::from_secs(scenario.duration_secs),
         seed,
         audit_interval: scenario.audit.then(|| SimDuration::from_secs(1)),
-        audit_every_event: false,
         invariant_audit: false,
         fault_plan: plan,
-        spatial_grid: scenario.spatial_grid,
         telemetry,
-        recycle_pools: scenario.recycle_pools,
         profile: scenario.profile,
     };
     let mobility = RandomWaypoint::new(

@@ -140,20 +140,10 @@ pub struct Scenario {
     pub flavor: SimFlavor,
     /// Run the loop auditor during the run (records violations).
     pub audit: bool,
-    /// Serve range queries from the spatial neighbor grid
-    /// ([`manet_sim::spatial`]). Byte-identical to the linear scan —
-    /// only faster — so it defaults to on; the grid differential tests
-    /// flip it off to diff against the reference scan.
-    pub spatial_grid: bool,
     /// Inert: [`crate::runner::build_world`] ignores it (the parallel
     /// kernel is gone, DESIGN.md §14). Read only by the frozen
     /// `probe.parallel` in `benchmark/`, and goes with it.
     pub workers: usize,
-    /// Recycle hot-path buffers through the kernel's free lists
-    /// ([`manet_sim::pool`]). Byte-identical to allocate-per-event —
-    /// only faster — so it defaults to on; the pool differential tests
-    /// flip it off to diff against the reference path.
-    pub recycle_pools: bool,
     /// Attach the deterministic kernel profiler
     /// ([`manet_sim::prof`]): per-phase wall-time attribution plus
     /// deterministic counts and histograms, exported as `manet-prof`
@@ -176,9 +166,7 @@ impl Scenario {
             seed_base: 1000,
             flavor: SimFlavor::Default,
             audit: false,
-            spatial_grid: true,
             workers: 1,
-            recycle_pools: true,
             profile: false,
         }
     }

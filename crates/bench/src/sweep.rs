@@ -12,10 +12,9 @@
 //!   [`SWEEP_CODE_REV`]). Completed cells land in an on-disk cache
 //!   under `<cache>/<key>.json`; a later sweep that contains the same
 //!   cell reads the cached record instead of simulating.
-//!   `spatial_grid`, `recycle_pools` and `profile` are deliberately
-//!   *excluded* from the key: the kernel's determinism contract makes
-//!   them byte-identical, so they can never change a cell's result —
-//!   only its wall-clock.
+//!   `profile` is deliberately *excluded* from the key: the profiler
+//!   is strictly observational, so it can never change a cell's
+//!   result — only its wall-clock.
 //! * **A completion journal** — each cell is appended to a JSONL
 //!   journal the moment it finishes (single writer: the pool's
 //!   coordinator thread). A sweep killed mid-flight restarts, replays
@@ -692,13 +691,11 @@ mod tests {
         let mut c = cell(7, 0);
         c.scenario.duration_secs = 11;
         assert_ne!(a.key(), c.key(), "duration is code-relevant");
-        // The determinism contract: grid/pools/profile change
-        // wall-clock only, so they must NOT invalidate cached cells.
+        // The profiler changes wall-clock only, so it must NOT
+        // invalidate cached cells.
         let mut d = cell(7, 0);
-        d.scenario.spatial_grid = false;
-        d.scenario.recycle_pools = false;
         d.scenario.profile = true;
-        assert_eq!(a.key(), d.key(), "wall-clock-only knobs must not change the key");
+        assert_eq!(a.key(), d.key(), "the profiler must not change the key");
         // Display names are labels, not identity.
         let mut e = cell(7, 0);
         e.scenario_name = "renamed".to_string();

@@ -1,8 +1,9 @@
-//! Steady-state allocation-count differential for the recycling pools
-//! ([`manet_sim::pool`]): with `recycle_pools` on, the hot event loop
-//! must perform strictly fewer heap allocations than the
-//! allocate-per-event reference on the identical deterministic run —
-//! and the two runs must still be `Metrics`-equal, bit for bit.
+//! Steady-state allocation ceiling for the recycling pools
+//! ([`manet_sim::pool`]): once the free lists are primed, the hot
+//! event loop takes its protocol action lists and receiver batches
+//! from them, so a fixed deterministic run stays under a pinned number
+//! of heap allocations — one that a kernel allocating those buffers
+//! per event exceeds.
 //!
 //! The counter is a thin wrapper around the system allocator, so this
 //! file holds exactly one `#[test]`: integration tests in other files
@@ -43,39 +44,26 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Allocations performed by the steady-state window (warm-up excluded)
-/// of one deterministic run, plus the run's final metrics.
-fn steady_state_allocs(recycle_pools: bool) -> (u64, manet_sim::Metrics) {
+/// Steady-state allocations the window below may perform. With the
+/// pools in place it performs 5458 (debug and release alike); with
+/// `VecPool::put` dropping every buffer instead of keeping it, 7995.
+const CEILING: u64 = 6700;
+
+#[test]
+fn pooled_steady_state_stays_under_the_allocation_ceiling() {
     let mut scenario = Scenario::n50(10, 0);
     scenario.duration_secs = 12;
-    scenario.recycle_pools = recycle_pools;
     let mut world = build_world(Protocol::Ldr, &scenario, 9201, None);
     // Warm-up: traffic is flowing and the free lists are primed.
     world.run_until(SimTime::from_secs(4));
     let before = ALLOCS.load(Ordering::Relaxed);
     world.run_until(SimTime::from_secs(12));
     let during = ALLOCS.load(Ordering::Relaxed) - before;
-    (during, world.into_metrics())
-}
-
-#[test]
-fn pooled_steady_state_allocates_less_and_stays_byte_identical() {
-    let (pooled, pooled_metrics) = steady_state_allocs(true);
-    let (fresh, fresh_metrics) = steady_state_allocs(false);
-    assert_eq!(
-        pooled_metrics, fresh_metrics,
-        "pooling changed the run's observable result — it must only change allocation traffic"
-    );
-    assert!(pooled > 0 && fresh > 0, "allocator counter not engaged");
+    assert!(world.metrics().data_delivered > 0, "silent run");
+    assert!(during > 0, "allocator counter not engaged");
     assert!(
-        pooled < fresh,
-        "recycling must cut steady-state allocations: pooled {pooled} >= fresh {fresh}"
-    );
-    // The recycled buffers (protocol action lists + receiver batches)
-    // are a large share of per-event heap traffic; require a real
-    // saving, not a rounding error.
-    assert!(
-        pooled * 100 <= fresh * 95,
-        "expected ≥5% fewer steady-state allocations: pooled {pooled}, fresh {fresh}"
+        during <= CEILING,
+        "the hot loop allocated {during} times in the steady-state window (ceiling {CEILING}): \
+         are action lists and receiver batches still recycled?"
     );
 }

@@ -117,43 +117,22 @@ pub struct SimConfig {
     /// If set, run the routing-loop auditor every interval (and record
     /// violations in the metrics).
     pub audit_interval: Option<SimDuration>,
-    /// Audit after *every* protocol event (expensive; for tests).
-    pub audit_every_event: bool,
     /// Run the every-mutation invariant auditor
     /// ([`crate::audit::InvariantAuditor`]): after each protocol
     /// callback, check fd-monotonicity-per-seqno and successor-graph
     /// acyclicity, and capture a forensic dump on the first violation.
-    /// Much more expensive than `audit_every_event` alone; for tests
-    /// and protocol debugging.
+    /// Much more expensive than the periodic loop audit; for tests and
+    /// protocol debugging.
     pub invariant_audit: bool,
     /// Deterministic fault schedule executed by the event kernel
     /// ([`crate::faults`]). `None` runs fault-free.
     pub fault_plan: Option<FaultPlan>,
-    /// Serve radio range queries from the spatial neighbor index
-    /// ([`crate::spatial`]) instead of the O(N) all-nodes scan, and let
-    /// the MAC elide provably no-op wake-up events. Grid-backed runs are
-    /// byte-identical (metrics and trace) to linear-scan runs — the
-    /// toggle only changes how fast the same answer is computed — so it
-    /// defaults to on. Set `false` to force the reference linear scan
-    /// (used by the differential tests).
-    /// The grid also silently falls back to the linear scan when the
-    /// mobility model cannot promise a finite speed bound
-    /// ([`crate::mobility::MobilityModel::max_speed_mps`]).
-    pub spatial_grid: bool,
     /// Observability layer ([`crate::telemetry`]): flight recorder and
     /// time-series sampler. `None` runs with telemetry fully off.
     /// Telemetry is observation-pure — enabling it may not change one
     /// observable bit of the run (metrics and trace are byte-identical
     /// either way; enforced by test).
     pub telemetry: Option<TelemetryConfig>,
-    /// Recycle hot-path buffers (protocol action lists, receiver
-    /// batches) through [`crate::pool::VecPool`] free lists instead of
-    /// allocating per event. Pooled runs are byte-identical (metrics,
-    /// trace and telemetry) to unpooled runs — a recycled buffer is
-    /// always handed out empty — so this defaults to on; the
-    /// differential tests flip it off to diff against the
-    /// allocate-per-event reference.
-    pub recycle_pools: bool,
     /// Attach the deterministic kernel profiler ([`crate::prof`]):
     /// per-phase wall-time attribution, phase counts and the FEL-depth
     /// histogram, exported as `manet-prof` JSONL. The profiler is strictly observational —
@@ -171,12 +150,9 @@ impl Default for SimConfig {
             duration: SimDuration::from_secs(900),
             seed: 1,
             audit_interval: None,
-            audit_every_event: false,
             invariant_audit: false,
             fault_plan: None,
-            spatial_grid: true,
             telemetry: None,
-            recycle_pools: true,
             profile: false,
         }
     }

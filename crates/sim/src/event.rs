@@ -16,20 +16,12 @@ pub enum Event {
         /// Transmission id.
         tx_id: u64,
     },
-    /// A frame finishes arriving at a receiver.
-    RxEnd {
-        /// Receiving node.
-        node: NodeId,
-        /// Transmission id.
-        tx_id: u64,
-    },
     /// A frame finishes arriving at *every* receiver of one
-    /// transmission (fast-path form of `RxEnd`; see
-    /// `World::propagate`). All of a transmission's receptions end at
-    /// the same instant and were scheduled back to back, so replacing
-    /// the per-receiver events with one batch — processed in the same
-    /// ascending receiver order — is observation-equivalent and spares
-    /// the event queue its largest event class.
+    /// transmission (see `World::propagate`). All of a transmission's
+    /// receptions end at the same instant, so one event walks the
+    /// receivers in ascending order — what one event per receiver,
+    /// scheduled back to back, would do — and spares the event queue
+    /// what would be its largest event class.
     RxEndBatch {
         /// Transmission id.
         tx_id: u64,
@@ -97,6 +89,9 @@ impl Event {
     /// Stable wire names of the event kinds, indexed by
     /// [`Event::kind_index`]. Order is the enum's declaration order;
     /// appending a variant appends a name (telemetry schema stability).
+    /// `rx_end` is a retired slot: no variant maps to it, so its
+    /// counter reads 0 in every `manet-series`/`manet-prof` document,
+    /// and the column stays so those documents keep their bytes.
     pub const KIND_NAMES: [&'static str; Self::KIND_COUNT] = [
         "mac_kick",
         "tx_end",
@@ -119,7 +114,6 @@ impl Event {
         match self {
             Event::MacKick(_) => 0,
             Event::TxEnd { .. } => 1,
-            Event::RxEnd { .. } => 2,
             Event::RxEndBatch { .. } => 3,
             Event::AckTimeout { .. } => 4,
             Event::ProtocolTimer { .. } => 5,

@@ -27,8 +27,9 @@
 //!   same future event list ([`faults`]);
 //! * a spatial neighbor index (kinetic candidate lists + epoch-cached
 //!   positions) that answers radio range queries without scanning all N nodes,
-//!   byte-identical to the linear scan ([`spatial`],
-//!   [`SimConfig::spatial_grid`](config::SimConfig::spatial_grid));
+//!   byte-identical to the linear scan, which stays the path for
+//!   mobility models that promise no speed bound ([`spatial`],
+//!   [`MobilityModel::max_speed_mps`](mobility::MobilityModel::max_speed_mps));
 //! * an observation-pure telemetry layer — bounded per-node flight
 //!   recorder, sim-time time-series sampler, hand-rolled JSONL export —
 //!   that never changes a run's observable behaviour ([`telemetry`],

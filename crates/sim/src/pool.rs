@@ -1,7 +1,7 @@
 //! Recycling allocation pools for the hot event loop.
 //!
 //! At paper scale every protocol callback used to allocate (and drop)
-//! a fresh `Vec<Action>`, and every fast-path transmission a receiver
+//! a fresh `Vec<Action>`, and every transmission a receiver
 //! batch — millions of short-lived heap round-trips per run. The PR 4
 //! shared-`Frame` steal removed the per-receiver payload clones; this
 //! module extends that toward a steady-state zero-allocation loop by
@@ -10,9 +10,8 @@
 //!
 //! The pool is **capacity-preserving and content-free**: a recycled
 //! `Vec` is always handed out empty (`clear()` on `put`), so reuse is
-//! observationally identical to a fresh allocation — the differential
-//! tests hold metrics and trace byte-identical with pooling on and
-//! off ([`crate::config::SimConfig::recycle_pools`]).
+//! observationally identical to a fresh allocation (unit-tested
+//! below), and the kernel has no other buffer source.
 //!
 //! Determinism note: the free list is a plain LIFO `Vec` — no hashing,
 //! no capacity-dependent iteration — so it cannot perturb event order

@@ -16,15 +16,16 @@
 //!
 //! # Byte-identity with the linear scan
 //!
-//! The lists are an *index*, not an approximation: enabled or disabled
-//! ([`crate::config::SimConfig::spatial_grid`]), a run produces
-//! bit-for-bit identical metrics and traces. Three properties make this
-//! hold:
+//! The lists are an *index*, not an approximation. The world builds
+//! one exactly when the mobility model promises a finite speed bound
+//! ([`MobilityModel::max_speed_mps`]) and scans all nodes otherwise;
+//! the same trajectories produce bit-for-bit identical metrics and
+//! traces either way. Three properties make this hold:
 //!
 //! 1. **The slack bound.** A rebuild at `t_r` records every pair's
 //!    distance `d_r`. Neither endpoint outruns `v_max` (the model's
 //!    promise, [`MobilityModel::max_speed_mps`]; models that promise no
-//!    bound disable the index), so by the triangle inequality the
+//!    bound get no index), so by the triangle inequality the
 //!    distance at `now = t_r + dt` is within `s(dt) = 2 · v_max · dt`
 //!    of `d_r`: `d_r > range + s(dt)` proves the pair out of range,
 //!    `d_r ≤ range − s(dt)` proves it in range without looking at

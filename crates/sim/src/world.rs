@@ -176,15 +176,17 @@ pub struct World {
     auditor: Option<InvariantAuditor>,
     /// Runtime state of the executing fault plan, if one is installed.
     faults: Option<FaultState>,
-    /// Spatial neighbor index ([`crate::spatial`]); present when
-    /// [`SimConfig::spatial_grid`] is on and the mobility model
-    /// promises a finite speed bound. `RefCell` because range queries
-    /// are logically read-only ([`World::neighbors`] takes `&self`)
-    /// but advance the index's cache epoch.
+    /// Spatial neighbor index ([`crate::spatial`]); present when the
+    /// mobility model promises a finite speed bound
+    /// ([`MobilityModel::max_speed_mps`]), otherwise every range query
+    /// is the linear scan. `RefCell` because range queries are
+    /// logically read-only ([`World::neighbors`] takes `&self`) but
+    /// advance the index's cache epoch.
     grid: Option<RefCell<NeighborGrid>>,
     /// Events executed so far (perf telemetry; deliberately *not* part
-    /// of [`Metrics`] — the fast path elides provably no-op events, so
-    /// this count may differ between byte-identical runs).
+    /// of [`Metrics`] — it says how the result was computed, not what
+    /// it is). A pure function of the cell: same configuration and
+    /// seed, same count.
     events_executed: u64,
     /// Events executed so far, by kind ([`Event::KIND_NAMES`] order) —
     /// snapshotted into every telemetry sample. Like
@@ -207,10 +209,9 @@ pub struct World {
     /// Reusable buffer for [`World::in_range_into`] answers on the hot
     /// `propagate` path (taken and returned with `mem::take`).
     range_scratch: Vec<(NodeId, f64)>,
-    /// Fast-path pending receiver lists, keyed by transmission id: the
-    /// in-range receivers of one transmission, in the ascending order
-    /// their per-receiver `RxEnd` events would have been scheduled
-    /// (consumed by [`Event::RxEndBatch`]). Probed by exact key and
+    /// Pending receiver lists, keyed by transmission id: the in-range
+    /// receivers of one transmission, ascending (consumed by
+    /// [`Event::RxEndBatch`]). Probed by exact key and
     /// never iterated, so the map cannot perturb determinism. Frames
     /// are on the air for milliseconds, so the map stays a few dozen
     /// entries wide.
@@ -219,7 +220,7 @@ pub struct World {
     batch_pool: VecPool<NodeId>,
     /// Spare protocol-action buffers recycled across callbacks (the
     /// hottest allocation in the event loop: one per protocol
-    /// callback). Gated on [`SimConfig::recycle_pools`].
+    /// callback).
     action_pool: VecPool<Action>,
     /// The kernel profiler ([`crate::prof`]), attached when
     /// [`SimConfig::profile`] is on. Strictly observational: every
@@ -271,10 +272,8 @@ impl World {
         // The spatial index needs a finite speed bound to size its
         // query slack; models that promise none fall back to the
         // linear scan (the answers are identical either way).
-        let grid = cfg
-            .spatial_grid
-            .then(|| mobility.max_speed_mps())
-            .flatten()
+        let grid = mobility
+            .max_speed_mps()
             .filter(|v| v.is_finite() && *v >= 0.0)
             .map(|v_max| RefCell::new(NeighborGrid::new(n, cfg.phy.range_m, v_max)));
         let prof = cfg.profile.then(|| Box::new(Profiler::new()));
@@ -468,7 +467,7 @@ impl World {
 
     /// Every node within radio range of `of` at the current time
     /// (excluding `of`), ascending — answered by the spatial index
-    /// when enabled, by the linear scan otherwise. The two paths are
+    /// when there is one, by the linear scan otherwise. The two paths are
     /// bitwise identical in set and order, and in the squared
     /// distances whenever those have a reader: the index computes them
     /// only under first-frame capture, their one consumer, and leaves
@@ -506,8 +505,9 @@ impl World {
         buf.into_iter().map(|(m, _)| m).filter(|&m| self.link_usable(node, m)).collect()
     }
 
-    /// Events the kernel has executed so far (perf telemetry; see the
-    /// field note — intentionally not part of [`Metrics`]).
+    /// Events the kernel has executed so far (perf telemetry: a pure
+    /// function of the cell, but intentionally not part of
+    /// [`Metrics`]).
     pub fn events_executed(&self) -> u64 {
         self.events_executed
     }
@@ -647,7 +647,6 @@ impl World {
             let gated = match event {
                 Event::MacKick(node)
                 | Event::TxEnd { node, .. }
-                | Event::RxEnd { node, .. }
                 | Event::AckTimeout { node, .. }
                 | Event::ProtocolTimer { node, .. }
                 | Event::Reboot { node } => fs.node_down(node),
@@ -660,7 +659,6 @@ impl World {
         match event {
             Event::MacKick(node) => self.mac_kick(node),
             Event::TxEnd { node, tx_id } => self.on_tx_end(node, tx_id),
-            Event::RxEnd { node, tx_id } => self.on_rx_end(node, tx_id),
             Event::RxEndBatch { tx_id } => self.on_rx_end_batch(tx_id),
             Event::AckTimeout { node, tx_id } => self.on_ack_timeout(node, tx_id),
             Event::ProtocolTimer { node, token } => {
@@ -995,8 +993,7 @@ impl World {
         let n = self.nodes.len();
         let trace_on = self.trace_on();
         // Exactly one action buffer is in flight per protocol callback.
-        let mut actions =
-            take_pooled(&mut self.action_pool, self.cfg.recycle_pools, self.prof.as_deref_mut());
+        let mut actions = take_pooled(&mut self.action_pool, self.prof.as_deref_mut());
         self.prof_enter(PHASE_PROTOCOL);
         {
             let slot = &mut self.nodes[node.index()];
@@ -1006,12 +1003,7 @@ impl World {
         }
         self.prof_exit();
         self.apply_actions(node, &mut actions);
-        if self.cfg.recycle_pools {
-            self.action_pool.put(actions);
-        }
-        if self.cfg.audit_every_event {
-            self.audit_now();
-        }
+        self.action_pool.put(actions);
         self.invariant_check();
     }
 
@@ -1120,12 +1112,10 @@ impl World {
 
     // ----- MAC state machine ------------------------------------------------
 
-    /// Schedules an immediate MAC wake-up for `node`.
-    ///
-    /// In fast-path mode ([`SimConfig::spatial_grid`]) wake-ups that
-    /// are provably no-ops *at scheduling time* are elided instead —
-    /// they make up the majority of all events at paper scale. A
-    /// wake-up at `now` is a no-op when the MAC is
+    /// Schedules an immediate MAC wake-up for `node` — unless it is
+    /// provably a no-op *at scheduling time*, in which case it is
+    /// elided: such wake-ups would make up the majority of all events
+    /// at paper scale. A wake-up at `now` is a no-op when the MAC is
     ///
     /// * `Idle` with an empty queue (the handler returns immediately;
     ///   any later enqueue schedules its own kick),
@@ -1138,21 +1128,19 @@ impl World {
     ///
     /// Elided events execute no code, mutate no state and draw no RNG,
     /// and the relative FIFO order of the remaining same-timestamp
-    /// events is unchanged, so elision is observation-equivalent: runs
-    /// with and without it are byte-identical in metrics and trace.
+    /// events is unchanged, so elision is observation-equivalent: a
+    /// kernel that scheduled them all would produce the same metrics
+    /// and trace, byte for byte.
     fn kick_now(&mut self, node: NodeId) {
-        if self.cfg.spatial_grid {
-            let mac = &self.nodes[node.index()].mac;
-            let noop = match mac.state {
-                MacState::Idle => mac.queue.is_empty(),
-                MacState::Backoff { until } => until > self.now,
-                MacState::Transmitting { .. } | MacState::AwaitAck { .. } => true,
-            };
-            if noop {
-                return;
-            }
+        let mac = &self.nodes[node.index()].mac;
+        let noop = match mac.state {
+            MacState::Idle => mac.queue.is_empty(),
+            MacState::Backoff { until } => until > self.now,
+            MacState::Transmitting { .. } | MacState::AwaitAck { .. } => true,
+        };
+        if !noop {
+            self.schedule(self.now, Event::MacKick(node));
         }
-        self.schedule(self.now, Event::MacKick(node));
     }
 
     /// A node's medium is busy while any reception is in progress or its
@@ -1246,13 +1234,12 @@ impl World {
     /// grid-indexed or linearly scanned — identical either way).
     ///
     /// All of a transmission's receptions end at the same instant
-    /// `now + prop + dur` and their per-receiver `RxEnd` events are
-    /// scheduled back to back (consecutive sequence numbers), so no
-    /// other event can pop between them. In fast-path mode
-    /// ([`SimConfig::spatial_grid`]) they are therefore replaced by a
-    /// single [`Event::RxEndBatch`] that walks the same receivers in
-    /// the same ascending order — observation-equivalent, and it
-    /// removes the event queue's largest event class.
+    /// `now + prop + dur`. One event per receiver, scheduled back to
+    /// back here, would take consecutive sequence numbers, so no other
+    /// event could pop between them; a single [`Event::RxEndBatch`]
+    /// that walks the same receivers in the same ascending order is
+    /// therefore observation-equivalent, and it spares the event queue
+    /// what would be its largest event class.
     fn propagate(&mut self, sender: NodeId, frame: Frame, tx_id: u64, dur: SimDuration) {
         let now = self.now;
         let capture = self.cfg.phy.capture_distance_ratio;
@@ -1271,12 +1258,7 @@ impl World {
         self.prof_exit();
         let frame = Rc::new(frame);
         let end = now + self.cfg.phy.prop_delay + dur;
-        let batching = self.cfg.spatial_grid;
-        let mut receivers = if batching {
-            take_pooled(&mut self.batch_pool, self.cfg.recycle_pools, self.prof.as_deref_mut())
-        } else {
-            Vec::new()
-        };
+        let mut receivers = take_pooled(&mut self.batch_pool, self.prof.as_deref_mut());
         for &(m, dist_sq) in &in_range {
             // Fault layer: crashed receivers and administratively
             // severed links hear nothing; impaired links draw per-frame
@@ -1317,47 +1299,32 @@ impl World {
                 corrupted,
                 sender_dist,
             });
-            if batching {
-                receivers.push(m);
-            } else {
-                self.schedule(end, Event::RxEnd { node: m, tx_id });
-            }
+            receivers.push(m);
         }
         self.range_scratch = in_range;
-        if batching {
-            if receivers.is_empty() {
-                self.recycle_batch(receivers);
-            } else {
-                self.rx_batches.insert(tx_id, receivers);
-                self.schedule(end, Event::RxEndBatch { tx_id });
-            }
-        }
-    }
-
-    /// Returns a receiver list to the batch pool.
-    fn recycle_batch(&mut self, receivers: Vec<NodeId>) {
-        if self.cfg.recycle_pools {
+        if receivers.is_empty() {
             self.batch_pool.put(receivers);
+        } else {
+            self.rx_batches.insert(tx_id, receivers);
+            self.schedule(end, Event::RxEndBatch { tx_id });
         }
     }
 
-    /// Fast-path form of `RxEnd`: finish every reception of `tx_id`, in
-    /// the same ascending receiver order the per-receiver events would
-    /// have popped. The per-receiver crash gate of [`World::dispatch`]
-    /// is applied per receiver here, and nothing that runs during the
-    /// batch can crash a node or cancel a sibling reception mid-batch
-    /// (faults only fire from their own scheduled events), so the two
-    /// forms are observation-equivalent.
+    /// Finishes every reception of `tx_id`, in ascending receiver
+    /// order. The crash gate [`World::dispatch`] applies to per-node
+    /// events is applied per receiver here, and nothing that runs
+    /// during the batch can crash a node or cancel a sibling reception
+    /// mid-batch (faults only fire from their own scheduled events), so
+    /// the batch is observation-equivalent to one event per receiver.
     fn on_rx_end_batch(&mut self, tx_id: u64) {
         let Some(receivers) = self.rx_batches.remove(&tx_id) else { return };
         for &m in &receivers {
-            // The per-receiver crash gate of `World::dispatch`.
             if self.node_down(m) {
                 continue;
             }
             self.on_rx_end(m, tx_id);
         }
-        self.recycle_batch(receivers);
+        self.batch_pool.put(receivers);
     }
 
     fn on_tx_end(&mut self, node: NodeId, tx_id: u64) {
@@ -1512,18 +1479,13 @@ impl World {
     }
 }
 
-/// Takes an empty buffer — recycled from `pool` when `recycle`
-/// ([`SimConfig::recycle_pools`]) is on, freshly allocated otherwise —
-/// and reports the hit or miss to the profiler.
-fn take_pooled<T>(pool: &mut VecPool<T>, recycle: bool, prof: Option<&mut Profiler>) -> Vec<T> {
+/// Takes an empty buffer from `pool` and reports the hit or miss to
+/// the profiler.
+fn take_pooled<T>(pool: &mut VecPool<T>, prof: Option<&mut Profiler>) -> Vec<T> {
     if let Some(p) = prof {
-        p.pool_event(recycle && pool.has_spare());
+        p.pool_event(pool.has_spare());
     }
-    if recycle {
-        pool.take()
-    } else {
-        Vec::new()
-    }
+    pool.take()
 }
 
 #[cfg(test)]
@@ -1537,19 +1499,7 @@ mod tests {
 
     fn small_world(n: usize, spacing: f64, seed: u64) -> World {
         let mobility = StaticMobility::line(n, spacing);
-        let cfg = SimConfig {
-            phy: PhyConfig::default(),
-            duration: SimDuration::from_secs(30),
-            seed,
-            audit_interval: None,
-            audit_every_event: false,
-            invariant_audit: false,
-            fault_plan: None,
-            spatial_grid: true,
-            telemetry: None,
-            recycle_pools: true,
-            profile: false,
-        };
+        let cfg = SimConfig { duration: SimDuration::from_secs(30), seed, ..SimConfig::default() };
         let topo = StaticRouting::tables_for_line(n);
         World::new(cfg, Box::new(mobility), move |id, _| {
             Box::new(StaticRouting::new(id, topo.clone()))
@@ -1573,10 +1523,7 @@ mod tests {
             w.schedule_app_packet(SimTime::from_millis(1000 + i * 100), NodeId(0), NodeId(4), 512);
         }
         w.run_until(SimTime::from_secs(30));
-        assert!(
-            w.action_pool.reuses() > 0,
-            "with recycle_pools on, action buffers should be recycled, not reallocated"
-        );
+        assert!(w.action_pool.reuses() > 0, "action buffers should be recycled, not reallocated");
         assert!(w.batch_pool.reuses() > 0, "receiver batch lists should be recycled too");
         // Steady state: after warm-up, every take is a reuse; the gap
         // (true allocations) stays bounded by the free-list size.
@@ -1588,27 +1535,6 @@ mod tests {
         );
         let m = w.into_metrics();
         assert_eq!(m.data_delivered, 20);
-    }
-
-    #[test]
-    fn disabling_pools_keeps_them_cold() {
-        let mobility = StaticMobility::line(3, 200.0);
-        let cfg = SimConfig {
-            duration: SimDuration::from_secs(30),
-            seed: 2,
-            recycle_pools: false,
-            ..SimConfig::default()
-        };
-        let topo = StaticRouting::tables_for_line(3);
-        let mut w = World::new(cfg, Box::new(mobility), move |id, _| {
-            Box::new(StaticRouting::new(id, topo.clone()))
-        });
-        w.schedule_app_packet(SimTime::from_secs(1), NodeId(0), NodeId(2), 512);
-        w.run_until(SimTime::from_secs(30));
-        assert_eq!(w.action_pool.takes(), 0, "pool bypassed when recycle_pools is off");
-        assert_eq!(w.batch_pool.takes(), 0);
-        let m = w.into_metrics();
-        assert_eq!(m.data_delivered, 1);
     }
 
     #[test]
@@ -2004,14 +1930,35 @@ mod tests {
         assert_eq!(m.sim_seconds, 30.0);
     }
 
+    /// Moves exactly as the wrapped model does but promises no speed
+    /// bound — what any model that keeps the trait's default
+    /// `max_speed_mps` looks like to the kernel, which therefore gives
+    /// it the linear scan.
+    struct NoSpeedBound(crate::mobility::RandomWaypoint);
+
+    impl MobilityModel for NoSpeedBound {
+        fn position(&self, node: NodeId, t: SimTime) -> crate::geometry::Position {
+            self.0.position(node, t)
+        }
+        fn len(&self) -> usize {
+            self.0.len()
+        }
+        fn position_hold(&self, node: NodeId, t: SimTime) -> (crate::geometry::Position, SimTime) {
+            self.0.position_hold(node, t)
+        }
+        fn motion_leg(&self, node: NodeId, t: SimTime) -> crate::mobility::MotionLeg {
+            self.0.motion_leg(node, t)
+        }
+    }
+
     /// Runs one random-waypoint world on the spatial index and one on
-    /// the linear scan and demands the same metrics and the same trace;
-    /// returns the metrics.
+    /// the linear scan and demands the same metrics, the same trace and
+    /// the same event count; returns the metrics.
     fn grid_and_linear_agree(capture: Option<f64>) -> Metrics {
         use crate::geometry::Terrain;
         use crate::mobility::RandomWaypoint;
         use crate::trace::MemoryTrace;
-        let run = |spatial_grid: bool| {
+        let run = |bounded: bool| {
             let mobility = RandomWaypoint::new(
                 20,
                 Terrain::new(800.0, 300.0),
@@ -2024,13 +1971,15 @@ mod tests {
                 phy: PhyConfig { capture_distance_ratio: capture, ..PhyConfig::default() },
                 duration: SimDuration::from_secs(20),
                 seed: 9,
-                spatial_grid,
                 ..SimConfig::default()
             };
+            let mobility: Box<dyn MobilityModel> =
+                if bounded { Box::new(mobility) } else { Box::new(NoSpeedBound(mobility)) };
             let topo = StaticRouting::tables_for_line(20);
-            let mut w = World::new(cfg, Box::new(mobility), move |id, _| {
+            let mut w = World::new(cfg, mobility, move |id, _| {
                 Box::new(StaticRouting::new(id, topo.clone()))
             });
+            assert_eq!(w.grid.is_some(), bounded, "the speed bound alone selects the index");
             let shared = MemoryTrace::shared();
             w.set_trace(Box::new(shared.clone()));
             w.with_cbr(TrafficConfig::paper(4));
@@ -2046,7 +1995,7 @@ mod tests {
         let (lm, lt, le) = run(false);
         assert_eq!(gm, lm, "metrics must be byte-identical");
         assert_eq!(gt, lt, "traces must be byte-identical");
-        assert!(ge < le, "fast path should execute fewer events ({ge} !< {le})");
+        assert_eq!(ge, le, "the event count is a function of the cell, not of the query path");
         gm
     }
 
@@ -2065,6 +2014,47 @@ mod tests {
         // Not vacuous: had no reception been captured, the run would
         // equal the capture-off run.
         assert_ne!(captured, grid_and_linear_agree(None), "no reception was ever captured");
+    }
+
+    /// The other side of the selection: a model with no finite speed
+    /// bound (here a scripted teleport) gets the linear scan for every
+    /// range query, and the run works.
+    #[test]
+    fn unbounded_mobility_runs_on_the_linear_scan() {
+        use crate::geometry::Position;
+        use crate::mobility::ScriptedMobility;
+        // A 3-node chain, 200 m apart; the far end jumps out of range
+        // at t = 5 s in zero time.
+        let at = |x: f64| Position::new(x, 0.0);
+        let mobility = ScriptedMobility::new(vec![
+            vec![(SimTime::ZERO, at(0.0))],
+            vec![(SimTime::ZERO, at(200.0))],
+            vec![
+                (SimTime::ZERO, at(400.0)),
+                (SimTime::from_secs(5), at(400.0)),
+                (SimTime::from_secs(5), at(2000.0)),
+            ],
+        ]);
+        assert_eq!(mobility.max_speed_mps(), None, "a teleport has no finite speed bound");
+        let cfg = SimConfig {
+            duration: SimDuration::from_secs(10),
+            seed: 33,
+            profile: true,
+            ..SimConfig::default()
+        };
+        let topo = StaticRouting::tables_for_line(3);
+        let mut w = World::new(cfg, Box::new(mobility), move |id, _| {
+            Box::new(StaticRouting::new(id, topo.clone()))
+        });
+        w.schedule_app_packet(SimTime::from_secs(1), NodeId(0), NodeId(2), 512);
+        w.schedule_app_packet(SimTime::from_secs(6), NodeId(0), NodeId(2), 512);
+        w.run_until(SimTime::from_secs(10));
+        w.finalize();
+        assert_eq!(w.metrics().data_delivered, 1, "delivered before the jump, lost after it");
+        assert_eq!(w.metrics().mac_retry_failures, 1);
+        let snap = w.prof_snapshot().expect("profile is on");
+        assert!(snap.counts[PHASE_NEIGHBOR_LINEAR as usize] > 0, "no range query ran");
+        assert_eq!(snap.counts[PHASE_NEIGHBOR_GRID as usize], 0, "the index answered a query");
     }
 
     #[test]
