@@ -703,7 +703,7 @@ impl RoutingProtocol for Aodv {
         &mut self,
         ctx: &mut Ctx,
         prev_hop: NodeId,
-        ctrl: ControlPacket,
+        ctrl: &ControlPacket,
         _was_broadcast: bool,
     ) {
         self.clock = ctx.now();

@@ -387,7 +387,7 @@ fn received_hello_installs_neighbor_route_without_forwarding() {
         a.handle_control(
             ctx,
             NodeId(2),
-            manet_sim::packet::ControlPacket { kind: ControlKind::Hello, bytes: hello.encode() },
+            &manet_sim::packet::ControlPacket { kind: ControlKind::Hello, bytes: hello.encode() },
             true,
         )
     });
@@ -406,7 +406,7 @@ fn silent_neighbor_triggers_rerr_on_hello_sweep() {
         a.handle_control(
             ctx,
             NodeId(6),
-            manet_sim::packet::ControlPacket { kind: ControlKind::Hello, bytes: hello.encode() },
+            &manet_sim::packet::ControlPacket { kind: ControlKind::Hello, bytes: hello.encode() },
             true,
         )
     });

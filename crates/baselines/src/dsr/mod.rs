@@ -526,7 +526,7 @@ impl RoutingProtocol for Dsr {
         &mut self,
         ctx: &mut Ctx,
         prev_hop: NodeId,
-        ctrl: ControlPacket,
+        ctrl: &ControlPacket,
         _was_broadcast: bool,
     ) {
         self.clock = ctx.now();

@@ -710,7 +710,7 @@ impl RoutingProtocol for Olsr {
         &mut self,
         ctx: &mut Ctx,
         prev_hop: NodeId,
-        ctrl: ControlPacket,
+        ctrl: &ControlPacket,
         _was_broadcast: bool,
     ) {
         self.clock = ctx.now();

@@ -700,7 +700,7 @@ mod differential {
                 r.clock = now; // every callback stamps the clock; the verification hook does not
             }
             let control = |n: &mut Node, prev: NodeId, kind, bytes| {
-                n.call(|o, ctx| o.handle_control(ctx, prev, ControlPacket { kind, bytes }, true));
+                n.call(|o, ctx| o.handle_control(ctx, prev, &ControlPacket { kind, bytes }, true));
             };
             match what % 16 {
                 0..=4 => {

@@ -114,7 +114,7 @@ proptest! {
             olsr.handle_control(
                 &mut ctx,
                 n1,
-                manet_sim::packet::ControlPacket {
+                &manet_sim::packet::ControlPacket {
                     kind: manet_sim::packet::ControlKind::Hello,
                     bytes: hello.encode(),
                 },

@@ -19,9 +19,13 @@ pub enum Json {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any number (the trace only writes integers and finite floats,
-    /// all exactly representable in an `f64`).
+    /// A number an `f64` holds exactly: every float, and every integer
+    /// token up to 2⁵³ (and the sparser ones beyond that survive the
+    /// round trip).
     Num(f64),
+    /// A non-negative integer token an `f64` would round — packet uids
+    /// are `(node << 48) | ctr`, so those of nodes ≥ 32 exceed 2⁵³.
+    Int(u64),
     /// A string.
     Str(String),
     /// An array.
@@ -56,6 +60,7 @@ impl Json {
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Json::Num(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
+            Json::Int(n) => Some(*n),
             _ => None,
         }
     }
@@ -178,6 +183,16 @@ impl<'a> Parser<'a> {
             self.pos += 1;
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos]).ok()?;
+        // An integer token is kept exact: as the float it equals where
+        // one exists, as itself where the float would be a neighbour.
+        if let Ok(int) = text.parse::<u64>() {
+            let float = int as f64;
+            return Some(if float as u128 == u128::from(int) {
+                Json::Num(float)
+            } else {
+                Json::Int(int)
+            });
+        }
         text.parse::<f64>().ok().filter(|n| n.is_finite()).map(Json::Num)
     }
 
@@ -370,6 +385,7 @@ fn fmt_event(ev: &Json) -> String {
                         format!("{n}")
                     }
                 }
+                Json::Int(n) => n.to_string(),
                 Json::Str(s) => s.clone(),
                 Json::Arr(items) => format!("[{} items]", items.len()),
                 Json::Obj(_) => fmt_snapshot(v),
@@ -624,6 +640,41 @@ mod tests {
         assert_eq!(v.get("g"), Some(&Json::Num(-2.5)));
         assert!(Json::parse("{\"a\":1}trailing").is_none());
         assert!(Json::parse("{").is_none());
+    }
+
+    #[test]
+    fn uids_above_two_to_the_53_survive_the_trace_round_trip() {
+        use manet_sim::packet::NodeId;
+        use manet_sim::telemetry::{event_to_jsonl, trace_header};
+        use manet_sim::time::SimTime;
+        use manet_sim::trace::TraceEvent;
+        // Node 49's first packet: 54 significant bits, which an `f64`
+        // rounds to the even neighbour.
+        let uid = (49u64 << 48) | 1;
+        assert_ne!((uid as f64) as u64, uid);
+        let doc = format!(
+            "{}\n{}\n{}\n",
+            trace_header(1, 50),
+            event_to_jsonl(0, SimTime::ZERO, &TraceEvent::RxOk { node: NodeId(3), uid: Some(uid) }),
+            event_to_jsonl(
+                1,
+                SimTime::ZERO,
+                &TraceEvent::SeqnoReset { node: NodeId(3), old: u64::MAX - 1, new: u64::MAX }
+            ),
+        );
+        let trace = TraceFile::parse(&doc).expect("parses");
+        assert_eq!(trace.events[0].u64_field("uid"), Some(uid));
+        assert_eq!(trace.events[1].u64_field("old"), Some(u64::MAX - 1));
+        assert_eq!(trace.events[1].u64_field("new"), Some(u64::MAX));
+        // Small integers are still the float the frozen readers match on.
+        assert_eq!(trace.events[0].get("node"), Some(&Json::Num(3.0)));
+        assert_eq!(Json::parse("9007199254740992"), Some(Json::Num(9_007_199_254_740_992.0)));
+        assert_eq!(Json::parse("9007199254740993"), Some(Json::Int(9_007_199_254_740_993)));
+        // Past u64 it is a float again, as before.
+        assert_eq!(
+            Json::parse("18446744073709551616"),
+            Some(Json::Num(18_446_744_073_709_551_616.0))
+        );
     }
 
     #[test]

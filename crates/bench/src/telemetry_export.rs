@@ -14,8 +14,10 @@ use manet_sim::metrics::Metrics;
 use manet_sim::prof::prof_to_jsonl;
 use manet_sim::telemetry::{series_to_jsonl, JsonlTrace, TelemetryConfig};
 use manet_sim::time::{SimDuration, SimTime};
-use std::fs;
+use std::fs::{self, File};
+use std::io::{BufWriter, Write as _};
 use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// Where [`export_run`] wrote its documents.
 #[derive(Clone, Debug)]
@@ -45,14 +47,21 @@ pub struct RenderedRun {
     pub prof: Option<String>,
 }
 
-/// Runs one telemetry-attached trial and returns the rendered JSONL
-/// documents without touching the filesystem.
-pub fn render_run(
+/// A finished telemetry-attached trial: everything but the trace is
+/// rendered, the trace is still the sink's compact log.
+struct TracedRun {
+    metrics: Metrics,
+    sink: Arc<Mutex<JsonlTrace>>,
+    series: String,
+    prof: Option<String>,
+}
+
+fn run_traced(
     protocol: Protocol,
     scenario: &Scenario,
     seed: u64,
     plan: Option<FaultPlan>,
-) -> RenderedRun {
+) -> TracedRun {
     let telemetry = TelemetryConfig::default();
     let mut world = build_world_telemetry(protocol, scenario, seed, plan, Some(telemetry));
     let sink = JsonlTrace::shared(seed, scenario.n_nodes);
@@ -62,20 +71,35 @@ pub fn render_run(
     let interval = world.sample_interval().unwrap_or(SimDuration::from_secs(1));
     let series = series_to_jsonl(seed, interval, world.telemetry_series());
     let metrics = world.metrics().clone();
-    let trace = match sink.lock() {
-        Ok(guard) => guard.contents().to_string(),
-        Err(poisoned) => poisoned.into_inner().contents().to_string(),
-    };
     let prof = world.prof_snapshot().map(|snap| {
         prof_to_jsonl(seed, scenario.n_nodes, &protocol.name(), &scenario.label(), &snap)
     });
-    RenderedRun { metrics, trace, series, prof }
+    TracedRun { metrics, sink, series, prof }
+}
+
+/// The sink's trace, even if a panic elsewhere poisoned the lock.
+fn locked(sink: &Mutex<JsonlTrace>) -> MutexGuard<'_, JsonlTrace> {
+    sink.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// Runs one telemetry-attached trial and returns the rendered JSONL
+/// documents without touching the filesystem.
+pub fn render_run(
+    protocol: Protocol,
+    scenario: &Scenario,
+    seed: u64,
+    plan: Option<FaultPlan>,
+) -> RenderedRun {
+    let run = run_traced(protocol, scenario, seed, plan);
+    let trace = locked(&run.sink).render();
+    RenderedRun { metrics: run.metrics, trace, series: run.series, prof: run.prof }
 }
 
 /// Runs one telemetry-attached trial and writes
 /// `<dir>/<prefix>-trace.jsonl` and `<dir>/<prefix>-series.jsonl`
 /// (plus `<dir>/<prefix>-prof.jsonl` when [`Scenario::profile`] is
-/// on), creating `dir` if needed.
+/// on), creating `dir` if needed. The trace is streamed to its file
+/// line by line; the whole document is never in memory.
 pub fn export_run(
     protocol: Protocol,
     scenario: &Scenario,
@@ -84,11 +108,13 @@ pub fn export_run(
     dir: &Path,
     prefix: &str,
 ) -> std::io::Result<(Metrics, ExportPaths)> {
-    let run = render_run(protocol, scenario, seed, plan);
+    let run = run_traced(protocol, scenario, seed, plan);
     fs::create_dir_all(dir)?;
     let trace = dir.join(format!("{prefix}-trace.jsonl"));
     let series = dir.join(format!("{prefix}-series.jsonl"));
-    fs::write(&trace, &run.trace)?;
+    let mut file = BufWriter::new(File::create(&trace)?);
+    locked(&run.sink).write_to(&mut file)?;
+    file.flush()?;
     fs::write(&series, &run.series)?;
     let prof = match &run.prof {
         Some(doc) => {

@@ -30,7 +30,7 @@ fn feed_all_kinds(protocol: Protocol, bytes: &[u8]) -> Vec<Action> {
     for kind in ControlKind::ALL {
         let mut ctx = Ctx::new(SimTime::from_secs(1), NodeId(0), 8, &mut rng, &mut actions);
         let ctrl = ControlPacket { kind, bytes: bytes.to_vec() };
-        proto.handle_control(&mut ctx, NodeId(1), ctrl, true);
+        proto.handle_control(&mut ctx, NodeId(1), &ctrl, true);
     }
     actions
 }

@@ -819,7 +819,7 @@ impl RoutingProtocol for Ldr {
         &mut self,
         ctx: &mut Ctx,
         prev_hop: NodeId,
-        ctrl: ControlPacket,
+        ctrl: &ControlPacket,
         _was_broadcast: bool,
     ) {
         self.clock = ctx.now();

@@ -96,7 +96,7 @@ impl ProtocolModel for Ldr {
         self.handle_data_packet(ctx, prev, data);
     }
     fn on_control(&mut self, ctx: &mut Ctx, prev: NodeId, ctrl: ControlPacket, bcast: bool) {
-        self.handle_control(ctx, prev, ctrl, bcast);
+        self.handle_control(ctx, prev, &ctrl, bcast);
     }
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         self.handle_timer(ctx, token);
@@ -144,7 +144,7 @@ impl ProtocolModel for Aodv {
         self.handle_data_packet(ctx, prev, data);
     }
     fn on_control(&mut self, ctx: &mut Ctx, prev: NodeId, ctrl: ControlPacket, bcast: bool) {
-        self.handle_control(ctx, prev, ctrl, bcast);
+        self.handle_control(ctx, prev, &ctrl, bcast);
     }
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         self.handle_timer(ctx, token);
@@ -192,7 +192,7 @@ impl ProtocolModel for Dsr {
         self.handle_data_packet(ctx, prev, data);
     }
     fn on_control(&mut self, ctx: &mut Ctx, prev: NodeId, ctrl: ControlPacket, bcast: bool) {
-        self.handle_control(ctx, prev, ctrl, bcast);
+        self.handle_control(ctx, prev, &ctrl, bcast);
     }
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         self.handle_timer(ctx, token);
@@ -247,7 +247,7 @@ impl ProtocolModel for Olsr {
         self.handle_data_packet(ctx, prev, data);
     }
     fn on_control(&mut self, ctx: &mut Ctx, prev: NodeId, ctrl: ControlPacket, bcast: bool) {
-        self.handle_control(ctx, prev, ctrl, bcast);
+        self.handle_control(ctx, prev, &ctrl, bcast);
     }
     fn on_timer(&mut self, ctx: &mut Ctx, token: u64) {
         self.handle_timer(ctx, token);

@@ -312,7 +312,7 @@ pub trait RoutingProtocol: Send {
         &mut self,
         ctx: &mut Ctx,
         prev_hop: NodeId,
-        ctrl: ControlPacket,
+        ctrl: &ControlPacket,
         was_broadcast: bool,
     );
 

@@ -111,7 +111,7 @@ impl RoutingProtocol for StaticRouting {
         &mut self,
         _ctx: &mut Ctx,
         _prev_hop: NodeId,
-        _ctrl: ControlPacket,
+        _ctrl: &ControlPacket,
         _was_broadcast: bool,
     ) {
     }

@@ -65,6 +65,16 @@ pub enum RouteVerdict {
     Infeasible,
 }
 
+impl RouteVerdict {
+    /// Every verdict, in declaration order.
+    pub const ALL: [RouteVerdict; 4] = [
+        RouteVerdict::Installed,
+        RouteVerdict::Refreshed,
+        RouteVerdict::NotBetter,
+        RouteVerdict::Infeasible,
+    ];
+}
+
 /// Why a route was invalidated.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum InvalidateCause {
@@ -77,6 +87,16 @@ pub enum InvalidateCause {
     RequestAsError,
     /// A higher sequence number was adopted, resetting `fd` history.
     SeqnoAdopted,
+}
+
+impl InvalidateCause {
+    /// Every cause, in declaration order.
+    pub const ALL: [InvalidateCause; 4] = [
+        InvalidateCause::LinkFailure,
+        InvalidateCause::RouteError,
+        InvalidateCause::RequestAsError,
+        InvalidateCause::SeqnoAdopted,
+    ];
 }
 
 /// One traced occurrence.
@@ -303,6 +323,19 @@ pub enum FaultKind {
     Impair,
     /// A stale control frame was re-emitted.
     Replay,
+}
+
+impl FaultKind {
+    /// Every kind, in declaration order.
+    pub const ALL: [FaultKind; 7] = [
+        FaultKind::Crash,
+        FaultKind::LinkDown,
+        FaultKind::LinkUp,
+        FaultKind::Partition,
+        FaultKind::Heal,
+        FaultKind::Impair,
+        FaultKind::Replay,
+    ];
 }
 
 impl TraceEvent {

@@ -1426,29 +1426,20 @@ impl World {
             let fresh = self.nodes[node.index()].recent.insert(uid);
             if fresh {
                 let prev_hop = src;
-                // The last receiver to process this transmission holds
-                // the only remaining `Rc` and can take the packet by
-                // value; earlier receivers deep-clone (route vectors
-                // make that clone expensive).
-                let pkt = match Rc::try_unwrap(frame) {
-                    Ok(owned) => match owned.payload {
-                        FramePayload::Packet(p) => p,
-                        FramePayload::Ack { .. } => return, // cannot occur (ACK handled above)
-                    },
-                    Err(shared) => match &shared.payload {
-                        FramePayload::Packet(p) => p.clone(),
-                        FramePayload::Ack { .. } => return, // cannot occur (ACK handled above)
-                    },
-                };
-                match pkt.body {
-                    PacketBody::Data(data) => {
-                        self.call_protocol(node, |p, ctx| {
-                            p.handle_data_packet(ctx, prev_hop, data)
-                        });
-                    }
+                match &packet.body {
+                    // Control bytes are only ever decoded, so every
+                    // receiver of a broadcast reads the one shared frame.
                     PacketBody::Control(ctrl) => {
                         self.call_protocol(node, |p, ctx| {
                             p.handle_control(ctx, prev_hop, ctrl, broadcast)
+                        });
+                    }
+                    // A data packet travels on with its one addressed
+                    // receiver, which therefore needs its own copy.
+                    PacketBody::Data(data) => {
+                        let data = data.clone();
+                        self.call_protocol(node, |p, ctx| {
+                            p.handle_data_packet(ctx, prev_hop, data)
                         });
                     }
                 }

@@ -145,7 +145,7 @@ impl RoutingProtocol for BuggyFd {
         &mut self,
         _ctx: &mut Ctx,
         _prev_hop: NodeId,
-        _ctrl: ControlPacket,
+        _ctrl: &ControlPacket,
         _was_broadcast: bool,
     ) {
     }
