@@ -50,7 +50,7 @@ pub const PROF_VERSION: u32 = 2;
 
 /// FEL insertion (`EventQueue::schedule`).
 pub const PHASE_FEL_PUSH: u16 = 0;
-/// FEL extraction (`EventQueue::pop`), including the sift-down.
+/// FEL extraction (`EventQueue::pop_due`): the ring scan or the sift-down.
 pub const PHASE_FEL_POP: u16 = 1;
 /// Neighbor range query answered by the spatial grid.
 pub const PHASE_NEIGHBOR_GRID: u16 = 2;

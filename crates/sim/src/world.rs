@@ -31,13 +31,13 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 
 mod medium;
-use medium::{Frame, FramePayload, RecentCache, RxInProgress, U64Build};
+use medium::{Batch, Frame, FramePayload, RecentCache, RxList, U64Build};
 
 struct NodeSlot {
     mac: Mac,
     protocol: Box<dyn RoutingProtocol>,
     proto_rng: SimRng,
-    rx: Vec<RxInProgress>,
+    rx: RxList,
     recent: RecentCache,
     /// Per-node packet-uid counter; uids are `(node << 48) | ctr`.
     /// Uniqueness (all duplicate suppression needs) holds because a
@@ -121,13 +121,13 @@ pub struct World {
     /// Reusable buffer for [`World::in_range_into`] answers on the hot
     /// `propagate` path (taken and returned with `mem::take`).
     range_scratch: Vec<(NodeId, f64)>,
-    /// Pending receiver lists, keyed by transmission id: the in-range
-    /// receivers of one transmission, ascending (consumed by
+    /// Transmissions on the air, keyed by transmission id: the frame and
+    /// its in-range receivers, ascending (consumed by
     /// [`Event::RxEndBatch`]). Probed by exact key and
     /// never iterated, so the map cannot perturb determinism. Frames
     /// are on the air for milliseconds, so the map stays a few dozen
     /// entries wide.
-    rx_batches: HashMap<u64, Vec<NodeId>, U64Build>,
+    rx_batches: HashMap<u64, Batch, U64Build>,
     /// Spare receiver-list allocations recycled across batches.
     batch_pool: VecPool<NodeId>,
     /// Spare protocol-action buffers recycled across callbacks (the
@@ -167,7 +167,7 @@ impl World {
                     mac: Mac::new(cfg.phy.cw_min, SimRng::stream(seed, &format!("mac-{i}"))),
                     protocol: factory(id, n),
                     proto_rng: SimRng::stream(seed, &format!("proto-{i}")),
-                    rx: Vec::new(),
+                    rx: RxList::default(),
                     recent: RecentCache::default(),
                     uid_ctr: 0,
                     tx_ctr: 0,
@@ -286,8 +286,8 @@ impl World {
     }
 
     /// Schedules a single application packet from `src` to `dst` at
-    /// time `at` (for tests and worked examples). Returns the flow id
-    /// used in metrics.
+    /// time `at` (for tests and worked examples) — at [`World::now`] if
+    /// `at` has already passed. Returns the flow id used in metrics.
     pub fn schedule_app_packet(
         &mut self,
         at: SimTime,
@@ -299,7 +299,7 @@ impl World {
         self.next_manual_flow += 1;
         let idx = self.manual.len() as u32;
         self.manual.push(AppPacket { src, dst, payload_len, flow_id, seq: 0 });
-        self.fel.schedule(at, Event::AppSend { idx });
+        self.fel.schedule(at.max(self.now), Event::AppSend { idx });
         flow_id
     }
 
@@ -338,11 +338,12 @@ impl World {
         self.auditor.as_ref().and_then(|a| a.report())
     }
 
-    /// Schedules a crash-and-restart of `node` at time `at`: its MAC
-    /// queue and in-progress receptions are discarded and the routing
-    /// protocol's [`RoutingProtocol::handle_reboot`] hook runs.
+    /// Schedules a crash-and-restart of `node` at time `at` (at
+    /// [`World::now`] if `at` has already passed): its MAC queue and
+    /// in-progress receptions are discarded and the routing protocol's
+    /// [`RoutingProtocol::handle_reboot`] hook runs.
     pub fn schedule_reboot(&mut self, at: SimTime, node: NodeId) {
-        self.fel.schedule(at, Event::Reboot { node });
+        self.fel.schedule(at.max(self.now), Event::Reboot { node });
     }
 
     /// Current simulated time.
@@ -501,11 +502,12 @@ impl World {
     pub fn run_until(&mut self, until: SimTime) {
         self.prof_enter(PHASE_KERN_LOOP);
         self.prof_enter(PHASE_FEL_POP);
-        while self.fel.peek_time().is_some_and(|t| t <= until) {
+        loop {
+            let depth = self.fel.len();
+            let Some((t, event)) = self.fel.pop_due(until) else { break };
             if let Some(p) = self.prof.as_mut() {
-                p.record_hist(HIST_FEL_DEPTH, self.fel.len() as u64);
+                p.record_hist(HIST_FEL_DEPTH, depth as u64);
             }
-            let Some((t, event)) = self.fel.pop() else { break };
             debug_assert!(t >= self.now, "event from the past");
             let kind = event.kind_index();
             if let Some(p) = self.prof.as_mut() {
@@ -764,8 +766,8 @@ impl World {
             if m == node.index() {
                 continue;
             }
-            for rx in &mut self.nodes[m].rx {
-                if rx.frame.src == node && rx.end > now {
+            for rx in self.nodes[m].rx.iter_mut() {
+                if rx.sender() == node && rx.end > now {
                     rx.corrupted = true;
                 }
             }
@@ -1240,6 +1242,21 @@ mod tests {
     }
 
     #[test]
+    fn mac_scale_events_are_scheduled_into_the_calendar_ring() {
+        // The first events of a run are all far timers, so the ring's
+        // window only opens if far pops move the cursor too; if it does
+        // not, every schedule silently falls through to the heap.
+        let mut w = small_world(6, 250.0, 9);
+        for i in 0..200u64 {
+            w.schedule_app_packet(SimTime::from_millis(500 + i * 11), NodeId(0), NodeId(5), 512);
+            w.schedule_app_packet(SimTime::from_millis(505 + i * 11), NodeId(5), NodeId(0), 512);
+        }
+        w.run_until(SimTime::from_secs(30));
+        assert!(w.events_executed() > 10_000, "not a dense run: {}", w.events_executed());
+        assert!(w.fel.ring_share() >= 0.8, "ring share {}", w.fel.ring_share());
+    }
+
+    #[test]
     fn multi_hop_chain_delivery() {
         let mut w = small_world(5, 200.0, 2);
         for i in 0..20 {
@@ -1297,6 +1314,33 @@ mod tests {
         w.run_until(SimTime::from_secs(5));
         assert_eq!(w.now(), SimTime::from_secs(10), "an earlier `until` must not rewind the clock");
         assert_eq!(w.events_executed(), events);
+    }
+
+    #[test]
+    fn past_dated_public_schedules_fire_now_not_in_the_past() {
+        use crate::trace::MemoryTrace;
+        // Between stages the two public schedulers are handed times the
+        // clock has passed: the events must run at `now`, not rewind it.
+        let mut w = small_world(2, 100.0, 18);
+        let t10 = SimTime::from_secs(10);
+        w.run_until(t10);
+        let shared = MemoryTrace::shared();
+        w.set_trace(Box::new(shared.clone()));
+        w.schedule_app_packet(SimTime::from_secs(5), NodeId(0), NodeId(1), 512);
+        w.schedule_reboot(SimTime::from_secs(3), NodeId(1));
+        for until in [t10, SimTime::from_secs(11)] {
+            w.run_until(until);
+            assert_eq!(w.now(), until);
+        }
+        // Every handler ran at or after 10 s: the packet is created, sent
+        // and delivered there, so its latency is one hop's, from 10 s.
+        let trace: Vec<_> = shared.lock().map(|t| t.events().to_vec()).unwrap_or_default();
+        assert!(trace.iter().any(|(_, e)| matches!(e, TraceEvent::Delivered { .. })));
+        assert!(trace.iter().all(|(t, _)| *t >= t10), "a handler ran in the past: {trace:?}");
+        assert!(trace.windows(2).all(|p| p[0].0 <= p[1].0), "the clock ran backwards");
+        let m = w.into_metrics();
+        assert_eq!(m.data_delivered, 1);
+        assert!(m.mean_latency_s() < 0.1, "{}", m.mean_latency_s());
     }
 
     #[test]

@@ -11,7 +11,6 @@ use crate::prof::{PHASE_NEIGHBOR_GRID, PHASE_NEIGHBOR_LINEAR};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceEvent;
 use std::collections::{HashSet, VecDeque};
-use std::rc::Rc;
 
 /// Link-layer frame payload.
 #[derive(Clone, Debug)]
@@ -31,21 +30,92 @@ pub(super) struct Frame {
     pub(super) payload: FramePayload,
 }
 
-/// A reception in progress at one node.
-///
-/// The frame is shared (`Rc`) across every receiver of one
-/// transmission: at 100-node scale a broadcast reaches dozens of
-/// stations, and deep-cloning the packet per receiver dominated
-/// `propagate`'s cost.
-#[derive(Clone, Debug)]
+/// One transmission on the air: its frame, held once for every
+/// receiver (at 100-node scale a broadcast reaches dozens of stations),
+/// and the in-range receivers, ascending.
+#[derive(Debug)]
+pub(super) struct Batch {
+    frame: Frame,
+    receivers: Vec<NodeId>,
+}
+
+/// A reception in progress at one node. The frame stays in the
+/// transmission's [`Batch`]; the sender is `tx_id >> 48`.
+#[derive(Clone, Copy, Debug, Default, PartialEq)]
 pub(super) struct RxInProgress {
     tx_id: u64,
-    pub(super) frame: Rc<Frame>,
     pub(super) end: SimTime,
     pub(super) corrupted: bool,
     /// Transmitter-to-receiver distance, for the capture model; NaN
     /// (never read) when capture is not configured.
     sender_dist: f64,
+}
+
+impl RxInProgress {
+    /// The transmitting node (the high 16 bits of every `tx_id`).
+    pub(super) fn sender(&self) -> NodeId {
+        NodeId((self.tx_id >> 48) as u16)
+    }
+}
+
+/// Receptions held inline before [`RxList`] spills to the heap: a node
+/// rarely hears more than a few overlapping frames.
+const RX_INLINE: usize = 4;
+
+/// One node's receptions in progress, in no particular order: `tx_id`
+/// is unique within a list, and every reader either looks one entry up
+/// by it, treats all live entries alike, or takes a maximum.
+#[derive(Debug, Default)]
+pub(super) struct RxList {
+    inline: [RxInProgress; RX_INLINE],
+    /// Live prefix of `inline`; `spill` is empty unless this is
+    /// `RX_INLINE`.
+    len: u8,
+    spill: Vec<RxInProgress>,
+}
+
+impl RxList {
+    fn push(&mut self, rx: RxInProgress) {
+        match self.inline.get_mut(usize::from(self.len)) {
+            Some(slot) => {
+                *slot = rx;
+                self.len += 1;
+            }
+            None => self.spill.push(rx),
+        }
+    }
+
+    /// Removes and returns the reception of `tx_id`, refilling an inline
+    /// slot it leaves from the spill.
+    fn take(&mut self, tx_id: u64) -> Option<RxInProgress> {
+        let live = usize::from(self.len);
+        if let Some(i) = self.inline[..live].iter().position(|r| r.tx_id == tx_id) {
+            let rx = self.inline[i];
+            self.inline[i] = match self.spill.pop() {
+                Some(spilled) => spilled,
+                None => {
+                    self.len -= 1;
+                    self.inline[live - 1]
+                }
+            };
+            return Some(rx);
+        }
+        let i = self.spill.iter().position(|r| r.tx_id == tx_id)?;
+        Some(self.spill.swap_remove(i))
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &RxInProgress> {
+        self.inline[..usize::from(self.len)].iter().chain(&self.spill)
+    }
+
+    pub(super) fn iter_mut(&mut self) -> impl Iterator<Item = &mut RxInProgress> {
+        self.inline[..usize::from(self.len)].iter_mut().chain(&mut self.spill)
+    }
+
+    pub(super) fn clear(&mut self) {
+        self.len = 0;
+        self.spill.clear();
+    }
 }
 
 /// Deterministic avalanche hasher for `u64` keys (splitmix64 finalizer).
@@ -109,7 +179,7 @@ impl World {
         let now = self.now;
         let slot = &self.nodes[node.index()];
         let mut until: Option<SimTime> = None;
-        for rx in &slot.rx {
+        for rx in slot.rx.iter() {
             if rx.end > now {
                 until = Some(until.map_or(rx.end, |u: SimTime| u.max(rx.end)));
             }
@@ -137,7 +207,7 @@ impl World {
         let capture = self.cfg.phy.capture_distance_ratio;
 
         // A station transmitting cannot hear; corrupt its receptions.
-        for rx in &mut self.nodes[sender.index()].rx {
+        for rx in self.nodes[sender.index()].rx.iter_mut() {
             if rx.end > now {
                 rx.corrupted = true;
             }
@@ -148,7 +218,6 @@ impl World {
         self.prof_enter(phase);
         self.in_range_into(sender, &mut in_range);
         self.prof_exit();
-        let frame = Rc::new(frame);
         let end = now + self.cfg.phy.prop_delay + dur;
         let mut receivers = take_pooled(&mut self.batch_pool, self.prof.as_deref_mut());
         for &(m, dist_sq) in &in_range {
@@ -172,7 +241,7 @@ impl World {
             // Overlapping receptions corrupt each other — unless the
             // earlier frame's transmitter is so much closer that the
             // receiver captures it (first-frame capture only).
-            for rx in &mut receiver.rx {
+            for rx in receiver.rx.iter_mut() {
                 if rx.end > now {
                     let captured = matches!(
                         capture,
@@ -184,20 +253,14 @@ impl World {
                     corrupted = true;
                 }
             }
-            receiver.rx.push(RxInProgress {
-                tx_id,
-                frame: Rc::clone(&frame),
-                end,
-                corrupted,
-                sender_dist,
-            });
+            receiver.rx.push(RxInProgress { tx_id, end, corrupted, sender_dist });
             receivers.push(m);
         }
         self.range_scratch = in_range;
         if receivers.is_empty() {
             self.batch_pool.put(receivers);
         } else {
-            self.rx_batches.insert(tx_id, receivers);
+            self.rx_batches.insert(tx_id, Batch { frame, receivers });
             self.schedule(end, Event::RxEndBatch { tx_id });
         }
     }
@@ -209,29 +272,25 @@ impl World {
     /// mid-batch (faults only fire from their own scheduled events), so
     /// the batch is observation-equivalent to one event per receiver.
     pub(super) fn on_rx_end_batch(&mut self, tx_id: u64) {
-        let Some(receivers) = self.rx_batches.remove(&tx_id) else { return };
+        let Some(Batch { frame, receivers }) = self.rx_batches.remove(&tx_id) else { return };
         for &m in &receivers {
             if self.node_down(m) {
                 continue;
             }
-            self.on_rx_end(m, tx_id);
+            self.on_rx_end(m, tx_id, &frame);
         }
         self.batch_pool.put(receivers);
     }
 
-    fn on_rx_end(&mut self, node: NodeId, tx_id: u64) {
+    fn on_rx_end(&mut self, node: NodeId, tx_id: u64, frame: &Frame) {
         let slot = &mut self.nodes[node.index()];
-        let Some(pos) = slot.rx.iter().position(|r| r.tx_id == tx_id) else {
-            return;
-        };
-        let rx = slot.rx.swap_remove(pos);
+        let Some(rx) = slot.rx.take(tx_id) else { return };
         if rx.corrupted {
             self.metrics.collisions += 1;
             self.emit(TraceEvent::RxCollision { node });
             self.kick_now(node);
             return;
         }
-        let frame = rx.frame;
         let src = frame.src;
         let for_me = frame.dst == Some(node);
         let broadcast = frame.dst.is_none();
@@ -248,7 +307,7 @@ impl World {
             self.kick_now(node);
             return;
         }
-        let FramePayload::Packet(ref packet) = frame.payload else {
+        let FramePayload::Packet(packet) = &frame.payload else {
             return; // cannot occur: the ACK arm returned above
         };
         let uid = packet.uid;
@@ -303,5 +362,150 @@ impl World {
         self.propagate(node, frame, tx_id, dur);
         // Free the radio (and retry pending frames) when the ACK ends.
         self.schedule(now + dur, Event::MacKick(node));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::SimConfig;
+    use crate::faults::{FaultAction, FaultPlan};
+    use crate::geometry::Position;
+    use crate::mobility::StaticMobility;
+    use crate::static_routing::StaticRouting;
+    use proptest::prelude::*;
+
+    fn rx(tx_id: u64, end: u64) -> RxInProgress {
+        RxInProgress { tx_id, end: SimTime::from_nanos(end), corrupted: false, sender_dist: 1.0 }
+    }
+
+    /// The list's entries in a canonical order (it promises none).
+    fn sorted(list: &RxList) -> Vec<RxInProgress> {
+        let mut all: Vec<_> = list.iter().copied().collect();
+        all.sort_by_key(|r| r.tx_id);
+        all
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The inline-plus-spill list against a plain `Vec`, over 0–12
+        /// live entries, so pushes spill and takes refill from the spill.
+        #[test]
+        fn rx_list_matches_a_plain_vec(
+            ops in prop::collection::vec((0u8..8, 0u64..16, 0u64..100), 0..120),
+        ) {
+            let (mut list, mut model) = (RxList::default(), Vec::<RxInProgress>::new());
+            let mut next_tx = 0u64;
+            for (op, pick, t) in ops {
+                let now = SimTime::from_nanos(t);
+                match op {
+                    0..=2 if model.len() < 12 => {
+                        next_tx += 1;
+                        list.push(rx(next_tx, t + pick));
+                        model.push(rx(next_tx, t + pick));
+                    }
+                    // Take a pending entry (or, past the end, one that
+                    // is not there).
+                    0..=4 => {
+                        let tx_id = model.get(pick as usize).map_or(next_tx + 1, |r| r.tx_id);
+                        let expect = model.iter().position(|r| r.tx_id == tx_id);
+                        prop_assert_eq!(list.take(tx_id), expect.map(|i| model.swap_remove(i)));
+                    }
+                    5 => {
+                        for r in list.iter_mut().chain(&mut model).filter(|r| r.end > now) {
+                            r.corrupted = true;
+                        }
+                    }
+                    6 => prop_assert_eq!(
+                        list.iter().map(|r| r.end).filter(|&e| e > now).max(),
+                        model.iter().map(|r| r.end).filter(|&e| e > now).max()
+                    ),
+                    _ => {
+                        list.clear();
+                        model.clear();
+                    }
+                }
+                model.sort_by_key(|r| r.tx_id);
+                prop_assert_eq!(sorted(&list), model.clone());
+                prop_assert!(list.spill.is_empty() || usize::from(list.len) == RX_INLINE);
+            }
+        }
+    }
+
+    fn static_world(
+        positions: Vec<Position>,
+        adjacency: &[Vec<usize>],
+        seed: u64,
+        fault_plan: Option<FaultPlan>,
+    ) -> World {
+        let topo = StaticRouting::from_adjacency(adjacency);
+        let cfg = SimConfig {
+            duration: SimDuration::from_secs(1),
+            seed,
+            fault_plan,
+            ..SimConfig::default()
+        };
+        World::new(cfg, Box::new(StaticMobility::new(positions)), move |id, _| {
+            Box::new(StaticRouting::new(id, topo.clone()))
+        })
+    }
+
+    #[test]
+    fn five_overlapping_receptions_all_collide_at_the_hub() {
+        // A hub (node 0) with five senders on a circle round it: each
+        // 250 m from the hub (in range) and ≥ 293 m from the others
+        // (out of range), so all are hidden terminals to one another.
+        let mut positions = vec![Position::new(0.0, 0.0)];
+        let mut adjacency = vec![(1..=5).collect::<Vec<_>>()];
+        for k in 0..5 {
+            let angle = std::f64::consts::TAU * f64::from(k) / 5.0;
+            positions.push(Position::new(250.0 * angle.cos(), 250.0 * angle.sin()));
+            adjacency.push(vec![0]);
+        }
+        let mut w = static_world(positions, &adjacency, 3, None);
+        let t0 = SimTime::from_millis(100);
+        for sender in 1..=5 {
+            w.schedule_app_packet(t0, NodeId(sender), NodeId(0), 512);
+        }
+        // First backoffs are ≤ 670 µs and a frame lasts ≈ 2.4 ms: 1 ms in,
+        // all five are on the air, and the hub's fifth reception spilled.
+        w.run_until(t0 + SimDuration::from_millis(1));
+        let hub = &w.nodes[0].rx;
+        assert_eq!((usize::from(hub.len), hub.spill.len()), (RX_INLINE, 1));
+        assert!(hub.iter().all(|r| r.corrupted));
+        let senders: Vec<_> = sorted(hub).iter().map(|r| r.sender()).collect();
+        assert_eq!(senders, (1..=5).map(NodeId).collect::<Vec<_>>());
+        // 3.2 ms in, every first attempt has ended and no retry can have.
+        w.run_until(t0 + SimDuration::from_micros(3200));
+        assert_eq!(w.metrics.collisions, 5);
+        assert_eq!(w.metrics.data_delivered, 0);
+        assert_eq!(w.nodes[0].rx.iter().count(), 0);
+        assert!(w.nodes[0].recent.order.is_empty(), "a collided frame got past the hub's MAC");
+    }
+
+    #[test]
+    fn a_crash_corrupts_only_the_crashed_senders_frames_in_flight() {
+        // Two pairs out of each other's range, 0 → 1 and 3 → 2, both
+        // mid-frame when node 0 crashes.
+        let positions = [0.0, 200.0, 800.0, 1000.0].map(|x| Position::new(x, 0.0)).to_vec();
+        let adjacency = [vec![1], vec![0], vec![3], vec![2]];
+        let crash = SimTime::from_millis(101);
+        let plan = FaultPlan::new(vec![(
+            crash,
+            FaultAction::CrashRestart { node: NodeId(0), downtime: SimDuration::from_secs(5) },
+        )]);
+        let mut w = static_world(positions, &adjacency, 4, Some(plan));
+        let t0 = SimTime::from_millis(100);
+        w.schedule_app_packet(t0, NodeId(0), NodeId(1), 512);
+        w.schedule_app_packet(t0, NodeId(3), NodeId(2), 512);
+        w.run_until(crash);
+        let in_flight = |w: &World, node: usize| -> Vec<_> {
+            w.nodes[node].rx.iter().map(|r| (r.sender(), r.corrupted)).collect()
+        };
+        assert_eq!(in_flight(&w, 1), [(NodeId(0), true)], "the crashed sender's frame survived");
+        assert_eq!(in_flight(&w, 2), [(NodeId(3), false)], "a bystander's frame was corrupted");
+        w.run_until(SimTime::from_secs(1));
+        assert_eq!((w.metrics.collisions, w.metrics.data_delivered), (1, 1));
     }
 }
