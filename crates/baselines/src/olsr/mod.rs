@@ -8,14 +8,19 @@
 //! hop-count shortest paths, recomputed by breadth-first search over
 //! the learned topology.
 //!
-//! The three functions that dominate the protocol's cost at paper scale
-//! work on the layout their access pattern wants: TC receipt keeps one
-//! advertised set per originator (`handle_tc`), MPR selection is a
-//! greedy set cover over bitset rows (`recompute_mprs`), and the route
-//! BFS runs over unsorted adjacency lists into a table indexed by node
-//! id (`recompute_routes`). The map-based formulations they replaced
-//! live on in `tests.rs` as the oracle a differential proptest holds
-//! them to.
+//! The functions that dominate the protocol's cost at paper scale work
+//! on the layout their access pattern wants. TC receipt keeps one
+//! advertised set per originator (`handle_tc`), and HELLOs and TCs are
+//! read off the received bytes ([`messages::HelloRef`],
+//! [`messages::TcRef`]). The two graph computations share one idea: the
+//! ids a node knows are few but sparse in `u16`, so one id-indexed slot
+//! table (`Labels`) hands each id met in a computation a dense *label*,
+//! and the graph becomes bitset rows over labels. MPR selection
+//! (`recompute_mprs`) is a greedy set cover over one row per neighbour;
+//! the route search (`recompute_routes`) is a breadth-first search over
+//! one adjacency row per vertex, a level step being `row & !seen`. The
+//! map-based formulations they replaced live on in `tests.rs` as the
+//! oracle a differential proptest holds them to.
 //!
 //! The paper found the INRIA OLSR code suffered packet-jitter problems
 //! and added "a new FIFO jitter queue … a uniformly chosen inter-packet
@@ -30,7 +35,7 @@ use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, 
 use manet_sim::protocol::{Ctx, DropReason, RouteDump, RouteTelemetry, RoutingProtocol};
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, TraceEvent};
-use messages::{Hello, Tc};
+use messages::{Hello, HelloRef, Tc, TcRef};
 use std::collections::{HashMap, VecDeque};
 
 /// Protocol state maps use the deterministic Fx hasher: every iteration
@@ -135,20 +140,95 @@ pub struct Olsr {
     scratch: Scratch,
 }
 
+/// The labels a route search starts with room for: one row word. A
+/// search that meets more starts over with twice the room.
+const INITIAL_LABELS: usize = 64;
+
 /// Scratch space reused across route and MPR recomputations.
-#[derive(Clone, Debug, Default)]
+#[derive(Debug, Default)]
 struct Scratch {
-    /// Adjacency lists by node id, unsorted, duplicates allowed.
-    edges: Vec<Vec<NodeId>>,
-    /// The BFS queue; nothing is popped, a cursor walks it.
-    queue: Vec<NodeId>,
-    /// (two-hop id, index into the sorted one-hop set of a provider).
-    pairs: Vec<(NodeId, u32)>,
-    /// One coverage bitset row per one-hop neighbour, then one row of
-    /// still-uncovered two-hop nodes.
+    labels: Labels,
+    /// Route search: the symmetric neighbours, ascending by id.
+    n1: Vec<NodeId>,
+    /// Route search: one adjacency bitset row per label, bit `v` of row
+    /// `u` set for a live link `u → v`.
+    rows: Vec<u64>,
+    /// Words per row the last search's labels needed — where the next
+    /// one starts, so a neighbourhood that has outgrown
+    /// [`INITIAL_LABELS`] pays for starting over once, not on every
+    /// search.
+    row_words: usize,
+    /// Route search: the labels claimed so far, one bit each.
+    seen: Vec<u64>,
+    /// Route search: the BFS queue of labels; nothing is popped, a
+    /// cursor walks it.
+    queue: Vec<usize>,
+    /// MPR selection: every listing of a strict two-hop node as (its
+    /// bit, index of the listing neighbour in the one-hop set).
+    pairs: Vec<(usize, usize)>,
+    /// MPR selection: listings per two-hop bit.
+    listings: Vec<u32>,
+    /// MPR selection: one coverage bitset row per one-hop neighbour,
+    /// then one row of still-uncovered two-hop nodes.
     cover: Vec<u64>,
     /// Per one-hop neighbour: chosen as an MPR in this selection.
     selected: Vec<bool>,
+}
+
+/// A clone starts with empty scratch: there is no state in it to carry
+/// over, and `modelcheck` clones a node per explored state.
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
+/// Dense labels `0, 1, 2, …` in order of first sight for the sparse ids
+/// of one computation, as many as it has made room for.
+#[derive(Debug, Default)]
+struct Labels {
+    /// How many labels this computation may hand out.
+    room: usize,
+    /// By id: its label plus one, or 0 for an id this computation has
+    /// not met. As long as the highest id ever met (a corrupt 65535
+    /// makes it 256 KB, once), but only the entries of `ids` are ever
+    /// non-zero, so starting afresh costs the labels, not the table.
+    slot: Vec<u32>,
+    /// By label: the id.
+    ids: Vec<NodeId>,
+}
+
+impl Labels {
+    /// Forgets every label and makes room for `room` new ones.
+    fn reset(&mut self, room: usize) {
+        for id in self.ids.drain(..) {
+            self.slot[id.index()] = 0;
+        }
+        self.room = room;
+    }
+
+    /// The label of `id`, the next free one if it has none yet — `None`
+    /// if there is no room for another.
+    #[inline]
+    fn of(&mut self, id: NodeId) -> Option<usize> {
+        match self.slot.get(id.index()) {
+            Some(&slot) if slot != 0 => Some(slot as usize - 1),
+            _ => self.first_sight(id),
+        }
+    }
+
+    #[cold]
+    fn first_sight(&mut self, id: NodeId) -> Option<usize> {
+        if self.ids.len() == self.room {
+            return None;
+        }
+        if self.slot.len() <= id.index() {
+            self.slot.resize(id.index() + 1, 0);
+        }
+        self.ids.push(id);
+        self.slot[id.index()] = self.ids.len() as u32; // at most 65 536 ids
+        Some(self.ids.len() - 1)
+    }
 }
 
 impl Olsr {
@@ -325,9 +405,8 @@ impl Olsr {
     }
 
     pub(crate) fn sym_neighbors(&self, now: SimTime) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> =
-            self.links.iter().filter(|(_, l)| l.sym && l.expires > now).map(|(&n, _)| n).collect();
-        v.sort_unstable_by_key(|n| n.0);
+        let mut v = Vec::new();
+        sym_links_into(&self.links, now, &mut v);
         v
     }
 
@@ -341,43 +420,56 @@ impl Olsr {
     /// Greedy MPR selection over `n1`, the current symmetric
     /// neighbours ascending by id: cover every strict two-hop neighbour.
     ///
-    /// Every listing of a strict two-hop node `t` by a neighbour
-    /// becomes a `(t, provider)` pair; sorting the pairs groups them by
-    /// `t`, each group gets the next bit index, and each neighbour a
+    /// This node and `n1` take the first labels, so an id listed by a
+    /// neighbour is a strict two-hop node exactly when its label lies
+    /// past them, and that excess is its bit: each neighbour gets a
     /// bitset row of the two-hop nodes it reaches. A neighbour is
-    /// mandatory when it is the only *listing* of some `t` — a group of
-    /// length one. Multiplicity counts: a (corrupt) hello naming `t`
-    /// twice makes a group of two, which the greedy step covers like
-    /// any other. That step takes the neighbour covering the most
-    /// uncovered nodes, the smallest id among equals (`n1` order and a
-    /// strict `>`).
+    /// mandatory when it is the only *listing* of some `t`. Multiplicity
+    /// counts: a (corrupt) hello naming `t` twice makes two listings,
+    /// which the greedy step covers like any other. That step takes the
+    /// neighbour covering the most uncovered nodes, the smallest id
+    /// among equals (`n1` order and a strict `>`). Bits are numbered in
+    /// the order a hash map happened to be walked, and that cannot reach
+    /// the MPR set: the greedy step only ever counts the bits of a row.
     pub(crate) fn recompute_mprs(&mut self, now: SimTime, n1: &[NodeId]) {
         let scr = &mut self.scratch;
+        scr.labels.reset(usize::MAX);
+        scr.labels.of(self.id);
+        for &n in n1 {
+            scr.labels.of(n);
+        }
+        let one_hop = scr.labels.ids.len();
         scr.pairs.clear();
-        for (p, &n) in (0u32..).zip(n1) {
-            if let Some((twos, exp)) = self.two_hop.get(&n) {
-                if *exp > now {
-                    let strict = |t: &&NodeId| **t != self.id && n1.binary_search(t).is_err();
-                    scr.pairs.extend(twos.iter().filter(strict).map(|&t| (t, p)));
+        scr.listings.clear();
+        for (p, n) in n1.iter().enumerate() {
+            let Some((twos, _)) = self.two_hop.get(n).filter(|(_, exp)| *exp > now) else {
+                continue;
+            };
+            for &t in twos {
+                if let Some(bit) = scr.labels.of(t).and_then(|l| l.checked_sub(one_hop)) {
+                    if bit == scr.listings.len() {
+                        scr.listings.push(0);
+                    }
+                    scr.listings[bit] += 1;
+                    scr.pairs.push((bit, p));
                 }
             }
         }
-        scr.pairs.sort_unstable();
-        let groups = || scr.pairs.chunk_by(|a, b| a.0 == b.0);
-        let words = groups().count().div_ceil(64);
+        let bits = scr.listings.len();
+        let words = bits.div_ceil(64);
         scr.cover.clear();
         scr.cover.resize((n1.len() + 1) * words, 0);
         scr.selected.clear();
         scr.selected.resize(n1.len(), false);
         let (cover, uncovered) = scr.cover.split_at_mut(n1.len() * words);
-        for (bit, group) in groups().enumerate() {
+        for &(bit, p) in &scr.pairs {
+            cover[p * words + bit / 64] |= 1 << (bit % 64);
+            if scr.listings[bit] == 1 {
+                scr.selected[p] = true;
+            }
+        }
+        for bit in 0..bits {
             uncovered[bit / 64] |= 1 << (bit % 64);
-            for &(_, p) in group {
-                cover[p as usize * words + bit / 64] |= 1 << (bit % 64);
-            }
-            if let [(_, sole)] = group {
-                scr.selected[*sole as usize] = true;
-            }
         }
         let row = |p: usize| &cover[p * words..(p + 1) * words];
         let strike = |uncovered: &mut [u64], p: usize| {
@@ -407,66 +499,100 @@ impl Olsr {
         self.mpr_set.extend(n1.iter().zip(&scr.selected).filter(|(_, &s)| s).map(|(&n, _)| n));
     }
 
+    /// Labels every vertex of the known graph — this node 0, `n1` next
+    /// in its own order, everything else on first sight — and ORs each
+    /// live directed link into `rows`, `words` words per row. `None` if
+    /// the graph has more than `64 * words` vertices: nothing built is
+    /// usable then.
+    fn build_rows(&mut self, now: SimTime, words: usize) -> Option<()> {
+        let Scratch { labels, n1, rows, .. } = &mut self.scratch;
+        labels.reset(64 * words);
+        rows.clear();
+        rows.resize(64 * words * words, 0);
+        labels.of(self.id)?;
+        for &n in &*n1 {
+            labels.of(n)?;
+        }
+        for (&n, (twos, exp)) in &self.two_hop {
+            if *exp > now {
+                let row = labels.of(n)? * words;
+                for &t in twos {
+                    let v = labels.of(t)?;
+                    rows[row + v / 64] |= 1 << (v % 64);
+                }
+            }
+        }
+        for (&orig, (_, sels)) in &self.topology {
+            for &(sel, _) in sels.iter().filter(|(_, exp)| *exp > now) {
+                let (u, v) = (labels.of(orig)?, labels.of(sel)?);
+                rows[u * words + v / 64] |= 1 << (v % 64);
+                rows[v * words + u / 64] |= 1 << (u % 64);
+            }
+        }
+        Some(())
+    }
+
     /// Hop-count shortest paths by breadth-first search over links,
     /// two-hop lists and topology.
     ///
     /// Runs once per forwarding decision after a topology change, so it
-    /// is the hottest code in the protocol at paper scale. Node ids are
-    /// compact (`0..n`), so adjacency lists and the table are arrays
-    /// indexed by id, and the lists are left as they come — unsorted,
-    /// with duplicates. The order does not reach the table: the queue
-    /// starts as the one-hop set ascending by id, so at every level the
-    /// vertices sharing a first hop sit together, smaller first hops
-    /// before larger ones, however each parent's children are ordered
-    /// among themselves. A vertex is claimed by its earliest-queued
-    /// parent, which therefore carries the smallest first hop of any
-    /// shortest path to it (DESIGN.md §3 has the induction).
+    /// is the hottest code in the protocol at paper scale. The graph is
+    /// built as one bitset row per vertex over dense labels
+    /// ([`Olsr::build_rows`]; a repeated or doubly-learned link vanishes
+    /// in the OR), and expanding a vertex is `row & !seen` a word at a
+    /// time, each new bit claimed on the spot — every vertex exactly
+    /// once. Storage follows the number of vertices, not the size of
+    /// their ids (`64 · words²` row words, 2 KB for up to 128 vertices);
+    /// only the table is indexed by id, and it is sized to the highest
+    /// id alive in this search, so what a corrupt id costs ends when its
+    /// entry expires.
+    ///
+    /// A vertex's children are claimed in label order, which is `n1`
+    /// order for the one-hop set and otherwise the order a hash map was
+    /// walked in. That does not reach the table: the queue starts as the
+    /// one-hop set ascending by id, so at every level the vertices
+    /// sharing a first hop sit together, smaller first hops before
+    /// larger ones, however each parent's children are ordered among
+    /// themselves. A vertex is claimed by its earliest-queued parent,
+    /// which therefore carries the smallest first hop of any shortest
+    /// path to it (DESIGN.md §3 has the induction).
     fn recompute_routes(&mut self, now: SimTime) {
         self.dirty = false;
-        let n1 = self.sym_neighbors(now);
-        let scr = &mut self.scratch;
-        scr.edges.iter_mut().for_each(Vec::clear);
-        let mut link = |from: NodeId, to: NodeId| {
-            let size = from.index().max(to.index()) + 1;
-            if scr.edges.len() < size {
-                scr.edges.resize_with(size, Vec::new);
-            }
-            scr.edges[from.index()].push(to);
-        };
-        // Our own list is never expanded (the queue starts at `n1`), but
-        // linking it sizes the arrays for every id the search can meet.
-        for &n in &n1 {
-            link(self.id, n);
+        sym_links_into(&self.links, now, &mut self.scratch.n1);
+        let mut words = self.scratch.row_words.max(INITIAL_LABELS / 64);
+        while self.build_rows(now, words).is_none() {
+            words *= 2;
         }
-        for (&n, (twos, exp)) in &self.two_hop {
-            if *exp > now {
-                twos.iter().for_each(|&t| link(n, t));
-            }
-        }
-        for (&orig, (_, sels)) in &self.topology {
-            for &(sel, exp) in sels {
-                if exp > now {
-                    link(orig, sel);
-                    link(sel, orig);
-                }
-            }
-        }
+        let Scratch { labels: Labels { ids, .. }, n1, rows, row_words, seen, queue, .. } =
+            &mut self.scratch;
+        *row_words = ids.len().div_ceil(64);
+        let highest = ids.iter().map(|id| id.index()).max().unwrap_or(0);
         self.table.clear();
-        self.table.resize(scr.edges.len(), (NodeId(0), 0));
-        let me = self.id;
-        scr.queue.clear();
-        for &n in n1.iter().filter(|&&n| n != me) {
-            self.table[n.index()] = (n, 1);
-            scr.queue.push(n);
+        self.table.resize(highest + 1, (NodeId(0), 0));
+        // Labels 1.. are `n1` in order, less this node should it list
+        // itself: level one. This node, label 0, is seen from the start.
+        let level_one = 1..=n1.iter().filter(|&&n| n != self.id).count();
+        seen.clear();
+        seen.resize(words, 0);
+        seen[0] = 1;
+        queue.clear();
+        for l in level_one {
+            seen[l / 64] |= 1 << (l % 64);
+            self.table[ids[l].index()] = (ids[l], 1);
+            queue.push(l);
         }
         let mut head = 0;
-        while let Some(&u) = scr.queue.get(head) {
+        while let Some(&u) = queue.get(head) {
             head += 1;
-            let (first_hop, hops) = self.table[u.index()];
-            for &v in &scr.edges[u.index()] {
-                if self.table[v.index()].1 == 0 && v != me {
-                    self.table[v.index()] = (first_hop, hops + 1);
-                    scr.queue.push(v);
+            let (first_hop, hops) = self.table[ids[u].index()];
+            for (w, (row, seen)) in rows[u * words..].iter().zip(seen.iter_mut()).enumerate() {
+                let mut new = row & !*seen;
+                *seen |= new;
+                while new != 0 {
+                    let v = 64 * w + new.trailing_zeros() as usize;
+                    new &= new - 1;
+                    self.table[ids[v].index()] = (first_hop, hops + 1);
+                    queue.push(v);
                 }
             }
         }
@@ -579,17 +705,19 @@ impl Olsr {
         self.enqueue_control(ctx, ControlKind::Tc, tc.encode(), true);
     }
 
-    fn handle_hello(&mut self, ctx: &mut Ctx, prev: NodeId, h: Hello) {
+    fn handle_hello(&mut self, ctx: &mut Ctx, prev: NodeId, h: HelloRef) {
         let now = ctx.now();
         let hold = self.cfg.neighbor_hold;
         // Link sensing: symmetric once the neighbour lists us.
-        let hears_us = h.sym.contains(&self.id) || h.heard.contains(&self.id);
-        let selects_us = h.mpr.contains(&self.id);
-        let entry = self.links.entry(prev).or_insert(LinkState { sym: false, expires: now + hold });
-        entry.sym = hears_us;
-        entry.expires = now + hold;
-        // Two-hop set (only via symmetric links).
-        self.two_hop.insert(prev, (h.sym, now + hold));
+        let hears_us = h.sym().chain(h.heard()).any(|n| n == self.id);
+        let selects_us = h.mpr().any(|n| n == self.id);
+        self.links.insert(prev, LinkState { sym: hears_us, expires: now + hold });
+        // Two-hop set (only via symmetric links): the neighbour's list
+        // replaces the one it sent before, in the same allocation.
+        let (twos, expires) = self.two_hop.entry(prev).or_default();
+        twos.clear();
+        twos.extend(h.sym());
+        *expires = now + hold;
         // MPR selector set.
         if selects_us {
             self.mpr_selectors.insert(prev, now + hold);
@@ -599,7 +727,7 @@ impl Olsr {
         self.dirty = true;
     }
 
-    fn handle_tc(&mut self, ctx: &mut Ctx, prev: NodeId, tc: Tc) {
+    fn handle_tc(&mut self, ctx: &mut Ctx, prev: NodeId, tc: TcRef) {
         let now = ctx.now();
         if tc.originator == self.id {
             return;
@@ -617,7 +745,7 @@ impl Olsr {
                     *ansn = tc.ansn;
                 }
                 let expires = now + self.cfg.topology_hold;
-                for &sel in &tc.selectors {
+                for sel in tc.selectors() {
                     match sels.iter_mut().find(|(s, _)| *s == sel) {
                         Some(known) => known.1 = expires,
                         None => sels.push((sel, expires)),
@@ -627,13 +755,21 @@ impl Olsr {
             }
             // Default forwarding: retransmit only if the sender selected
             // us as an MPR.
-            let from_selector = self.mpr_selectors.get(&prev).is_some_and(|&e| e > now);
-            if from_selector && tc.ttl > 1 {
-                let fwd = Tc { ttl: tc.ttl - 1, ..tc };
-                self.enqueue_control(ctx, ControlKind::Tc, fwd.encode(), false);
+            if self.mpr_selectors.get(&prev).is_some_and(|&e| e > now) {
+                if let Some(relayed) = tc.forwarded() {
+                    self.enqueue_control(ctx, ControlKind::Tc, relayed, false);
+                }
             }
         }
     }
+}
+
+/// Refills `out` with the neighbours `links` holds a live symmetric
+/// link to, ascending by id.
+fn sym_links_into(links: &FxMap<NodeId, LinkState>, now: SimTime, out: &mut Vec<NodeId>) {
+    out.clear();
+    out.extend(links.iter().filter(|(_, l)| l.sym && l.expires > now).map(|(&n, _)| n));
+    out.sort_unstable_by_key(|n| n.0);
 }
 
 /// Sequence-number comparison with wraparound (RFC 3626 §19).
@@ -715,11 +851,11 @@ impl RoutingProtocol for Olsr {
     ) {
         self.clock = ctx.now();
         match ctrl.kind {
-            ControlKind::Hello => match Hello::decode(&ctrl.bytes) {
+            ControlKind::Hello => match HelloRef::parse(&ctrl.bytes) {
                 Some(h) => self.handle_hello(ctx, prev_hop, h),
                 None => ctx.drop_malformed(ControlKind::Hello),
             },
-            ControlKind::Tc => match Tc::decode(&ctrl.bytes) {
+            ControlKind::Tc => match TcRef::parse(&ctrl.bytes) {
                 Some(t) => self.handle_tc(ctx, prev_hop, t),
                 None => ctx.drop_malformed(ControlKind::Tc),
             },

@@ -31,10 +31,14 @@ impl Node {
     }
 
     fn hello_from(&mut self, prev: u16, h: Hello) -> Vec<Action> {
+        let frame = h.encode();
+        let h = HelloRef::parse(&frame).expect("an encoded hello parses");
         self.call(|o, ctx| o.handle_hello(ctx, NodeId(prev), h))
     }
 
     fn tc_from(&mut self, prev: u16, t: Tc) -> Vec<Action> {
+        let frame = t.encode();
+        let t = TcRef::parse(&frame).expect("an encoded TC parses");
         self.call(|o, ctx| o.handle_tc(ctx, NodeId(prev), t))
     }
 
@@ -315,9 +319,122 @@ fn mpr_coverage_tie_goes_to_the_smaller_id() {
     assert_eq!(n.olsr.mprs(), ids(&[3]));
 }
 
+/// A node and its [`reference::Reference`] fed the same frames at the
+/// same times, for the tests that compare freshly computed routes.
+struct Twin {
+    node: Node,
+    reference: reference::Reference,
+}
+
+impl Twin {
+    fn new(id: u16) -> Self {
+        let reference = reference::Reference::new(NodeId(id), OlsrConfig::default());
+        Twin { node: Node::new(id), reference }
+    }
+
+    fn hello_from(&mut self, prev: u16, h: Hello) {
+        self.reference.handle_hello(self.node.now, NodeId(prev), &h);
+        self.node.hello_from(prev, h);
+    }
+
+    fn tc(&mut self, originator: u16, seq: u16, selectors: &[u16]) {
+        let tc =
+            Tc { originator: NodeId(originator), ansn: 1, seq, ttl: 10, selectors: ids(selectors) };
+        self.reference.handle_tc(self.node.now, &tc);
+        self.node.tc_from(1, tc);
+    }
+
+    /// Recomputes both tables and returns the node's, which must be the
+    /// reference's.
+    fn routes(&mut self) -> Vec<(NodeId, NodeId, u32)> {
+        self.node.olsr.recompute_routes(self.node.now);
+        self.reference.recompute_routes(self.node.now);
+        let routes: Vec<_> = self.node.olsr.routes().collect();
+        let expected: Vec<_> = self.reference.table.iter().map(|(&d, &(n, h))| (d, n, h)).collect();
+        assert_eq!(routes, expected);
+        routes
+    }
+}
+
+/// One TC naming id 65535 makes the id-indexed table 65 536 entries
+/// long, but only while the entry lives: the search after
+/// `topology_hold` has lapsed is sized by the small ids again. Row
+/// storage follows the number of vertices and never notices.
+#[test]
+fn a_corrupt_id_costs_a_long_table_only_while_its_entry_lives() {
+    let mut t = Twin::new(0);
+    let small = |t: &mut Twin, seq| {
+        t.hello_from(1, hello(&[0, 2], &[], &[]));
+        t.tc(2, seq, &[3]);
+        let routes = t.routes();
+        assert_eq!(routes.len(), 3);
+        let scr = &t.node.olsr.scratch;
+        assert_eq!((t.node.olsr.table.len(), scr.row_words, scr.rows.len()), (4, 1, 64));
+    };
+    small(&mut t, 1);
+    t.tc(3, 1, &[65535]);
+    assert_eq!(t.routes().last(), Some(&(NodeId(65535), NodeId(1), 4)));
+    let scr = &t.node.olsr.scratch;
+    assert_eq!((t.node.olsr.table.len(), scr.row_words, scr.rows.len()), (65536, 1, 64));
+    t.node.now += OlsrConfig::default().topology_hold + SimDuration::from_secs(1);
+    small(&mut t, 2);
+    let labels = &t.node.olsr.scratch.labels;
+    assert_eq!(labels.slot.iter().filter(|&&s| s != 0).count(), labels.ids.len());
+}
+
+/// A chain `0 – id(1) – id(2) – … – id(200)` learned from 200 TCs: 201
+/// vertices, so a fresh node's search starts over twice (64 → 128 → 256
+/// labels) and then runs on four-word rows; the next search starts
+/// there. Ids are sparse and descending, so no label equals its id.
+#[test]
+fn a_two_hundred_hop_chain_is_walked_across_two_doublings() {
+    let id = |i: u16| 40_000 - 7 * i;
+    let mut t = Twin::new(0);
+    t.hello_from(id(1), hello(&[0], &[], &[]));
+    for i in (1..200).rev() {
+        t.tc(id(i), 1, &[id(i + 1)]);
+    }
+    for again in [false, true] {
+        let routes = t.routes();
+        let expected: Vec<_> =
+            (1..=200).rev().map(|i| (NodeId(id(i)), NodeId(id(1)), u32::from(i))).collect();
+        assert_eq!(routes, expected, "again: {again}");
+        let scr = &t.node.olsr.scratch;
+        assert_eq!((scr.row_words, scr.rows.len(), scr.seen.len()), (4, 64 * 4 * 4, 4));
+    }
+}
+
+/// `modelcheck` clones a node per explored state: the clone must not
+/// copy the scratch, and must compute what the original computes.
+#[test]
+fn a_clone_drops_the_scratch_and_computes_the_same() {
+    let mut n = Node::new(0);
+    n.hello_from(1, hello(&[0, 3, 4], &[], &[]));
+    n.hello_from(2, hello(&[0, 4, 5], &[], &[0]));
+    n.tc_from(1, Tc { originator: NodeId(5), ansn: 1, seq: 1, ttl: 10, selectors: ids(&[6, 7]) });
+    n.select_mprs();
+    n.olsr.recompute_routes(n.now);
+    n.hello_from(3, hello(&[0, 8], &[], &[])); // dirty again
+    let scr = &n.olsr.scratch;
+    assert!(!scr.rows.is_empty() && !scr.cover.is_empty() && !scr.labels.slot.is_empty());
+    let mut c = Node { olsr: n.olsr.clone(), rng: SimRng::from_seed(0), now: n.now };
+    let scr = &c.olsr.scratch;
+    assert_eq!(scr.rows.capacity() + scr.cover.capacity() + scr.labels.slot.capacity(), 0);
+    let observe = |n: &mut Node| {
+        n.select_mprs();
+        n.olsr.force_recompute();
+        let mut digest = Vec::new();
+        n.olsr.verification_digest(&mut digest);
+        (digest, n.olsr.mprs().to_vec(), n.olsr.routes().collect::<Vec<_>>())
+    };
+    let original = observe(&mut n);
+    assert_eq!(observe(&mut c), original);
+    assert_eq!(original.2.len(), 8, "routes to 1–8");
+}
+
 /// The map-based formulation of the link-state core that `mod.rs`
 /// shipped before it moved to per-originator topology sets, bitset MPR
-/// cover and BFS over unsorted lists: the oracle for [`differential`].
+/// cover and BFS over bitset rows: the oracle for [`differential`].
 /// `handle_tc`'s ANSN logic and `recompute_mprs` are the old bodies
 /// verbatim; `recompute_routes` is the old search — FIFO queue over
 /// ascending, duplicate-free adjacency lists — with ordered maps where
@@ -635,14 +752,28 @@ mod differential {
     /// case also from the very top of the id range and anywhere in it.
     /// Only one case in 64 is wide: a single id near 65535 makes every
     /// id-indexed array that long, and the debug build then spends
-    /// ~15 ms on each step of the case.
+    /// ~15 ms on each step of the case. A *crowd* case (three in 64)
+    /// has a pool of 150–200 ids and turns every drawn id of a list
+    /// into a `run` of neighbouring ones, so that one hello or TC names
+    /// dozens: the node soon knows more than 64 and more than 128
+    /// vertices, the route search starts over with twice the room, and
+    /// rows, `seen` and the MPR cover run to several words.
     #[derive(Clone, Copy)]
     struct Ids {
         pool: u16,
         wide: bool,
+        run: u16,
     }
 
     impl Ids {
+        fn shape(shape: u16) -> Self {
+            match shape {
+                0 => Ids { pool: 6, wide: true, run: 1 },
+                1..=3 => Ids { pool: 125 + 25 * shape, wide: false, run: 12 },
+                _ => Ids { pool: 6 + shape % 8, wide: false, run: 1 },
+            }
+        }
+
         fn node(self, raw: u16) -> NodeId {
             match raw % 8 {
                 0 if self.wide => NodeId(raw),
@@ -652,7 +783,9 @@ mod differential {
         }
 
         fn nodes(self, raw: &[u16]) -> Vec<NodeId> {
-            raw.iter().map(|&r| self.node(r)).collect()
+            // `node` reads the id off `raw / 8`: steps of 8 are neighbours.
+            let run = |r: u16| (0..self.run).map(move |k| self.node(r.wrapping_add(8 * k)));
+            raw.iter().flat_map(|&r| run(r)).collect()
         }
     }
 
@@ -820,7 +953,7 @@ mod differential {
                 1..60,
             ),
         ) {
-            let mut pair = Pair::new(Ids { pool: 6 + shape % 8, wide: shape == 0 });
+            let mut pair = Pair::new(Ids::shape(shape));
             for step in steps {
                 pair.step(step);
                 pair.assert_same();
