@@ -1762,6 +1762,75 @@ mod tests {
         assert_ne!(captured, grid_and_linear_agree(None), "no reception was ever captured");
     }
 
+    /// FNV-1a (64-bit) fed through `fmt::Write`, so a run's `Debug`
+    /// rendering is hashed without being materialised.
+    struct Fnv(u64);
+
+    impl std::fmt::Write for Fnv {
+        fn write_str(&mut self, s: &str) -> std::fmt::Result {
+            for &b in s.as_bytes() {
+                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+            Ok(())
+        }
+    }
+
+    /// One 40-node, 40-s random-waypoint world with 25 CBR flows, a
+    /// trace sink and 60 reboots spread over the run, each likely to
+    /// land mid-reception; returns `(events executed, collisions, trace
+    /// events, FNV-1a of format!("{:?}{:?}", metrics, trace))`.
+    fn capture_and_reboots_cell(capture: Option<f64>, seed: u64) -> (u64, u64, usize, u64) {
+        use crate::geometry::Terrain;
+        use crate::mobility::RandomWaypoint;
+        use crate::trace::MemoryTrace;
+        use std::fmt::Write;
+        let mobility = RandomWaypoint::new(
+            40,
+            Terrain::new(1000.0, 300.0),
+            SimDuration::from_secs(0),
+            1.0,
+            20.0,
+            SimRng::stream(seed, "mobility"),
+        );
+        let cfg = SimConfig {
+            phy: PhyConfig { capture_distance_ratio: capture, ..PhyConfig::default() },
+            duration: SimDuration::from_secs(40),
+            seed,
+            ..SimConfig::default()
+        };
+        let topo = StaticRouting::tables_for_line(40);
+        let mut w = World::new(cfg, Box::new(mobility), move |id, _| {
+            Box::new(StaticRouting::new(id, topo.clone()))
+        });
+        let shared = MemoryTrace::shared();
+        w.set_trace(Box::new(shared.clone()));
+        w.with_cbr(TrafficConfig::paper(25));
+        for k in 0..60u64 {
+            let at = SimTime::from_nanos(1_000_000_000 + k * 611_000_123);
+            w.schedule_reboot(at, NodeId((7 * k % 40) as u16));
+        }
+        w.run_until(SimTime::from_secs(40));
+        w.finalize();
+        let trace = shared.lock().expect("no panic holds the trace lock");
+        let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+        write!(digest, "{:?}{:?}", w.metrics(), trace.events()).expect("hashing cannot fail");
+        (w.events_executed(), w.metrics().collisions, trace.events().len(), digest.0)
+    }
+
+    /// Pins the bytes of the two receive paths no cross-commit gate
+    /// covers: first-frame capture (off in every pinned artefact) and a
+    /// reboot in the middle of a reception. The digests were computed on
+    /// the commit before the receive half was rewritten (`0f0ac5c`); a
+    /// kernel change that moves one of them changed behaviour.
+    #[test]
+    fn kernel_bytes_with_capture_and_reboots() {
+        let first = capture_and_reboots_cell(Some(1.5), 9);
+        assert_eq!(first, (175_354, 167_224, 203_354, 0xf276_3703_e8c8_fbda));
+        let rest = [(Some(3.16), 10), (Some(1.2), 11), (None, 12)]
+            .map(|(capture, seed)| capture_and_reboots_cell(capture, seed).3);
+        assert_eq!(rest, [0x7b73_e228_c19f_d396, 0xa828_11cc_6d8c_9ee0, 0xf951_a1be_6587_da0b]);
+    }
+
     /// The other side of the selection: a model with no finite speed
     /// bound (here a scripted teleport) gets the linear scan for every
     /// range query, and the run works.
