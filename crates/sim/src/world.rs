@@ -168,7 +168,7 @@ impl World {
                     protocol: factory(id, n),
                     proto_rng: SimRng::stream(seed, &format!("proto-{i}")),
                     rx: RxList::default(),
-                    recent: RecentCache::default(),
+                    recent: RecentCache::new(n),
                     uid_ctr: 0,
                     tx_ctr: 0,
                     last_control: None,
@@ -732,7 +732,11 @@ impl World {
                 };
                 // Fresh uid so MAC-level duplicate suppression does not
                 // swallow the replay; protocols must reject the stale
-                // content on their own (LDR: NDC, AODV: seen-cache).
+                // content on their own (LDR: NDC, AODV: seen-cache). A
+                // replay goes out once, past the MAC queue, so it must
+                // not displace the sender's retriable head in the
+                // receivers' duplicate caches.
+                frame.retriable = false;
                 if let FramePayload::Packet(p) = &mut frame.payload {
                     p.uid = uid;
                 }
@@ -759,7 +763,7 @@ impl World {
             slot.mac.ack_busy_until = SimTime::ZERO;
             slot.mac.reset_cw(&phy);
             slot.rx.clear();
-            slot.recent = RecentCache::default();
+            slot.recent.reset();
         }
         let now = self.now;
         for m in 0..self.nodes.len() {
@@ -1106,8 +1110,12 @@ impl World {
                 PacketBody::Control(c) => self.metrics.record_control_tx(c.kind),
             }
         }
-        let frame =
-            Frame { src: node, dst: head.dst, payload: FramePayload::Packet(head.packet.clone()) };
+        let frame = Frame {
+            src: node,
+            dst: head.dst,
+            retriable: head.dst.is_some(),
+            payload: FramePayload::Packet(head.packet.clone()),
+        };
         slot.mac.state = MacState::Transmitting { tx_id, until: now + dur };
         if self.faults.is_some() {
             if let FramePayload::Packet(p) = &frame.payload {

@@ -10,6 +10,7 @@ use crate::packet::{NodeId, Packet, PacketBody};
 use crate::prof::{PHASE_NEIGHBOR_GRID, PHASE_NEIGHBOR_LINEAR};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceEvent;
+#[cfg(test)]
 use std::collections::{HashSet, VecDeque};
 
 /// Link-layer frame payload.
@@ -27,6 +28,10 @@ pub(super) struct Frame {
     pub(super) src: NodeId,
     /// `None` is a link broadcast.
     pub(super) dst: Option<NodeId>,
+    /// Whether the MAC may put this frame's packet on the air again: set
+    /// only for the unicast head [`World::start_transmission`] sends.
+    /// Broadcasts, ACKs and fault replays go out exactly once.
+    pub(super) retriable: bool,
     pub(super) payload: FramePayload,
 }
 
@@ -149,17 +154,92 @@ impl std::hash::Hasher for U64Hasher {
 
 pub(super) type U64Build = std::hash::BuildHasherDefault<U64Hasher>;
 
-/// Bounded remember-set for MAC-level duplicate suppression.
-#[derive(Debug, Default)]
+/// How many accepts a remembered uid stays a duplicate for.
+const RECENT_WINDOW: u64 = 128;
+
+/// MAC-level duplicate suppression: 802.11's per-transmitter cache of
+/// the last frame accepted from each sender, with a 128-accept window.
+///
+/// A uid is minted per enqueued frame (and freshly for a fault replay)
+/// and the MAC serves its queue head-of-line, so the only frame that can
+/// reach a receiver twice is a retry of the sender's current *unicast*
+/// head, with nothing else of that sender's queue on the air in between.
+/// Hence "uid is among the last 128 uids this node accepted" — what a
+/// remember-set would answer — is "uid is the last retriable uid
+/// accepted from its sender, at most 128 accepts ago". Frames that
+/// cannot be retried only advance the window. [`World::crash_node`]
+/// resets the cache with the rest of the node's volatile state;
+/// `Event::Reboot` keeps it.
+#[derive(Debug)]
 pub(super) struct RecentCache {
-    order: VecDeque<u64>,
-    set: HashSet<u64, U64Build>,
+    /// Frames accepted so far.
+    accepted: u64,
+    /// Per sender: the last retriable uid accepted from it (0: none, no
+    /// uid is 0) and `accepted` just before that accept.
+    last: Vec<(u64, u64)>,
+    #[cfg(test)]
+    oracle: RecentOracle,
 }
 
 impl RecentCache {
+    pub(super) fn new(n_nodes: usize) -> Self {
+        RecentCache {
+            accepted: 0,
+            last: vec![(0, 0); n_nodes],
+            #[cfg(test)]
+            oracle: RecentOracle::default(),
+        }
+    }
+
+    /// Accepts a frame's uid; returns `false` for a duplicate, which
+    /// leaves the cache as it was.
+    fn insert(&mut self, sender: NodeId, uid: u64, retriable: bool) -> bool {
+        let fresh = self.insert_unchecked(sender, uid, retriable);
+        #[cfg(test)]
+        assert_eq!(fresh, self.oracle.insert(uid), "duplicate verdict on {uid:#x} from {sender:?}");
+        fresh
+    }
+
+    fn insert_unchecked(&mut self, sender: NodeId, uid: u64, retriable: bool) -> bool {
+        if retriable {
+            let last = &mut self.last[sender.index()];
+            if last.0 == uid && self.accepted - last.1 <= RECENT_WINDOW {
+                return false;
+            }
+            *last = (uid, self.accepted);
+        }
+        self.accepted += 1;
+        true
+    }
+
+    /// Forgets everything (a crash).
+    pub(super) fn reset(&mut self) {
+        self.accepted = 0;
+        self.last.fill((0, 0));
+        #[cfg(test)]
+        self.oracle.reset();
+    }
+}
+
+/// The remember-set [`RecentCache`] replaced, kept as its oracle: the
+/// last 128 uids accepted, whoever sent them. Shadows every node's cache
+/// in every test run.
+#[cfg(test)]
+#[derive(Debug, Default)]
+struct RecentOracle {
+    order: VecDeque<u64>,
+    set: HashSet<u64>,
+    /// Duplicate verdicts given; survives `reset` (it counts the run's,
+    /// not the incarnation's).
+    duplicates: u64,
+}
+
+#[cfg(test)]
+impl RecentOracle {
     /// Inserts a uid; returns `false` if it was already present.
     fn insert(&mut self, uid: u64) -> bool {
         if !self.set.insert(uid) {
+            self.duplicates += 1;
             return false;
         }
         self.order.push_back(uid);
@@ -169,6 +249,11 @@ impl RecentCache {
             }
         }
         true
+    }
+
+    fn reset(&mut self) {
+        self.order.clear();
+        self.set.clear();
     }
 }
 
@@ -318,7 +403,7 @@ impl World {
             self.send_ack(node, src, tx_id);
         }
         if for_me || broadcast {
-            let fresh = self.nodes[node.index()].recent.insert(uid);
+            let fresh = self.nodes[node.index()].recent.insert(src, uid, frame.retriable);
             if fresh {
                 let prev_hop = src;
                 match &packet.body {
@@ -358,7 +443,12 @@ impl World {
         slot.mac.ack_busy_until = now + dur;
         slot.tx_ctr += 1;
         let tx_id = (u64::from(node.0) << 48) | slot.tx_ctr;
-        let frame = Frame { src: node, dst: Some(to), payload: FramePayload::Ack { acked_tx } };
+        let frame = Frame {
+            src: node,
+            dst: Some(to),
+            retriable: false,
+            payload: FramePayload::Ack { acked_tx },
+        };
         self.propagate(node, frame, tx_id, dur);
         // Free the radio (and retry pending frames) when the ACK ends.
         self.schedule(now + dur, Event::MacKick(node));
@@ -481,7 +571,7 @@ mod tests {
         assert_eq!(w.metrics.collisions, 5);
         assert_eq!(w.metrics.data_delivered, 0);
         assert_eq!(w.nodes[0].rx.iter().count(), 0);
-        assert!(w.nodes[0].recent.order.is_empty(), "a collided frame got past the hub's MAC");
+        assert_eq!(w.nodes[0].recent.accepted, 0, "a collided frame got past the hub's MAC");
     }
 
     #[test]
