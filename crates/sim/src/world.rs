@@ -28,16 +28,15 @@ use crate::time::{SimDuration, SimTime};
 use crate::trace::{FaultKind, TraceEvent, TraceSink};
 use crate::traffic::{FlowState, TrafficConfig};
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 mod medium;
-use medium::{Batch, Frame, FramePayload, RecentCache, RxList, U64Build};
+use medium::{Batches, Frame, FramePayload, RecentCache, RxState};
 
 struct NodeSlot {
     mac: Mac,
     protocol: Box<dyn RoutingProtocol>,
     proto_rng: SimRng,
-    rx: RxList,
+    rx: RxState,
     recent: RecentCache,
     /// Per-node packet-uid counter; uids are `(node << 48) | ctr`.
     /// Uniqueness (all duplicate suppression needs) holds because a
@@ -50,6 +49,10 @@ struct NodeSlot {
     /// fault plan is installed, for stale-advert replay injection).
     last_control: Option<Frame>,
 }
+
+// `propagate` first-touches one slot per receiver (480 bytes until PR 21).
+#[cfg(not(test))] // tests add the duplicate cache's shadow oracle
+const _: () = assert!(std::mem::size_of::<NodeSlot>() <= 352);
 
 /// A manually injected application packet (tests and examples).
 #[derive(Clone, Debug)]
@@ -121,15 +124,14 @@ pub struct World {
     /// Reusable buffer for [`World::in_range_into`] answers on the hot
     /// `propagate` path (taken and returned with `mem::take`).
     range_scratch: Vec<(NodeId, f64)>,
-    /// Transmissions on the air, keyed by transmission id: the frame and
-    /// its in-range receivers, ascending (consumed by
-    /// [`Event::RxEndBatch`]). Probed by exact key and
-    /// never iterated, so the map cannot perturb determinism. Frames
-    /// are on the air for milliseconds, so the map stays a few dozen
-    /// entries wide.
-    rx_batches: HashMap<u64, Batch, U64Build>,
+    /// Transmissions on the air: each one's frame and in-range receivers
+    /// (consumed by [`Event::RxEndBatch`]).
+    rx_batches: Batches,
+    /// Bumped whenever a node drops its receptions in progress
+    /// ([`World::clear_receptions`]); see [`medium::Batch`].
+    rx_epoch: u64,
     /// Spare receiver-list allocations recycled across batches.
-    batch_pool: VecPool<NodeId>,
+    batch_pool: VecPool<(NodeId, bool)>,
     /// Spare protocol-action buffers recycled across callbacks (the
     /// hottest allocation in the event loop: one per protocol
     /// callback).
@@ -167,7 +169,7 @@ impl World {
                     mac: Mac::new(cfg.phy.cw_min, SimRng::stream(seed, &format!("mac-{i}"))),
                     protocol: factory(id, n),
                     proto_rng: SimRng::stream(seed, &format!("proto-{i}")),
-                    rx: RxList::default(),
+                    rx: RxState::default(),
                     recent: RecentCache::new(n),
                     uid_ctr: 0,
                     tx_ctr: 0,
@@ -213,7 +215,8 @@ impl World {
             series: Vec::new(),
             sample_base: SampleBaseline::default(),
             range_scratch: Vec::new(),
-            rx_batches: HashMap::default(),
+            rx_batches: Batches::default(),
+            rx_epoch: 0,
             batch_pool: VecPool::new(POOL_SPARES),
             action_pool: VecPool::new(POOL_SPARES),
             prof,
@@ -588,8 +591,8 @@ impl World {
                     slot.mac.queue.clear();
                     slot.mac.state = MacState::Idle;
                     slot.mac.reset_cw(&phy);
-                    slot.rx.clear();
                 }
+                self.clear_receptions(node);
                 self.call_protocol(node, |p, ctx| p.handle_reboot(ctx));
             }
             Event::Fault { idx } => self.on_fault(idx),
@@ -732,10 +735,8 @@ impl World {
                 };
                 // Fresh uid so MAC-level duplicate suppression does not
                 // swallow the replay; protocols must reject the stale
-                // content on their own (LDR: NDC, AODV: seen-cache). A
-                // replay goes out once, past the MAC queue, so it must
-                // not displace the sender's retriable head in the
-                // receivers' duplicate caches.
+                // content on their own (LDR: NDC, AODV: seen-cache). It
+                // goes out once, past the MAC queue: not retriable.
                 frame.retriable = false;
                 if let FramePayload::Packet(p) = &mut frame.payload {
                     p.uid = uid;
@@ -755,27 +756,17 @@ impl World {
     /// any frame it was mid-transmission on (receivers see a corrupted
     /// tail).
     fn crash_node(&mut self, node: NodeId) {
-        let phy = self.cfg.phy.clone();
+        let (phy, n) = (self.cfg.phy.clone(), self.nodes.len());
         {
             let slot = &mut self.nodes[node.index()];
             slot.mac.queue.clear();
             slot.mac.state = MacState::Idle;
             slot.mac.ack_busy_until = SimTime::ZERO;
             slot.mac.reset_cw(&phy);
-            slot.rx.clear();
-            slot.recent.reset();
+            slot.recent = RecentCache::new(n);
         }
-        let now = self.now;
-        for m in 0..self.nodes.len() {
-            if m == node.index() {
-                continue;
-            }
-            for rx in self.nodes[m].rx.iter_mut() {
-                if rx.sender() == node && rx.end > now {
-                    rx.corrupted = true;
-                }
-            }
-        }
+        self.clear_receptions(node);
+        self.corrupt_frames_from(node);
     }
 
     /// Brings a crashed node back up with total state loss and runs the
@@ -791,8 +782,8 @@ impl World {
             let slot = &mut self.nodes[node.index()];
             slot.mac.state = MacState::Idle;
             slot.mac.reset_cw(&phy);
-            slot.rx.clear();
         }
+        self.clear_receptions(node);
         // Emit the restart before the callback runs: the invariant
         // auditor drops the lost incarnation's fd baselines on this
         // event, so the rebuilt table is judged as a fresh start.
@@ -1415,6 +1406,32 @@ mod tests {
         let m = w.run();
         assert!(m.collisions > 0, "hidden terminals should collide sometimes");
         assert!(m.data_delivered > 0, "some packets must still get through");
+    }
+
+    /// Every `World` test in this crate is a differential of the
+    /// duplicate cache against the remember-set it replaced (`insert`
+    /// asserts each verdict equal to its shadow oracle's); this one makes
+    /// sure the verdicts compared include duplicates, and many.
+    #[test]
+    fn lost_acks_make_duplicates_the_shadow_oracle_sees() {
+        use crate::faults::{FaultAction, FaultPlan};
+        // A 3-node chain whose links each lose 30% of their frames, ACKs
+        // included: a frame whose ACK is lost is accepted, then retried.
+        let impair = |a, b| FaultAction::LinkImpair {
+            a: NodeId(a),
+            b: NodeId(b),
+            loss_ppm: 300_000,
+            corrupt_ppm: 0,
+        };
+        let plan = vec![(SimTime::ZERO, impair(0, 1)), (SimTime::ZERO, impair(1, 2))];
+        let mut w = faulted_world(3, FaultPlan::new(plan), 26);
+        for i in 0..400u64 {
+            w.schedule_app_packet(SimTime::from_millis(100 + i * 20), NodeId(0), NodeId(2), 512);
+        }
+        w.run_until(SimTime::from_secs(10));
+        let duplicates: u64 = w.nodes.iter().map(|s| s.recent.oracle.duplicates).sum();
+        assert!(duplicates >= 100, "only {duplicates} duplicate verdicts");
+        assert_eq!(w.metrics.duplicate_deliveries, 0);
     }
 
     #[test]
