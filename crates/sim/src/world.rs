@@ -50,7 +50,7 @@ struct NodeSlot {
     last_control: Option<Frame>,
 }
 
-// `propagate` first-touches one slot per receiver (480 bytes until PR 21).
+// `propagate` first-touches one slot per receiver: keep it to 5½ cache lines.
 #[cfg(not(test))] // tests add the duplicate cache's shadow oracle
 const _: () = assert!(std::mem::size_of::<NodeSlot>() <= 352);
 
