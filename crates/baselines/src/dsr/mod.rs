@@ -20,6 +20,7 @@ pub mod cache;
 pub mod messages;
 
 use cache::RouteCache;
+use manet_sim::discovery::Discoveries;
 use manet_sim::hash::FxBuild;
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{
@@ -27,8 +28,9 @@ use manet_sim::protocol::{
 };
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, TraceEvent};
+use manet_sim::wire::{put_u16, put_u32, put_u64};
 use messages::{Rerr, Rrep, Rreq, SourceRoute};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 /// Deterministic fast-hashed map for protocol state (iterations over
 /// these are order-insensitive: retain-only or sorted afterwards).
@@ -36,10 +38,6 @@ type FxMap<K, V> = HashMap<K, V, FxBuild>;
 
 const CLEANUP_TOKEN: u64 = u64::MAX;
 const CLEANUP_INTERVAL: SimDuration = SimDuration::from_secs(10);
-
-fn discovery_token(dest: NodeId, generation: u64) -> u64 {
-    (u64::from(dest.0) << 32) | (generation & 0xFFFF_FFFF)
-}
 
 /// DSR parameters.
 #[derive(Clone, Debug, PartialEq)]
@@ -98,13 +96,6 @@ impl DsrConfig {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Discovery {
-    generation: u64,
-    attempts: u32,
-    queue: VecDeque<DataPacket>,
-}
-
 /// A DSR node.
 #[derive(Clone)]
 pub struct Dsr {
@@ -112,9 +103,8 @@ pub struct Dsr {
     cfg: DsrConfig,
     cache: RouteCache,
     seen: FxMap<(NodeId, u32), SimTime>,
-    pending: FxMap<NodeId, Discovery>,
+    pending: Discoveries,
     next_id: u32,
-    next_generation: u64,
     clock: SimTime,
 }
 
@@ -129,9 +119,8 @@ impl Dsr {
             // Pre-sized: one insert per RREQ flood received; retain
             // keeps capacity, so this removes all growth rehashes.
             seen: FxMap::with_capacity_and_hasher(256, Default::default()),
-            pending: FxMap::default(),
+            pending: Discoveries::default(),
             next_id: 0,
-            next_generation: 0,
             clock: SimTime::ZERO,
         }
     }
@@ -148,7 +137,7 @@ impl Dsr {
 
     /// Whether a discovery for `dest` is pending.
     pub fn is_discovering(&self, dest: NodeId) -> bool {
-        self.pending.contains_key(&dest)
+        self.pending.is_pending(dest)
     }
 
     // ----- verification hooks ----------------------------------------------
@@ -214,45 +203,26 @@ impl Dsr {
     /// to `out` (sorted iteration everywhere; see
     /// `ldr::Ldr::verification_digest` for the contract).
     pub fn verification_digest(&self, out: &mut Vec<u8>) {
-        fn push_u64(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        out.extend_from_slice(&self.next_id.to_le_bytes());
-        push_u64(out, self.next_generation);
-        push_u64(out, self.clock.as_nanos());
+        put_u32(out, self.next_id);
+        put_u64(out, self.clock.as_nanos());
         let entries = self.cache.entries_sorted();
-        push_u64(out, entries.len() as u64);
+        put_u64(out, entries.len() as u64);
         for (path, added) in entries {
-            push_u64(out, path.len() as u64);
+            put_u64(out, path.len() as u64);
             for n in path {
-                out.extend_from_slice(&n.0.to_le_bytes());
+                put_u16(out, n.0);
             }
-            push_u64(out, added.as_nanos());
+            put_u64(out, added.as_nanos());
         }
         let mut seen: Vec<(&(NodeId, u32), &SimTime)> = self.seen.iter().collect();
         seen.sort_unstable_by_key(|((origin, id), _)| (origin.0, *id));
-        push_u64(out, seen.len() as u64);
+        put_u64(out, seen.len() as u64);
         for ((origin, id), exp) in seen {
-            out.extend_from_slice(&origin.0.to_le_bytes());
-            out.extend_from_slice(&id.to_le_bytes());
-            push_u64(out, exp.as_nanos());
+            put_u16(out, origin.0);
+            put_u32(out, *id);
+            put_u64(out, exp.as_nanos());
         }
-        let mut pending: Vec<(&NodeId, &Discovery)> = self.pending.iter().collect();
-        pending.sort_unstable_by_key(|(d, _)| d.0);
-        push_u64(out, pending.len() as u64);
-        for (dest, disc) in pending {
-            out.extend_from_slice(&dest.0.to_le_bytes());
-            push_u64(out, disc.generation);
-            out.extend_from_slice(&disc.attempts.to_le_bytes());
-            push_u64(out, disc.queue.len() as u64);
-            for p in &disc.queue {
-                out.extend_from_slice(&p.src.0.to_le_bytes());
-                out.extend_from_slice(&p.dst.0.to_le_bytes());
-                out.extend_from_slice(&p.flow.to_le_bytes());
-                out.extend_from_slice(&p.seq.to_le_bytes());
-                out.push(p.ttl);
-            }
-        }
+        self.pending.digest(out);
     }
 
     fn send_with_route(&mut self, ctx: &mut Ctx, mut data: DataPacket, cached: Vec<NodeId>) {
@@ -267,41 +237,27 @@ impl Dsr {
 
     fn queue_and_discover(&mut self, ctx: &mut Ctx, data: DataPacket) {
         let dest = data.dst;
-        match self.pending.get_mut(&dest) {
-            Some(d) => {
-                if d.queue.len() >= self.cfg.buffer_cap {
-                    ctx.drop_data(data, DropReason::BufferOverflow);
-                } else {
-                    d.queue.push_back(data);
-                }
-            }
-            None => {
-                let generation = self.next_generation;
-                self.next_generation += 1;
-                let mut queue = VecDeque::new();
-                queue.push_back(data);
-                self.pending.insert(dest, Discovery { generation, attempts: 1, queue });
-                ctx.count(ProtoCounter::DiscoveryStarted);
-                self.send_rreq(ctx, dest, 1, generation);
-            }
+        if let Some(token) = self.pending.buffer_or_open(ctx, data, self.cfg.buffer_cap) {
+            self.send_rreq(ctx, dest, 1, token);
         }
     }
 
-    fn send_rreq(&mut self, ctx: &mut Ctx, dest: NodeId, attempt: u32, generation: u64) {
+    /// Floods attempt number `attempt` of the discovery towards `dest`
+    /// and arms its retry timer with `token`.
+    fn send_rreq(&mut self, ctx: &mut Ctx, dest: NodeId, attempt: u32, token: u64) {
         let ttl =
             if attempt == 1 && self.cfg.non_propagating_first { 1 } else { self.cfg.flood_ttl };
         let id = self.next_id;
         self.next_id += 1;
         let rreq = Rreq { src: self.id, dst: dest, id, ttl, route: vec![] };
         ctx.broadcast(ControlKind::Rreq, rreq.encode(), true);
-        ctx.set_timer(self.cfg.discovery_timeout(attempt), discovery_token(dest, generation));
+        ctx.set_timer(self.cfg.discovery_timeout(attempt), token);
     }
 
     fn finish_success(&mut self, ctx: &mut Ctx, dest: NodeId) {
-        let Some(mut d) = self.pending.remove(&dest) else { return };
-        ctx.count(ProtoCounter::DiscoverySucceeded);
+        let Some(queue) = self.pending.close(ctx, dest) else { return };
         let now = ctx.now();
-        while let Some(p) = d.queue.pop_front() {
+        for p in queue {
             match self.cache.lookup(dest, now) {
                 Some(cached) => self.send_with_route(ctx, p, cached),
                 None => ctx.drop_data(p, DropReason::NoRoute),
@@ -429,9 +385,7 @@ impl Dsr {
         if idx == 0 {
             // We are the originator.
             if let Some(&dst) = m.path.last() {
-                if self.pending.contains_key(&dst) {
-                    self.finish_success(ctx, dst);
-                }
+                self.finish_success(ctx, dst);
             }
             return;
         }
@@ -465,9 +419,12 @@ impl RoutingProtocol for Dsr {
         // dedup set and pending discoveries vanish with the power.
         self.cache = RouteCache::new(self.id, self.cfg.cache_cap, self.cfg.cache_timeout);
         self.seen.clear();
-        self.pending.clear();
+        // A fresh `Discoveries`, generation counter included: a retry
+        // timer armed before the reboot (the simulator does not retire
+        // them, ROADMAP 7(f)) can name a discovery opened after it. LDR
+        // keeps its counter and cannot; unit tests pin each flavour.
+        self.pending = Discoveries::default();
         self.next_id = 0;
-        self.next_generation = 0;
         self.start(ctx);
     }
 
@@ -555,30 +512,12 @@ impl RoutingProtocol for Dsr {
             ctx.set_timer(CLEANUP_INTERVAL, CLEANUP_TOKEN);
             return;
         }
-        let dest = NodeId((token >> 32) as u16);
-        let gen32 = token & 0xFFFF_FFFF;
-        let Some(d) = self.pending.get(&dest) else { return };
-        if (d.generation & 0xFFFF_FFFF) != gen32 {
-            return;
-        }
+        let Some(dest) = self.pending.dest_of(token) else { return };
         if self.cache.lookup(dest, ctx.now()).is_some() {
             self.finish_success(ctx, dest);
-            return;
-        }
-        let attempts = d.attempts + 1;
-        let generation = d.generation;
-        if attempts > self.cfg.max_attempts {
-            if let Some(d) = self.pending.remove(&dest) {
-                for p in d.queue {
-                    ctx.drop_data(p, DropReason::NoRoute);
-                }
-                ctx.count(ProtoCounter::DiscoveryFailed);
-            }
-        } else {
-            if let Some(d) = self.pending.get_mut(&dest) {
-                d.attempts = attempts;
-            }
-            self.send_rreq(ctx, dest, attempts, generation);
+        } else if let Some((attempt, token)) = self.pending.retry(ctx, dest, self.cfg.max_attempts)
+        {
+            self.send_rreq(ctx, dest, attempt, token);
         }
     }
 

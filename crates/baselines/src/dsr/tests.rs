@@ -100,9 +100,22 @@ fn origination_without_route_floods_nonpropagating_first() {
     assert_eq!(rreqs[0].ttl, 1, "first attempt queries neighbours only");
     assert!(n.dsr.is_discovering(NodeId(9)));
     // Retry propagates network-wide.
-    let acts = n.call(|d, ctx| d.handle_timer(ctx, discovery_token(NodeId(9), 0)));
+    let acts = n.call(|d, ctx| d.handle_timer(ctx, Discoveries::token(NodeId(9), 0)));
     let rreqs = sent_rreqs(&acts);
     assert_eq!(rreqs[0].ttl, 35);
+}
+
+#[test]
+fn a_retry_timer_from_before_the_reboot_retries_the_discovery_after_it() {
+    // As in AODV (see its test of the same name): a fresh `Discoveries`
+    // counts generations from zero again, so a timer the simulator did
+    // not retire (ROADMAP 7(f)) names the post-reboot discovery.
+    let mut n = Node::new(0);
+    n.call(|d, ctx| d.handle_data_origination(ctx, data(0, 9)));
+    n.call(|d, ctx| d.handle_reboot(ctx));
+    n.call(|d, ctx| d.handle_data_origination(ctx, data(0, 9)));
+    let acts = n.call(|d, ctx| d.handle_timer(ctx, Discoveries::token(NodeId(9), 0)));
+    assert_eq!(sent_rreqs(&acts).len(), 1);
 }
 
 #[test]

@@ -35,6 +35,7 @@ use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, 
 use manet_sim::protocol::{Ctx, DropReason, RouteDump, RouteTelemetry, RoutingProtocol};
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, TraceEvent};
+use manet_sim::wire::{put_u16, put_u32, put_u64};
 use messages::{Hello, HelloRef, Tc, TcRef};
 use std::collections::{HashMap, VecDeque};
 
@@ -321,77 +322,71 @@ impl Olsr {
     /// `ldr::Ldr::verification_digest` for the contract). The
     /// allocation scratch is excluded — it carries no protocol state.
     pub fn verification_digest(&self, out: &mut Vec<u8>) {
-        fn push_u64(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        fn push_id(out: &mut Vec<u8>, n: NodeId) {
-            out.extend_from_slice(&n.0.to_le_bytes());
-        }
         let mut links: Vec<(&NodeId, &LinkState)> = self.links.iter().collect();
         links.sort_unstable_by_key(|(n, _)| n.0);
-        push_u64(out, links.len() as u64);
+        put_u64(out, links.len() as u64);
         for (n, l) in links {
-            push_id(out, *n);
+            put_u16(out, n.0);
             out.push(u8::from(l.sym));
-            push_u64(out, l.expires.as_nanos());
+            put_u64(out, l.expires.as_nanos());
         }
         let mut two_hop: Vec<(&NodeId, &(Vec<NodeId>, SimTime))> = self.two_hop.iter().collect();
         two_hop.sort_unstable_by_key(|(n, _)| n.0);
-        push_u64(out, two_hop.len() as u64);
+        put_u64(out, two_hop.len() as u64);
         for (n, (twos, exp)) in two_hop {
-            push_id(out, *n);
-            push_u64(out, twos.len() as u64);
+            put_u16(out, n.0);
+            put_u64(out, twos.len() as u64);
             for t in twos {
-                push_id(out, *t);
+                put_u16(out, t.0);
             }
-            push_u64(out, exp.as_nanos());
+            put_u64(out, exp.as_nanos());
         }
-        push_u64(out, self.mpr_set.len() as u64);
+        put_u64(out, self.mpr_set.len() as u64);
         for &n in &self.mpr_set {
-            push_id(out, n);
+            put_u16(out, n.0);
         }
         let mut selectors: Vec<(&NodeId, &SimTime)> = self.mpr_selectors.iter().collect();
         selectors.sort_unstable_by_key(|(n, _)| n.0);
-        push_u64(out, selectors.len() as u64);
+        put_u64(out, selectors.len() as u64);
         for (n, exp) in selectors {
-            push_id(out, *n);
-            push_u64(out, exp.as_nanos());
+            put_u16(out, n.0);
+            put_u64(out, exp.as_nanos());
         }
         let mut topology = self.topology_entries();
         topology.sort_unstable_by_key(|&(o, s, ..)| (o.0, s.0));
-        push_u64(out, topology.len() as u64);
+        put_u64(out, topology.len() as u64);
         for (orig, sel, ansn, exp) in topology {
-            push_id(out, orig);
-            push_id(out, sel);
-            out.extend_from_slice(&ansn.to_le_bytes());
-            push_u64(out, exp.as_nanos());
+            put_u16(out, orig.0);
+            put_u16(out, sel.0);
+            put_u16(out, ansn);
+            put_u64(out, exp.as_nanos());
         }
         let mut dup: Vec<(&(NodeId, u16), &SimTime)> = self.dup.iter().collect();
         dup.sort_unstable_by_key(|((o, s), _)| (o.0, *s));
-        push_u64(out, dup.len() as u64);
+        put_u64(out, dup.len() as u64);
         for ((orig, seq), exp) in dup {
-            push_id(out, *orig);
-            out.extend_from_slice(&seq.to_le_bytes());
-            push_u64(out, exp.as_nanos());
+            put_u16(out, orig.0);
+            put_u16(out, *seq);
+            put_u64(out, exp.as_nanos());
         }
-        push_u64(out, self.routes().count() as u64);
+        put_u64(out, self.routes().count() as u64);
         for (dest, next, hops) in self.routes() {
-            push_id(out, dest);
-            push_id(out, next);
-            out.extend_from_slice(&hops.to_le_bytes());
+            put_u16(out, dest.0);
+            put_u16(out, next.0);
+            put_u32(out, hops);
         }
         out.push(u8::from(self.dirty));
-        out.extend_from_slice(&self.ansn.to_le_bytes());
-        out.extend_from_slice(&self.tc_seq.to_le_bytes());
-        push_u64(out, self.outq.len() as u64);
+        put_u16(out, self.ansn);
+        put_u16(out, self.tc_seq);
+        put_u64(out, self.outq.len() as u64);
         for (kind, bytes, initiated) in &self.outq {
             out.push(*kind as u8);
-            push_u64(out, bytes.len() as u64);
+            put_u64(out, bytes.len() as u64);
             out.extend_from_slice(bytes);
             out.push(u8::from(*initiated));
         }
         out.push(u8::from(self.drain_scheduled));
-        push_u64(out, self.clock.as_nanos());
+        put_u64(out, self.clock.as_nanos());
     }
 
     /// The topology set flattened to (originator, selector, ansn,

@@ -671,67 +671,61 @@ mod reference {
         /// [`Olsr::verification_digest`] as it was, over this state and
         /// the jitter queue of `node`.
         pub fn digest(&self, node: &Olsr, out: &mut Vec<u8>) {
-            fn push_u64(out: &mut Vec<u8>, v: u64) {
-                out.extend_from_slice(&v.to_le_bytes());
-            }
-            fn push_id(out: &mut Vec<u8>, n: NodeId) {
-                out.extend_from_slice(&n.0.to_le_bytes());
-            }
-            push_u64(out, self.links.len() as u64);
+            put_u64(out, self.links.len() as u64);
             for (n, l) in &self.links {
-                push_id(out, *n);
+                put_u16(out, n.0);
                 out.push(u8::from(l.sym));
-                push_u64(out, l.expires.as_nanos());
+                put_u64(out, l.expires.as_nanos());
             }
-            push_u64(out, self.two_hop.len() as u64);
+            put_u64(out, self.two_hop.len() as u64);
             for (n, (twos, exp)) in &self.two_hop {
-                push_id(out, *n);
-                push_u64(out, twos.len() as u64);
+                put_u16(out, n.0);
+                put_u64(out, twos.len() as u64);
                 for t in twos {
-                    push_id(out, *t);
+                    put_u16(out, t.0);
                 }
-                push_u64(out, exp.as_nanos());
+                put_u64(out, exp.as_nanos());
             }
-            push_u64(out, self.mpr_set.len() as u64);
+            put_u64(out, self.mpr_set.len() as u64);
             for n in &self.mpr_set {
-                push_id(out, *n);
+                put_u16(out, n.0);
             }
-            push_u64(out, self.mpr_selectors.len() as u64);
+            put_u64(out, self.mpr_selectors.len() as u64);
             for (n, exp) in &self.mpr_selectors {
-                push_id(out, *n);
-                push_u64(out, exp.as_nanos());
+                put_u16(out, n.0);
+                put_u64(out, exp.as_nanos());
             }
-            push_u64(out, self.topology.len() as u64);
+            put_u64(out, self.topology.len() as u64);
             for ((orig, sel), (ansn, exp)) in &self.topology {
-                push_id(out, *orig);
-                push_id(out, *sel);
-                out.extend_from_slice(&ansn.to_le_bytes());
-                push_u64(out, exp.as_nanos());
+                put_u16(out, orig.0);
+                put_u16(out, sel.0);
+                put_u16(out, *ansn);
+                put_u64(out, exp.as_nanos());
             }
-            push_u64(out, self.dup.len() as u64);
+            put_u64(out, self.dup.len() as u64);
             for ((orig, seq), exp) in &self.dup {
-                push_id(out, *orig);
-                out.extend_from_slice(&seq.to_le_bytes());
-                push_u64(out, exp.as_nanos());
+                put_u16(out, orig.0);
+                put_u16(out, *seq);
+                put_u64(out, exp.as_nanos());
             }
-            push_u64(out, self.table.len() as u64);
+            put_u64(out, self.table.len() as u64);
             for (dest, (next, hops)) in &self.table {
-                push_id(out, *dest);
-                push_id(out, *next);
-                out.extend_from_slice(&hops.to_le_bytes());
+                put_u16(out, dest.0);
+                put_u16(out, next.0);
+                put_u32(out, *hops);
             }
             out.push(u8::from(self.dirty));
-            out.extend_from_slice(&self.ansn.to_le_bytes());
-            out.extend_from_slice(&self.tc_seq.to_le_bytes());
-            push_u64(out, node.outq.len() as u64);
+            put_u16(out, self.ansn);
+            put_u16(out, self.tc_seq);
+            put_u64(out, node.outq.len() as u64);
             for (kind, bytes, initiated) in &node.outq {
                 out.push(*kind as u8);
-                push_u64(out, bytes.len() as u64);
+                put_u64(out, bytes.len() as u64);
                 out.extend_from_slice(bytes);
                 out.push(u8::from(*initiated));
             }
             out.push(u8::from(node.drain_scheduled));
-            push_u64(out, self.clock.as_nanos());
+            put_u64(out, self.clock.as_nanos());
         }
     }
 }

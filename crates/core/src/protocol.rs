@@ -26,13 +26,15 @@ use crate::invariants::{self, Distance, Solicited, INFINITY};
 use crate::messages::{Rerr, RerrEntry, Rrep, Rreq};
 use crate::route_table::{AdvertOutcome, RouteEntry, RouteTable};
 use crate::seqno::SeqNo;
+use manet_sim::discovery::Discoveries;
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{
     Ctx, DropReason, ProtoCounter, RouteDump, RouteTelemetry, RoutingProtocol,
 };
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, RouteVerdict, TraceEvent};
-use std::collections::{HashMap, VecDeque};
+use manet_sim::wire::{put_u16, put_u32, put_u64};
+use std::collections::HashMap;
 
 /// Deterministic fast-hashed map for protocol state (iterations over
 /// these are order-insensitive: retain-only or sorted afterwards).
@@ -57,10 +59,6 @@ const CLEANUP_TOKEN: u64 = u64::MAX;
 /// Interval of the periodic state sweep.
 const CLEANUP_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
-fn discovery_token(dest: NodeId, generation: u64) -> u64 {
-    (u64::from(dest.0) << 32) | (generation & 0xFFFF_FFFF)
-}
-
 /// Engagement state for one computation `(origin, rreqid)`.
 #[derive(Clone, Debug)]
 struct CacheEntry {
@@ -77,15 +75,6 @@ struct CacheEntry {
     replied: bool,
     /// Whether a reverse route to the origin was installed.
     reverse_ok: bool,
-}
-
-/// A pending route discovery at the origin (the node is *active* for
-/// this destination).
-#[derive(Clone, Debug)]
-struct Discovery {
-    generation: u64,
-    attempts: u32,
-    queue: VecDeque<DataPacket>,
 }
 
 /// A Labeled Distance Routing node.
@@ -120,9 +109,10 @@ pub struct Ldr {
     own_seqno: SeqNo,
     routes: RouteTable,
     cache: FxMap<(NodeId, u32), CacheEntry>,
-    pending: FxMap<NodeId, Discovery>,
+    /// The destinations this node is *active* for: its own pending
+    /// discoveries, with their buffered data.
+    pending: Discoveries,
     next_rreqid: u32,
-    next_generation: u64,
     /// Time of the most recent callback (for the auditor snapshot).
     clock: SimTime,
 }
@@ -138,9 +128,8 @@ impl Ldr {
             // Pre-sized: one entry per RREQ flood engaged; retain
             // keeps capacity, so this removes all growth rehashes.
             cache: FxMap::with_capacity_and_hasher(256, Default::default()),
-            pending: FxMap::default(),
+            pending: Discoveries::default(),
             next_rreqid: 0,
-            next_generation: 0,
             clock: SimTime::ZERO,
         }
     }
@@ -162,7 +151,7 @@ impl Ldr {
 
     /// Whether a discovery for `dest` is in progress.
     pub fn is_active_for(&self, dest: NodeId) -> bool {
-        self.pending.contains_key(&dest)
+        self.pending.is_pending(dest)
     }
 
     // ----- verification hooks ----------------------------------------------
@@ -214,66 +203,44 @@ impl Ldr {
     /// for state-space deduplication. All map iteration is sorted, so
     /// the encoding is independent of hash-map order.
     pub fn verification_digest(&self, out: &mut Vec<u8>) {
-        fn push_u64(out: &mut Vec<u8>, v: u64) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        fn push_u32(out: &mut Vec<u8>, v: u32) {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-        push_u64(out, self.own_seqno.to_u64());
-        push_u32(out, self.next_rreqid);
-        push_u64(out, self.next_generation);
-        push_u64(out, self.clock.as_nanos());
+        put_u64(out, self.own_seqno.to_u64());
+        put_u32(out, self.next_rreqid);
+        put_u64(out, self.clock.as_nanos());
 
         let mut routes: Vec<(&NodeId, &RouteEntry)> = self.routes.iter().collect();
         routes.sort_unstable_by_key(|(d, _)| d.0);
-        push_u64(out, routes.len() as u64);
+        put_u64(out, routes.len() as u64);
         for (dest, e) in routes {
-            out.extend_from_slice(&dest.0.to_le_bytes());
-            push_u64(out, e.seqno.to_u64());
-            push_u32(out, e.dist);
-            push_u32(out, e.fd);
-            out.extend_from_slice(&e.next_hop.0.to_le_bytes());
+            put_u16(out, dest.0);
+            put_u64(out, e.seqno.to_u64());
+            put_u32(out, e.dist);
+            put_u32(out, e.fd);
+            put_u16(out, e.next_hop.0);
             out.push(u8::from(e.valid));
-            push_u64(out, e.expires.as_nanos());
+            put_u64(out, e.expires.as_nanos());
         }
 
         let mut cache: Vec<(&(NodeId, u32), &CacheEntry)> = self.cache.iter().collect();
         cache.sort_unstable_by_key(|((origin, rreqid), _)| (origin.0, *rreqid));
-        push_u64(out, cache.len() as u64);
+        put_u64(out, cache.len() as u64);
         for ((origin, rreqid), c) in cache {
-            out.extend_from_slice(&origin.0.to_le_bytes());
-            push_u32(out, *rreqid);
-            out.extend_from_slice(&c.last_hop.0.to_le_bytes());
-            push_u64(out, c.expires.as_nanos());
+            put_u16(out, origin.0);
+            put_u32(out, *rreqid);
+            put_u16(out, c.last_hop.0);
+            put_u64(out, c.expires.as_nanos());
             match c.relayed {
                 None => out.push(0),
                 Some((sn, d)) => {
                     out.push(1);
-                    push_u64(out, sn.to_u64());
-                    push_u32(out, d);
+                    put_u64(out, sn.to_u64());
+                    put_u32(out, d);
                 }
             }
             out.push(u8::from(c.replied));
             out.push(u8::from(c.reverse_ok));
         }
 
-        let mut pending: Vec<(&NodeId, &Discovery)> = self.pending.iter().collect();
-        pending.sort_unstable_by_key(|(d, _)| d.0);
-        push_u64(out, pending.len() as u64);
-        for (dest, disc) in pending {
-            out.extend_from_slice(&dest.0.to_le_bytes());
-            push_u64(out, disc.generation);
-            push_u32(out, disc.attempts);
-            push_u64(out, disc.queue.len() as u64);
-            for p in &disc.queue {
-                out.extend_from_slice(&p.src.0.to_le_bytes());
-                out.extend_from_slice(&p.dst.0.to_le_bytes());
-                push_u32(out, p.flow);
-                push_u32(out, p.seq);
-                out.push(p.ttl);
-            }
-        }
+        self.pending.digest(out);
     }
 
     // ----- traced table mutations ------------------------------------------
@@ -324,27 +291,14 @@ impl Ldr {
 
     fn queue_and_discover(&mut self, ctx: &mut Ctx, data: DataPacket) {
         let dest = data.dst;
-        match self.pending.get_mut(&dest) {
-            Some(d) => {
-                if d.queue.len() >= self.cfg.buffer_cap {
-                    ctx.drop_data(data, DropReason::BufferOverflow);
-                } else {
-                    d.queue.push_back(data);
-                }
-            }
-            None => {
-                let generation = self.next_generation;
-                self.next_generation += 1;
-                let mut queue = VecDeque::new();
-                queue.push_back(data);
-                self.pending.insert(dest, Discovery { generation, attempts: 1, queue });
-                ctx.count(ProtoCounter::DiscoveryStarted);
-                self.send_rreq(ctx, dest, 1, generation);
-            }
+        if let Some(token) = self.pending.buffer_or_open(ctx, data, self.cfg.buffer_cap) {
+            self.send_rreq(ctx, dest, 1, token);
         }
     }
 
-    fn send_rreq(&mut self, ctx: &mut Ctx, dest: NodeId, attempt: u32, generation: u64) {
+    /// Floods attempt number `attempt` of the discovery towards `dest`
+    /// and arms its retry timer with `token`.
+    fn send_rreq(&mut self, ctx: &mut Ctx, dest: NodeId, attempt: u32, token: u64) {
         let inv = self.routes.invariants(dest);
         let fd_req = self.cfg.answering_distance(inv.fd);
         let prior = (inv.d != INFINITY).then_some((inv.d, fd_req));
@@ -367,14 +321,13 @@ impl Ldr {
         ctx.broadcast(ControlKind::Rreq, rreq.encode(), true);
         let id = self.id;
         ctx.trace(|| TraceEvent::RreqStart { node: id, dest, rreqid, ttl });
-        ctx.set_timer(self.cfg.discovery_timeout(ttl), discovery_token(dest, generation));
+        ctx.set_timer(self.cfg.discovery_timeout(ttl), token);
     }
 
     fn finish_success(&mut self, ctx: &mut Ctx, dest: NodeId) {
-        let Some(mut d) = self.pending.remove(&dest) else { return };
-        ctx.count(ProtoCounter::DiscoverySucceeded);
+        let Some(queue) = self.pending.close(ctx, dest) else { return };
         let now = ctx.now();
-        while let Some(p) = d.queue.pop_front() {
+        for p in queue {
             match self.routes.active(dest, now).copied() {
                 Some(e) => {
                     self.routes.refresh(dest, now + self.cfg.active_route_timeout);
@@ -630,7 +583,7 @@ impl Ldr {
             // Terminus: the computation ends on the first feasible
             // advertisement.
             if self.routes.active(rrep.dst, now).is_some() {
-                let had_pending = self.pending.contains_key(&rrep.dst);
+                let had_pending = self.pending.is_pending(rrep.dst);
                 self.finish_success(ctx, rrep.dst);
                 if rrep.n_bit && had_pending && self.cfg.opt_reverse_probe {
                     self.send_reverse_probe(ctx, rrep.dst, now);
@@ -848,29 +801,12 @@ impl RoutingProtocol for Ldr {
             ctx.set_timer(CLEANUP_INTERVAL, CLEANUP_TOKEN);
             return;
         }
-        let dest = NodeId((token >> 32) as u16);
-        let gen32 = token & 0xFFFF_FFFF;
-        let now = ctx.now();
-        let Some(d) = self.pending.get(&dest) else { return };
-        if (d.generation & 0xFFFF_FFFF) != gen32 {
-            return;
-        }
-        if self.routes.active(dest, now).is_some() {
+        let Some(dest) = self.pending.dest_of(token) else { return };
+        if self.routes.active(dest, ctx.now()).is_some() {
             self.finish_success(ctx, dest);
-            return;
-        }
-        let attempts = d.attempts + 1;
-        if attempts > self.cfg.max_attempts {
-            if let Some(d) = self.pending.remove(&dest) {
-                for p in d.queue {
-                    ctx.drop_data(p, DropReason::NoRoute);
-                }
-            }
-            ctx.count(ProtoCounter::DiscoveryFailed);
-        } else if let Some(d) = self.pending.get_mut(&dest) {
-            let generation = d.generation;
-            d.attempts = attempts;
-            self.send_rreq(ctx, dest, attempts, generation);
+        } else if let Some((attempt, token)) = self.pending.retry(ctx, dest, self.cfg.max_attempts)
+        {
+            self.send_rreq(ctx, dest, attempt, token);
         }
     }
 
@@ -920,6 +856,11 @@ impl RoutingProtocol for Ldr {
         self.own_seqno = SeqNo::after_reboot(epoch);
         self.routes = RouteTable::new();
         self.cache.clear();
+        // `clear`, not a fresh `Discoveries`: the generation counter
+        // keeps running, so a retry timer armed before the reboot (the
+        // simulator does not retire them, ROADMAP 7(f)) never matches a
+        // discovery opened after it. AODV and DSR start over at zero and
+        // can alias; each flavour is pinned by its protocol's unit tests.
         self.pending.clear();
         ctx.set_timer(CLEANUP_INTERVAL, CLEANUP_TOKEN);
     }

@@ -200,7 +200,8 @@ pub(crate) fn check_transition<M: ProtocolModel>(
         }
     }
     // Successor-graph acyclicity per destination.
-    let tables: Vec<Vec<(NodeId, NodeId)>> = post.nodes.iter().map(|m| m.successors()).collect();
+    let tables: Vec<Vec<(NodeId, NodeId)>> =
+        post.nodes.iter().map(|m| m.route_successors()).collect();
     if let Some(v) = find_loops(&tables).into_iter().next() {
         return Some(Violation::RoutingLoop { dest: v.destination, cycle: v.cycle });
     }

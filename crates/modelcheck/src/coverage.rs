@@ -227,7 +227,7 @@ pub fn explore<M: ProtocolModel>(
 
     Exploration {
         scenario: scenario.clone(),
-        protocol: factory(NodeId(0)).protocol_name(),
+        protocol: factory(NodeId(0)).name(),
         seed,
         states: coverage.len(),
         transitions,

@@ -14,9 +14,9 @@
 //! * the destination raising its own sequence number,
 //!
 //! driving the *real* protocol implementations — [`ldr::Ldr`] and the
-//! [`manet_baselines::Aodv`] baseline — through the same
-//! [`manet_sim::protocol::Ctx`] callback interface the simulator uses
-//! (the [`model::ProtocolModel`] trait is a thin veneer over it).
+//! [`manet_baselines::Aodv`] baseline — through the simulator's own
+//! [`manet_sim::protocol::RoutingProtocol`] callbacks (the
+//! [`model::ProtocolModel`] trait adds only the verification hooks).
 //!
 //! At every transition the checker verifies the paper's safety
 //! obligations: per-destination successor graphs stay acyclic

@@ -289,7 +289,7 @@ pub fn render_stall<M: ProtocolModel>(
     raw_len: usize,
 ) -> String {
     let mut out = String::new();
-    let proto = factory(NodeId(0)).protocol_name();
+    let proto = factory(NodeId(0)).name();
     let _ = writeln!(out, "== liveness stall: {} ({proto}) ==", scenario.name);
     let mut state = NetState::init(scenario, factory);
     for event in events {

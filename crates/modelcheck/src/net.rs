@@ -358,7 +358,7 @@ impl<M: ProtocolModel> NetState<M> {
             toggles_done: 0,
         };
         for i in 0..scenario.n {
-            s.callback(scenario, i, |m, ctx| m.on_start(ctx));
+            s.callback(scenario, i, |m, ctx| m.start(ctx));
         }
         s
     }
@@ -473,7 +473,7 @@ impl<M: ProtocolModel> NetState<M> {
             ttl: DATA_TTL,
             ext: vec![],
         };
-        self.callback(scenario, src, |m, ctx| m.on_originate(ctx, data))
+        self.callback(scenario, src, |m, ctx| m.handle_data_origination(ctx, data))
     }
 
     /// Every event enabled in this state, in deterministic order.
@@ -542,12 +542,11 @@ impl<M: ProtocolModel> NetState<M> {
                 }
                 let (src, dst, bcast) = (msg.src, msg.dst, msg.was_broadcast);
                 match msg.body {
-                    PacketBody::Control(ctrl) => {
-                        next.callback(scenario, dst.0, |m, ctx| m.on_control(ctx, src, ctrl, bcast))
-                    }
-                    PacketBody::Data(data) => {
-                        next.callback(scenario, dst.0, |m, ctx| m.on_data(ctx, src, data))
-                    }
+                    PacketBody::Control(ctrl) => next.callback(scenario, dst.0, |m, ctx| {
+                        m.handle_control(ctx, src, &ctrl, bcast)
+                    }),
+                    PacketBody::Data(data) => next
+                        .callback(scenario, dst.0, |m, ctx| m.handle_data_packet(ctx, src, data)),
                 }
             }
             Event::Lose(key) => {
@@ -562,7 +561,9 @@ impl<M: ProtocolModel> NetState<M> {
                 if msg.notify_failure {
                     let (src, dst) = (msg.src, msg.dst);
                     let packet = Packet { uid: 0, origin: src, body: msg.body };
-                    next.callback(scenario, src.0, |m, ctx| m.on_unicast_failure(ctx, dst, packet))
+                    next.callback(scenario, src.0, |m, ctx| {
+                        m.handle_unicast_failure(ctx, dst, packet)
+                    })
                 } else {
                     Vec::new()
                 }
@@ -572,7 +573,7 @@ impl<M: ProtocolModel> NetState<M> {
                     return None;
                 }
                 let token = *token;
-                next.callback(scenario, *node, |m, ctx| m.on_timer(ctx, token))
+                next.callback(scenario, *node, |m, ctx| m.handle_timer(ctx, token))
             }
             Event::Expire { node, dest } => {
                 if next.expires_left == 0 {
@@ -608,7 +609,7 @@ impl<M: ProtocolModel> NetState<M> {
                     ttl: DATA_TTL,
                     ext: vec![],
                 };
-                next.callback(scenario, src, |m, ctx| m.on_originate(ctx, data))
+                next.callback(scenario, src, |m, ctx| m.handle_data_origination(ctx, data))
             }
             Event::Toggle { index } => {
                 if next.toggles_done & (1 << *index) != 0 || *index >= scenario.toggles.len() {
@@ -629,7 +630,7 @@ impl<M: ProtocolModel> NetState<M> {
                 next.restarts_left -= 1;
                 // Pending timers belong to the lost incarnation.
                 next.timers.retain(|&(n, _)| n != *node);
-                next.callback(scenario, *node, |m, ctx| m.on_restart(ctx))
+                next.callback(scenario, *node, |m, ctx| m.handle_reboot(ctx))
             }
         };
         Some(Step { state: next, traces })

@@ -52,7 +52,7 @@ pub fn forensic_section<M: ProtocolModel>(
         state = step.state;
         let dumps: Vec<Vec<RouteDump>> = state.nodes.iter().map(|m| m.dump()).collect();
         let successors: Vec<Vec<(NodeId, NodeId)>> =
-            state.nodes.iter().map(|m| m.successors()).collect();
+            state.nodes.iter().map(|m| m.route_successors()).collect();
         auditor.check(T0, 0, &dumps, &successors);
         if auditor.report().is_some() {
             break;
@@ -83,7 +83,7 @@ pub fn render<M: ProtocolModel>(
     cex: &Counterexample,
 ) -> String {
     let mut out = String::new();
-    let proto = factory(NodeId(0)).protocol_name();
+    let proto = factory(NodeId(0)).name();
     let _ = writeln!(out, "== counterexample: {} ({proto}) ==", scenario.name);
     let _ = writeln!(out, "violation: {}", cex.violation);
     let _ = writeln!(out, "trace ({} events, shrunk from {}):", cex.events.len(), cex.raw_len);

@@ -73,6 +73,7 @@
 
 pub mod audit;
 pub mod config;
+pub mod discovery;
 pub mod event;
 pub mod faults;
 pub mod geometry;
