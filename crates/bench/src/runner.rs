@@ -41,8 +41,8 @@ pub fn build_world(
 }
 
 /// Like [`build_world`], with the observation-pure telemetry layer
-/// (flight recorder + time-series sampler) configured. Attaching a
-/// trace sink is the caller's job ([`World::set_trace`]).
+/// (the time-series sampler) configured. Attaching a trace sink is the
+/// caller's job ([`World::set_trace`]).
 ///
 /// [`World::set_trace`]: manet_sim::world::World::set_trace
 pub fn build_world_telemetry(

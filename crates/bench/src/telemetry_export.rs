@@ -1,6 +1,6 @@
-//! One-call telemetry export: runs a trial with the flight recorder,
-//! time-series sampler and JSONL trace sink attached, and renders (or
-//! writes) the two schema-versioned documents.
+//! One-call telemetry export: runs a trial with the time-series
+//! sampler and JSONL trace sink attached, and renders (or writes) the
+//! two schema-versioned documents.
 //!
 //! The attached telemetry is observation-pure — the exported run's
 //! [`Metrics`] are byte-identical to the same `(scenario, seed)` run

@@ -3,11 +3,10 @@
 //! Two contracts, enforced for both paper scenarios (smoke-sized) and
 //! every protocol family:
 //!
-//! 1. **Observation equivalence** — attaching the flight recorder, the
-//!    time-series sampler and a JSONL trace sink must not change a
-//!    run's [`Metrics`]. The sampler rides the FEL as a real event, so
-//!    this catches any seq/RNG leakage from the telemetry path into
-//!    the simulation.
+//! 1. **Observation equivalence** — attaching the time-series sampler
+//!    and a JSONL trace sink must not change a run's [`Metrics`]. The
+//!    sampler rides the FEL as a real event, so this catches any
+//!    seq/RNG leakage from the telemetry path into the simulation.
 //! 2. **Byte determinism** — exporting the same `(scenario, seed)` run
 //!    twice yields byte-identical trace and series documents, so a
 //!    trace file is a stable forensic artifact.

@@ -33,7 +33,7 @@
 //!    state loss costs *extra* attempts gets no charity. A probe the
 //!    configured schedule can never reach (TTL tops out short of the
 //!    distance) is vacuous, like a partitioned one. The whole
-//!    probe cycle repeats up to [`PROBE_ATTEMPTS`] times, modelling an
+//!    probe cycle repeats up to `PROBE_ATTEMPTS` times, modelling an
 //!    application that retries (the first packet may be legitimately
 //!    spent tearing down a stale route via a route error).
 //! 5. **Verdict** — after a final route refresh at the source,

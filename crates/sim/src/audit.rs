@@ -25,7 +25,6 @@
 use crate::loopcheck::{find_loops, LoopViolation};
 use crate::packet::NodeId;
 use crate::protocol::RouteDump;
-use crate::telemetry::FlightEntry;
 use crate::time::SimTime;
 use crate::trace::TraceEvent;
 use std::collections::{BTreeMap, VecDeque};
@@ -89,11 +88,6 @@ pub struct ForensicReport {
     pub timeline: Vec<(SimTime, TraceEvent)>,
     /// The tail of the global trace ring (all nodes), oldest first.
     pub recent: Vec<(SimTime, TraceEvent)>,
-    /// Flight-recorder dump at breach time (merged per-node rings with
-    /// global sequence numbers), attached by the world when a
-    /// [`crate::telemetry::FlightRecorder`] is configured. Empty — and
-    /// absent from the rendered report — otherwise.
-    pub flight: Vec<FlightEntry>,
 }
 
 impl fmt::Display for ForensicReport {
@@ -121,12 +115,6 @@ impl fmt::Display for ForensicReport {
         writeln!(f, "last {} trace events overall:", self.recent.len())?;
         for (t, e) in &self.recent {
             writeln!(f, "  [{t:?}] {e:?}")?;
-        }
-        if !self.flight.is_empty() {
-            writeln!(f, "flight recorder ({} events):", self.flight.len())?;
-            for e in &self.flight {
-                writeln!(f, "  #{} [{:?}] {:?}", e.seq, e.at, e.event)?;
-            }
         }
         Ok(())
     }
@@ -181,17 +169,6 @@ impl InvariantAuditor {
     /// The first-violation forensic report, if a breach occurred.
     pub fn report(&self) -> Option<&ForensicReport> {
         self.report.as_ref()
-    }
-
-    /// Attaches a flight-recorder dump to the captured report, if one
-    /// exists and has no dump yet (the world calls this at the
-    /// first-breach transition).
-    pub fn attach_flight(&mut self, flight: Vec<FlightEntry>) {
-        if let Some(r) = self.report.as_mut() {
-            if r.flight.is_empty() {
-                r.flight = flight;
-            }
-        }
     }
 
     /// Re-checks both invariants against fresh per-node snapshots.
@@ -270,16 +247,7 @@ impl InvariantAuditor {
         let timeline =
             self.recent.iter().filter(|(_, e)| involved.contains(&e.node())).cloned().collect();
         let recent = self.recent.iter().cloned().collect();
-        ForensicReport {
-            at: now,
-            seed,
-            breach,
-            involved,
-            tables,
-            timeline,
-            recent,
-            flight: Vec::new(),
-        }
+        ForensicReport { at: now, seed, breach, involved, tables, timeline, recent }
     }
 }
 
@@ -351,39 +319,5 @@ mod tests {
         }
         assert_eq!(a.recent.len(), FORENSIC_WINDOW);
         assert_eq!(a.recent.front().unwrap().0, SimTime::from_nanos(50));
-    }
-
-    #[test]
-    fn flight_dump_attaches_once_and_renders() {
-        let mut a = InvariantAuditor::new();
-        // No report yet: attaching is a no-op.
-        a.attach_flight(vec![FlightEntry {
-            seq: 0,
-            at: SimTime::ZERO,
-            event: TraceEvent::RxCollision { node: NodeId(0) },
-        }]);
-        assert!(a.report().is_none());
-        // Force a breach, then attach.
-        a.check(SimTime::ZERO, 1, &[vec![dump(9, 2, 5)]], &[vec![]]);
-        a.check(SimTime::from_secs(1), 1, &[vec![dump(9, 4, 5)]], &[vec![]]);
-        let without = a.report().expect("breach captured").to_string();
-        assert!(!without.contains("flight recorder"), "empty flight renders nothing");
-        a.attach_flight(vec![FlightEntry {
-            seq: 7,
-            at: SimTime::from_secs(1),
-            event: TraceEvent::RxCollision { node: NodeId(3) },
-        }]);
-        let rendered = a.report().expect("report kept").to_string();
-        assert!(rendered.contains("flight recorder (1 events):"), "{rendered}");
-        assert!(rendered.contains("#7"), "{rendered}");
-        // A second attach must not clobber the first.
-        a.attach_flight(vec![]);
-        a.attach_flight(vec![FlightEntry {
-            seq: 9,
-            at: SimTime::from_secs(2),
-            event: TraceEvent::RxCollision { node: NodeId(4) },
-        }]);
-        let kept = a.report().expect("report kept").to_string();
-        assert!(kept.contains("#7") && !kept.contains("#9"), "{kept}");
     }
 }

@@ -127,8 +127,8 @@ pub struct SimConfig {
     /// Deterministic fault schedule executed by the event kernel
     /// ([`crate::faults`]). `None` runs fault-free.
     pub fault_plan: Option<FaultPlan>,
-    /// Observability layer ([`crate::telemetry`]): flight recorder and
-    /// time-series sampler. `None` runs with telemetry fully off.
+    /// Observability layer ([`crate::telemetry`]): the time-series
+    /// sampler. `None` runs with telemetry fully off.
     /// Telemetry is observation-pure — enabling it may not change one
     /// observable bit of the run (metrics and trace are byte-identical
     /// either way; enforced by test).

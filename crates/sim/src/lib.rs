@@ -30,9 +30,9 @@
 //!   byte-identical to the linear scan, which stays the path for
 //!   mobility models that promise no speed bound ([`spatial`],
 //!   [`MobilityModel::max_speed_mps`](mobility::MobilityModel::max_speed_mps));
-//! * an observation-pure telemetry layer — bounded per-node flight
-//!   recorder, sim-time time-series sampler, hand-rolled JSONL export —
-//!   that never changes a run's observable behaviour ([`telemetry`],
+//! * an observation-pure telemetry layer — sim-time time-series
+//!   sampler, compact trace log, hand-rolled JSONL export — that never
+//!   changes a run's observable behaviour ([`telemetry`],
 //!   [`SimConfig::telemetry`](config::SimConfig::telemetry));
 //! * a deterministic kernel profiler — per-phase wall-time
 //!   attribution (FEL churn, neighbor queries, dispatch, protocol

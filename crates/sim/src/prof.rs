@@ -58,7 +58,7 @@ pub const PHASE_NEIGHBOR_GRID: u16 = 2;
 pub const PHASE_NEIGHBOR_LINEAR: u16 = 3;
 /// Routing-protocol callback (`RoutingProtocol` handler execution).
 pub const PHASE_PROTOCOL: u16 = 4;
-/// Trace emission fan-out (flight recorder, auditor, trace sink).
+/// Trace emission fan-out (auditor, trace sink).
 pub const PHASE_TRACE_EMIT: u16 = 5;
 /// Telemetry time-series sampling (`World::take_sample`).
 pub const PHASE_TELEMETRY_SAMPLE: u16 = 6;

@@ -17,9 +17,9 @@
 //!   [`crate::protocol::Ctx::trace`]; emission is free when no sink or
 //!   auditor is attached (the closure never runs).
 //!
-//! [`MemoryTrace`] collects events for assertions and debugging; shared
-//! handles (`Arc<Mutex<MemoryTrace>>`) implement the trait too, so
-//! callers can keep access while the world owns the sink.
+//! [`MemoryTrace`] collects events for assertions and debugging; a
+//! shared handle to any sink (`Arc<Mutex<S>>`) implements the trait
+//! too, so callers can keep access while the world owns the sink.
 //!
 //! [`RouteInstall`]: TraceEvent::RouteInstall
 //! [`RouteInvalidate`]: TraceEvent::RouteInvalidate
@@ -363,22 +363,6 @@ impl TraceEvent {
             | TraceEvent::NodeRestarted { node } => node,
         }
     }
-
-    /// Whether this is a routing-layer event (vs. link-layer).
-    pub fn is_routing(&self) -> bool {
-        matches!(
-            self,
-            TraceEvent::RouteInstall { .. }
-                | TraceEvent::RouteInvalidate { .. }
-                | TraceEvent::SeqnoReset { .. }
-                | TraceEvent::AdvertConsidered { .. }
-                | TraceEvent::SolicitVerdict { .. }
-                | TraceEvent::RreqStart { .. }
-                | TraceEvent::RreqRelay { .. }
-                | TraceEvent::RrepSend { .. }
-                | TraceEvent::RerrSend { .. }
-        )
-    }
 }
 
 /// Receives trace events from the simulator.
@@ -422,12 +406,14 @@ impl TraceSink for MemoryTrace {
     }
 }
 
-impl TraceSink for Arc<Mutex<MemoryTrace>> {
+/// A shared handle to any sink is a sink: the world owns one clone, the
+/// caller reads the other afterwards.
+impl<T: TraceSink> TraceSink for Arc<Mutex<T>> {
     fn record(&mut self, t: SimTime, event: TraceEvent) {
         // A poisoned lock means a panic elsewhere already ended the
         // run; silently dropping the event beats a panic-in-panic.
-        if let Ok(mut log) = self.lock() {
-            log.record(t, event);
+        if let Ok(mut sink) = self.lock() {
+            sink.record(t, event);
         }
     }
 }
@@ -453,7 +439,6 @@ mod tests {
     fn node_and_layer_classification() {
         let link = TraceEvent::RxCollision { node: NodeId(4) };
         assert_eq!(link.node(), NodeId(4));
-        assert!(!link.is_routing());
         let routing = TraceEvent::RouteInstall {
             node: NodeId(2),
             dest: NodeId(9),
@@ -462,7 +447,6 @@ mod tests {
             after: InvariantSnapshot { sn: Some(7), d: 2, fd: 2 },
         };
         assert_eq!(routing.node(), NodeId(2));
-        assert!(routing.is_routing());
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::prof::{
 use crate::protocol::{Action, Ctx, DropReason, RoutingProtocol};
 use crate::rng::SimRng;
 use crate::spatial::NeighborGrid;
-use crate::telemetry::{FlightEntry, FlightRecorder, SampleBaseline, SeriesSample};
+use crate::telemetry::{SampleBaseline, SeriesSample};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{FaultKind, TraceEvent, TraceSink};
 use crate::traffic::{FlowState, TrafficConfig};
@@ -109,14 +109,10 @@ pub struct World {
     dispatch_counts: [u64; Event::KIND_COUNT],
     /// Routing-decision trace events emitted by protocols. A *World*
     /// field, deliberately not part of [`Metrics`]: protocols only
-    /// emit when a sink, auditor or flight recorder is attached, so a
-    /// metrics-resident count would break the rule that attaching
-    /// telemetry changes nothing observable.
+    /// emit when a sink or auditor is attached, so a metrics-resident
+    /// count would break the rule that attaching telemetry changes
+    /// nothing observable.
     trace_events: u64,
-    /// Bounded per-node rings of recent trace events
-    /// ([`SimConfig::telemetry`]); dumped into the forensic report at
-    /// the first invariant breach.
-    recorder: Option<FlightRecorder>,
     /// Time-series samples taken at `TelemetrySample` events.
     series: Vec<SeriesSample>,
     /// Cumulative-counter baseline of the previous sample.
@@ -178,11 +174,6 @@ impl World {
             })
             .collect();
         let auditor = cfg.invariant_audit.then(InvariantAuditor::new);
-        let recorder = cfg
-            .telemetry
-            .as_ref()
-            .filter(|t| t.flight_recorder_depth > 0)
-            .map(|t| FlightRecorder::new(n, t.flight_recorder_depth));
         // The spatial index needs a finite speed bound to size its
         // query slack; models that promise none fall back to the
         // linear scan (the answers are identical either way).
@@ -211,7 +202,6 @@ impl World {
             events_executed: 0,
             dispatch_counts: [0; Event::KIND_COUNT],
             trace_events: 0,
-            recorder,
             series: Vec::new(),
             sample_base: SampleBaseline::default(),
             range_scratch: Vec::new(),
@@ -313,17 +303,14 @@ impl World {
         self.trace = Some(sink);
     }
 
-    /// Fans a trace event out to whatever listens (flight recorder,
-    /// auditor, sink), under a `trace_emit` span when profiling is on.
+    /// Fans a trace event out to whatever listens (auditor, sink),
+    /// under a `trace_emit` span when profiling is on.
     fn emit(&mut self, event: TraceEvent) {
         // Nothing listens: no work, so no span either.
         if !self.trace_on() {
             return;
         }
         self.prof_enter(PHASE_TRACE_EMIT);
-        if let Some(r) = self.recorder.as_mut() {
-            r.record(self.now, &event);
-        }
         if let Some(a) = self.auditor.as_mut() {
             a.observe(self.now, &event);
         }
@@ -430,7 +417,7 @@ impl World {
 
     /// Routing-decision trace events emitted by protocols so far.
     /// Intentionally not part of [`Metrics`]: protocols emit only when
-    /// a sink, auditor or flight recorder is attached.
+    /// a sink or auditor is attached.
     pub fn trace_events(&self) -> u64 {
         self.trace_events
     }
@@ -447,12 +434,6 @@ impl World {
     /// with [`crate::prof::prof_to_jsonl`].
     pub fn prof_snapshot(&self) -> Option<ProfSnapshot> {
         self.prof.as_ref().map(|p| p.snapshot(self.dispatch_counts, self.events_executed))
-    }
-
-    /// The flight recorder's merged dump (all nodes' retained rings in
-    /// global emission order); empty when no recorder is configured.
-    pub fn flight_dump(&self) -> Vec<FlightEntry> {
-        self.recorder.as_ref().map(|r| r.dump()).unwrap_or_default()
     }
 
     /// Time-series samples collected so far (one per elapsed
@@ -858,11 +839,10 @@ impl World {
         self.faults.as_ref().is_some_and(|fs| fs.node_down(node))
     }
 
-    /// Whether anything listens to trace events (sink, auditor or
-    /// flight recorder); protocols emit routing-decision traces only
-    /// then.
+    /// Whether anything listens to trace events (sink or auditor);
+    /// protocols emit routing-decision traces only then.
     fn trace_on(&self) -> bool {
-        self.trace.is_some() || self.auditor.is_some() || self.recorder.is_some()
+        self.trace.is_some() || self.auditor.is_some()
     }
 
     /// Opens a profiler span ([`crate::prof`]); a no-op when
@@ -1002,21 +982,10 @@ impl World {
             self.nodes.iter().map(|s| s.protocol.route_table_dump()).collect();
         let successors: Vec<Vec<(NodeId, NodeId)>> =
             self.nodes.iter().map(|s| s.protocol.route_successors()).collect();
-        let had_report = self.auditor.as_ref().is_some_and(|a| a.report().is_some());
         let Some(aud) = self.auditor.as_mut() else { return };
         let new = aud.check(self.now, self.cfg.seed, &dumps, &successors);
         self.metrics.invariant_checks += 1;
         self.metrics.invariant_breaches += new;
-        // First breach of the run: attach the flight recorder's dump to
-        // the forensic report, so the failure ships with per-node
-        // context beyond the auditor's own trace ring.
-        if !had_report && new > 0 {
-            if let Some(flight) = self.recorder.as_ref().map(|r| r.dump()) {
-                if let Some(aud) = self.auditor.as_mut() {
-                    aud.attach_flight(flight);
-                }
-            }
-        }
     }
 
     // ----- MAC state machine ------------------------------------------------
@@ -1965,8 +1934,8 @@ mod tests {
 
     #[test]
     fn telemetry_is_observation_pure() {
-        // Attaching the flight recorder and the sampler must not change
-        // one bit of the run's metrics.
+        // Attaching the sampler must not change one bit of the run's
+        // metrics.
         let plain = {
             let mut w = telemetry_world(4, 21, None);
             w.run_until(SimTime::from_secs(10));
@@ -1978,7 +1947,6 @@ mod tests {
             w.run_until(SimTime::from_secs(10));
             w.finalize();
             assert!(!w.telemetry_series().is_empty(), "sampler took no samples");
-            assert!(!w.flight_dump().is_empty(), "flight recorder stayed empty");
             w.metrics().clone()
         };
         assert_eq!(plain, telemetered, "telemetry changed observable behaviour");
@@ -1987,11 +1955,8 @@ mod tests {
     #[test]
     fn sampler_fires_on_the_configured_cadence() {
         let interval = SimDuration::from_millis(2500);
-        let mut w = telemetry_world(
-            4,
-            3,
-            Some(TelemetryConfig { flight_recorder_depth: 8, sample_interval: Some(interval) }),
-        );
+        let mut w =
+            telemetry_world(4, 3, Some(TelemetryConfig { sample_interval: Some(interval) }));
         w.run_until(SimTime::from_secs(10));
         w.finalize();
         let series = w.telemetry_series();
@@ -2008,24 +1973,5 @@ mod tests {
             "kernel dispatch counts should be snapshotted"
         );
         assert_eq!(w.sample_interval(), Some(interval));
-    }
-
-    #[test]
-    fn flight_recorder_keeps_a_bounded_global_tail() {
-        let mut w = telemetry_world(
-            4,
-            9,
-            Some(TelemetryConfig { flight_recorder_depth: 4, sample_interval: None }),
-        );
-        w.run_until(SimTime::from_secs(10));
-        w.finalize();
-        let dump = w.flight_dump();
-        assert!(!dump.is_empty());
-        assert!(dump.len() <= 4 * 4, "per-node rings must bound the dump");
-        assert!(dump.windows(2).all(|p| p[0].seq < p[1].seq), "dump must be seq-ordered");
-        // Static routing emits no routing-decision events; the recorder
-        // filled from kernel link-layer events alone.
-        assert_eq!(w.trace_events(), 0);
-        assert!(dump.iter().all(|e| !e.event.is_routing()));
     }
 }
