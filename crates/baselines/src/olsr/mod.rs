@@ -174,6 +174,9 @@ struct Scratch {
     cover: Vec<u64>,
     /// Per one-hop neighbour: chosen as an MPR in this selection.
     selected: Vec<bool>,
+    /// Traced recomputation: the table as it was before, to diff the
+    /// new one against.
+    prev_table: Vec<(NodeId, u32)>,
 }
 
 /// A clone starts with empty scratch: there is no state in it to carry
@@ -270,7 +273,7 @@ impl Olsr {
 
     /// The computed route towards `dest`: (next hop, hops).
     pub fn route(&self, dest: NodeId) -> Option<(NodeId, u32)> {
-        self.table.get(dest.index()).copied().filter(|&(_, hops)| hops != 0)
+        table_route(&self.table, dest.index())
     }
 
     /// Every computed route as (destination, next hop, hops), ascending
@@ -595,9 +598,11 @@ impl Olsr {
 
     /// Recomputes routes if the topology is dirty, emitting
     /// [`TraceEvent::RouteInstall`] / [`TraceEvent::RouteInvalidate`]
-    /// diffs against the previous table when tracing is on. OLSR has no
-    /// `(sn, d, fd)` machinery, so installs scalarise as `d = fd =`
-    /// hop count with no sequence number.
+    /// diffs against the previous table when tracing is on: one walk over
+    /// the old table for routes that are gone, then one over the new for
+    /// routes that are new or changed, both by destination. OLSR has no
+    /// `(sn, d, fd)` machinery, so installs scalarise as `d = fd =` hop
+    /// count with no sequence number.
     fn recompute_traced(&mut self, ctx: &mut Ctx) {
         if !self.dirty {
             return;
@@ -606,31 +611,27 @@ impl Olsr {
             self.recompute_routes(ctx.now());
             return;
         }
-        let snapshot = |o: &Olsr| o.routes().map(|(d, n, h)| (d, (n, h))).collect::<Vec<_>>();
-        let before = snapshot(self);
+        std::mem::swap(&mut self.table, &mut self.scratch.prev_table);
         self.recompute_routes(ctx.now());
-        let after = snapshot(self);
-        let node = self.id;
-        // Destinations that dropped out of the shortest-path tree.
-        for &(dest, _) in &before {
-            if after.binary_search_by_key(&dest.0, |&(d, _)| d.0).is_err() {
+        let (before, after, node) = (&self.scratch.prev_table, &self.table, self.id);
+        for dest in 0..before.len() {
+            if table_route(before, dest).is_some() && table_route(after, dest).is_none() {
                 ctx.trace(|| TraceEvent::RouteInvalidate {
                     node,
-                    dest,
+                    dest: NodeId(dest as u16),
                     seqno: None,
                     cause: InvalidateCause::LinkFailure,
                 });
             }
         }
-        // New or changed entries.
-        for &(dest, (next, hops)) in &after {
-            let prev =
-                before.binary_search_by_key(&dest.0, |&(d, _)| d.0).ok().map(|i| before[i].1);
+        for dest in 0..after.len() {
+            let Some((next, hops)) = table_route(after, dest) else { continue };
+            let prev = table_route(before, dest);
             if prev != Some((next, hops)) {
                 let before_snap = prev.map(|(_, h)| InvariantSnapshot { sn: None, d: h, fd: h });
                 ctx.trace(|| TraceEvent::RouteInstall {
                     node,
-                    dest,
+                    dest: NodeId(dest as u16),
                     next,
                     before: before_snap,
                     after: InvariantSnapshot { sn: None, d: hops, fd: hops },
@@ -757,6 +758,11 @@ impl Olsr {
             }
         }
     }
+}
+
+/// The route an id-indexed table holds towards `dest`, if any.
+fn table_route(table: &[(NodeId, u32)], dest: usize) -> Option<(NodeId, u32)> {
+    table.get(dest).copied().filter(|&(_, hops)| hops != 0)
 }
 
 /// Refills `out` with the neighbours `links` holds a live symmetric

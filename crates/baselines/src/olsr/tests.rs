@@ -957,3 +957,211 @@ mod differential {
         }
     }
 }
+
+/// `recompute_traced` as it was before it walked the two id-indexed
+/// tables: a sorted snapshot of the routes before and after the
+/// recomputation, each binary-searched in the other. The oracle for
+/// [`traced`].
+fn recompute_traced_oracle(o: &mut Olsr, ctx: &mut Ctx) {
+    if !o.dirty {
+        return;
+    }
+    let snapshot = |o: &Olsr| o.routes().map(|(d, n, h)| (d, (n, h))).collect::<Vec<_>>();
+    let before = snapshot(o);
+    o.recompute_routes(ctx.now());
+    let after = snapshot(o);
+    let node = o.id;
+    // Destinations that dropped out of the shortest-path tree.
+    for &(dest, _) in &before {
+        if after.binary_search_by_key(&dest.0, |&(d, _)| d.0).is_err() {
+            ctx.trace(|| TraceEvent::RouteInvalidate {
+                node,
+                dest,
+                seqno: None,
+                cause: InvalidateCause::LinkFailure,
+            });
+        }
+    }
+    // New or changed entries.
+    for &(dest, (next, hops)) in &after {
+        let prev = before.binary_search_by_key(&dest.0, |&(d, _)| d.0).ok().map(|i| before[i].1);
+        if prev != Some((next, hops)) {
+            let before_snap = prev.map(|(_, h)| InvariantSnapshot { sn: None, d: h, fd: h });
+            ctx.trace(|| TraceEvent::RouteInstall {
+                node,
+                dest,
+                next,
+                before: before_snap,
+                after: InvariantSnapshot { sn: None, d: hops, fd: hops },
+            });
+        }
+    }
+}
+
+/// A node driven through link-state changes with tracing on, each
+/// recomputation traced by the node and by [`recompute_traced_oracle`]
+/// on a clone of it taken just before.
+mod traced {
+    use super::*;
+    use proptest::prelude::*;
+
+    const ME: u16 = 2;
+
+    struct Traced {
+        node: Node,
+        /// Sequence number and ANSN of the next TC: each one is new.
+        tc_seq: u16,
+    }
+
+    impl Traced {
+        fn new() -> Self {
+            Traced { node: Node::new(ME), tc_seq: 0 }
+        }
+
+        fn hello_from(&mut self, prev: NodeId, sym: Vec<NodeId>) {
+            self.node.hello_from(prev.0, Hello { sym, heard: vec![], mpr: vec![] });
+        }
+
+        fn tc(&mut self, originator: NodeId, selectors: Vec<NodeId>) {
+            self.tc_seq += 1;
+            let (ansn, seq) = (self.tc_seq, self.tc_seq);
+            self.node.tc_from(1, Tc { originator, ansn, seq, ttl: 3, selectors });
+        }
+
+        /// Link-layer feedback for a control frame: the link goes, and
+        /// nothing is recomputed.
+        fn link_failure(&mut self, next_hop: NodeId) {
+            let ctrl = ControlPacket { kind: ControlKind::Hello, bytes: vec![] };
+            let p = Packet { uid: 1, origin: NodeId(ME), body: PacketBody::Control(ctrl) };
+            self.node.call(|o, ctx| o.handle_unicast_failure(ctx, next_hop, p));
+        }
+
+        /// Recomputes through `recompute_traced` — called directly, or
+        /// by a data packet for `via_data` — and through the oracle on a
+        /// clone; returns both traces, node's first.
+        fn recompute(&mut self, via_data: Option<NodeId>) -> (Vec<TraceEvent>, Vec<TraceEvent>) {
+            let mut twin = self.node.olsr.clone();
+            let want = traced_call(&mut twin, self.node.now, |o, ctx| {
+                recompute_traced_oracle(o, ctx);
+            });
+            let got = traced_call(&mut self.node.olsr, self.node.now, |o, ctx| match via_data {
+                Some(dst) => o.handle_data_origination(ctx, data(ME, dst.0)),
+                None => o.recompute_traced(ctx),
+            });
+            (got, want)
+        }
+    }
+
+    /// Runs `f` under a tracing `Ctx` and returns the events it traced.
+    fn traced_call(
+        o: &mut Olsr,
+        now: SimTime,
+        f: impl FnOnce(&mut Olsr, &mut Ctx),
+    ) -> Vec<TraceEvent> {
+        let (mut rng, mut actions) = (SimRng::from_seed(0), Vec::new());
+        let mut ctx = Ctx::new(now, o.id, 50, &mut rng, &mut actions);
+        ctx.set_trace_enabled(true);
+        f(o, &mut ctx);
+        actions
+            .into_iter()
+            .filter_map(|a| match a {
+                Action::Trace(e) => Some(e),
+                _ => None,
+            })
+            .collect()
+    }
+
+    /// Mostly 0–11, this node among them; in a `wide` case one draw in
+    /// sixteen is the corrupt 65535. Only one case in eight is wide: an
+    /// id near 65535 makes every table walk that long, and the debug
+    /// build then spends milliseconds on each step of the case.
+    fn id(raw: u16, wide: bool) -> NodeId {
+        match raw % 16 {
+            0 if wide => NodeId(u16::MAX),
+            _ => NodeId(raw / 16 % 12),
+        }
+    }
+
+    /// Clock steps in ms: mostly sub-second, sometimes across
+    /// `neighbor_hold` (6 s) or `topology_hold` (15 s), which is how the
+    /// highest live id falls again.
+    const CLOCK_STEPS_MS: [u64; 8] = [0, 1, 300, 900, 2100, 3100, 6100, 16000];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// The same `RouteInvalidate` / `RouteInstall` events in the
+        /// same order as the snapshot diff, over HELLOs, TCs, expiry,
+        /// link failure and cleanup, while the tables grow and shrink.
+        #[test]
+        fn table_walk_traces_what_the_snapshot_diff_did(
+            shape in 0u8..8,
+            steps in prop::collection::vec(
+                (any::<u8>(), any::<u16>(), prop::collection::vec(any::<u16>(), 0..6), any::<u16>()),
+                1..40,
+            ),
+        ) {
+            let mut t = Traced::new();
+            let id = |raw| id(raw, shape == 0);
+            for (what, a, xs, pick) in steps {
+                t.node.now += SimDuration::from_millis(CLOCK_STEPS_MS[usize::from(pick % 8)]);
+                let mut nodes: Vec<NodeId> = xs.iter().map(|&x| id(x)).collect();
+                match what % 8 {
+                    0..=2 => {
+                        nodes.push(NodeId(ME)); // a symmetric link
+                        t.hello_from(id(a), nodes);
+                    }
+                    3 | 4 => t.tc(id(a), nodes),
+                    5 => {
+                        t.node.olsr.force_expire(id(a));
+                    }
+                    6 => t.link_failure(id(a)),
+                    _ => {
+                        t.node.call(|o, ctx| o.handle_timer(ctx, CLEANUP_TOKEN));
+                    }
+                }
+                let via_data = (pick / 8 % 2 == 0).then(|| id(pick / 16)).filter(|&d| d.0 != ME);
+                let (got, want) = t.recompute(via_data);
+                prop_assert_eq!(got, want);
+            }
+        }
+    }
+
+    /// A TC naming 65535 grows the table to 65 536 entries and its
+    /// expiry shrinks it back; a smaller highest id than before must
+    /// still invalidate the routes past it, and a larger one install
+    /// them.
+    #[test]
+    fn a_corrupt_id_is_installed_and_invalidated_as_the_table_grows_and_shrinks() {
+        let mut t = Traced::new();
+        t.hello_from(NodeId(1), ids(&[ME, 3]));
+        let (got, want) = t.recompute(None);
+        assert_eq!(got, want);
+        assert_eq!(got.len(), 2, "routes to 1 and 3: {got:?}");
+        t.tc(NodeId(3), ids(&[65535]));
+        let (got, want) = t.recompute(Some(NodeId(65535)));
+        assert_eq!(got, want);
+        assert!(matches!(got[..], [TraceEvent::RouteInstall { dest: NodeId(65535), .. }]));
+        assert_eq!(t.node.olsr.table.len(), 65536);
+        t.node.now += OlsrConfig::default().topology_hold;
+        t.hello_from(NodeId(1), ids(&[ME, 3]));
+        let (got, want) = t.recompute(None);
+        assert_eq!(got, want);
+        assert!(matches!(got[..], [TraceEvent::RouteInvalidate { dest: NodeId(65535), .. }]));
+        assert_eq!(t.node.olsr.table.len(), 4);
+        // Neighbour 1 goes; its replacement 9 lists 3 and a new 5.
+        t.link_failure(NodeId(1));
+        t.hello_from(NodeId(9), ids(&[ME, 3, 5]));
+        let (got, want) = t.recompute(None);
+        assert_eq!(got, want);
+        let kinds: Vec<_> = got
+            .iter()
+            .map(|e| match e {
+                TraceEvent::RouteInvalidate { dest, .. } => ('-', dest.0),
+                TraceEvent::RouteInstall { dest, .. } => ('+', dest.0),
+                _ => ('?', 0),
+            })
+            .collect();
+        assert_eq!(kinds, [('-', 1), ('+', 3), ('+', 5), ('+', 9)]);
+    }
+}
