@@ -612,7 +612,7 @@ impl RoutingProtocol for Aodv {
         self.forwarded.clear();
         // A fresh `Discoveries`, generation counter included: a retry
         // timer armed before the reboot (the simulator does not retire
-        // them, ROADMAP 7(f)) can name a discovery opened after it. LDR
+        // them, ROADMAP item 3) can name a discovery opened after it. LDR
         // keeps its counter and cannot; unit tests pin each flavour.
         self.pending = Discoveries::default();
         self.neighbors.clear();

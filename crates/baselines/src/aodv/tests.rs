@@ -329,7 +329,7 @@ impl Node {
 #[test]
 fn a_retry_timer_from_before_the_reboot_retries_the_discovery_after_it() {
     // The simulator does not retire a rebooted node's timers (ROADMAP
-    // 7(f)), and nothing survives AODV's power cycle, the generation
+    // item 3), and nothing survives AODV's power cycle, the generation
     // count included: the survivor names the new discovery. LDR keeps
     // counting and ignores it. No sweep cell happens to show the
     // difference, so each flavour is pinned in its own unit tests.

@@ -421,7 +421,7 @@ impl RoutingProtocol for Dsr {
         self.seen.clear();
         // A fresh `Discoveries`, generation counter included: a retry
         // timer armed before the reboot (the simulator does not retire
-        // them, ROADMAP 7(f)) can name a discovery opened after it. LDR
+        // them, ROADMAP item 3) can name a discovery opened after it. LDR
         // keeps its counter and cannot; unit tests pin each flavour.
         self.pending = Discoveries::default();
         self.next_id = 0;

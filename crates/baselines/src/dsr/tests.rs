@@ -109,7 +109,7 @@ fn origination_without_route_floods_nonpropagating_first() {
 fn a_retry_timer_from_before_the_reboot_retries_the_discovery_after_it() {
     // As in AODV (see its test of the same name): a fresh `Discoveries`
     // counts generations from zero again, so a timer the simulator did
-    // not retire (ROADMAP 7(f)) names the post-reboot discovery.
+    // not retire (ROADMAP item 3) names the post-reboot discovery.
     let mut n = Node::new(0);
     n.call(|d, ctx| d.handle_data_origination(ctx, data(0, 9)));
     n.call(|d, ctx| d.handle_reboot(ctx));

@@ -12,15 +12,19 @@
 //! on the layout their access pattern wants. TC receipt keeps one
 //! advertised set per originator (`handle_tc`), and HELLOs and TCs are
 //! read off the received bytes ([`messages::HelloRef`],
-//! [`messages::TcRef`]). The two graph computations share one idea: the
-//! ids a node knows are few but sparse in `u16`, so one id-indexed slot
-//! table (`Labels`) hands each id met in a computation a dense *label*,
-//! and the graph becomes bitset rows over labels. MPR selection
-//! (`recompute_mprs`) is a greedy set cover over one row per neighbour;
-//! the route search (`recompute_routes`) is a breadth-first search over
-//! one adjacency row per vertex, a level step being `row & !seen`. The
-//! map-based formulations they replaced live on in `tests.rs` as the
-//! oracle a differential proptest holds them to.
+//! [`messages::TcRef`]). The ids a node knows are few but sparse in
+//! `u16`, so one id-indexed slot table (`Labels`) hands each id a dense
+//! *label* once, on receipt, when it enters the link state; the CLEANUP
+//! sweep relabels the ids still live. Beside its entries the link state
+//! (`Sets`) keeps each neighbour's two-hop list and each originator's
+//! selectors as label bitsets, `⌈labels / 64⌉` words a row, so the two
+//! graph computations are word operations with no per-id work. MPR
+//! selection (`recompute_mprs`) is a greedy set cover over one row per
+//! neighbour; the route search (`recompute_routes`) is a breadth-first
+//! search over one adjacency row per label, a level step being
+//! `row & !seen`. The bodies they replaced, which labelled afresh in
+//! every computation, live on in `tests.rs` as the oracles a
+//! differential proptest holds them to.
 //!
 //! The paper found the INRIA OLSR code suffered packet-jitter problems
 //! and added "a new FIFO jitter queue … a uniformly chosen inter-packet
@@ -107,22 +111,11 @@ pub struct Olsr {
     id: NodeId,
     cfg: OlsrConfig,
     links: FxMap<NodeId, LinkState>,
-    /// neighbour → (its symmetric neighbours, expiry).
-    two_hop: FxMap<NodeId, (Vec<NodeId>, SimTime)>,
+    /// The two-hop and topology sets, indexed by label.
+    sets: Sets,
     /// Selected multipoint relays, ascending by id.
     mpr_set: Vec<NodeId>,
     mpr_selectors: FxMap<NodeId, SimTime>,
-    /// originator → (ansn, [(selector, expiry)]): the advertised link
-    /// `(originator, selector)` is known under `ansn` until `expiry`.
-    ///
-    /// One ANSN per originator is not a simplification: entries are only
-    /// written by the accepting arm of [`Olsr::handle_tc`], which either
-    /// finds the set empty, clears it because the TC is newer, or finds
-    /// the TC's ANSN equal to the stored one (of two distinct ANSNs
-    /// exactly one is [`ansn_newer`], and an older TC is rejected) — so
-    /// all of an originator's entries always carry the same ANSN. An
-    /// empty set is the same as no set, whatever ANSN it last held.
-    topology: FxMap<NodeId, (u16, Vec<(NodeId, SimTime)>)>,
     /// TC duplicate set: (originator, seq) → expiry.
     dup: FxMap<(NodeId, u16), SimTime>,
     /// The routing table, indexed by destination id: `(next hop, hops)`,
@@ -141,36 +134,22 @@ pub struct Olsr {
     scratch: Scratch,
 }
 
-/// The labels a route search starts with room for: one row word. A
-/// search that meets more starts over with twice the room.
-const INITIAL_LABELS: usize = 64;
-
 /// Scratch space reused across route and MPR recomputations.
 #[derive(Debug, Default)]
 struct Scratch {
-    labels: Labels,
     /// Route search: the symmetric neighbours, ascending by id.
     n1: Vec<NodeId>,
     /// Route search: one adjacency bitset row per label, bit `v` of row
     /// `u` set for a live link `u → v`.
     rows: Vec<u64>,
-    /// Words per row the last search's labels needed — where the next
-    /// one starts, so a neighbourhood that has outgrown
-    /// [`INITIAL_LABELS`] pays for starting over once, not on every
-    /// search.
-    row_words: usize,
     /// Route search: the labels claimed so far, one bit each.
     seen: Vec<u64>,
     /// Route search: the BFS queue of labels; nothing is popped, a
     /// cursor walks it.
     queue: Vec<usize>,
-    /// MPR selection: every listing of a strict two-hop node as (its
-    /// bit, index of the listing neighbour in the one-hop set).
-    pairs: Vec<(usize, usize)>,
-    /// MPR selection: listings per two-hop bit.
-    listings: Vec<u32>,
     /// MPR selection: one coverage bitset row per one-hop neighbour,
-    /// then one row of still-uncovered two-hop nodes.
+    /// then the rows of two-hop nodes listed at least once, listed at
+    /// least twice, and of this node and its one-hop set.
     cover: Vec<u64>,
     /// Per one-hop neighbour: chosen as an MPR in this selection.
     selected: Vec<bool>,
@@ -187,52 +166,368 @@ impl Clone for Scratch {
     }
 }
 
-/// Dense labels `0, 1, 2, …` in order of first sight for the sparse ids
-/// of one computation, as many as it has made room for.
-#[derive(Debug, Default)]
+/// Dense labels `0, 1, 2, …` for the sparse ids of the link state.
+#[derive(Clone, Debug, Default)]
 struct Labels {
-    /// How many labels this computation may hand out.
-    room: usize,
-    /// By id: its label plus one, or 0 for an id this computation has
-    /// not met. As long as the highest id ever met (a corrupt 65535
-    /// makes it 256 KB, once), but only the entries of `ids` are ever
-    /// non-zero, so starting afresh costs the labels, not the table.
+    /// By id: its label plus one, or 0 for an id with no label. As long
+    /// as the highest id ever labelled (a corrupt 65535 makes it 256 KB,
+    /// once), but only the entries of `ids` are ever non-zero.
     slot: Vec<u32>,
     /// By label: the id.
     ids: Vec<NodeId>,
 }
 
 impl Labels {
-    /// Forgets every label and makes room for `room` new ones.
-    fn reset(&mut self, room: usize) {
-        for id in self.ids.drain(..) {
-            self.slot[id.index()] = 0;
-        }
-        self.room = room;
+    /// The label of `id`, which must have one: every id in the link
+    /// state, and every key of `links`, does.
+    #[inline]
+    fn get(&self, id: NodeId) -> usize {
+        self.slot[id.index()] as usize - 1
     }
 
-    /// The label of `id`, the next free one if it has none yet — `None`
-    /// if there is no room for another.
+    /// The label of `id`, if it has one.
+    fn find(&self, id: NodeId) -> Option<usize> {
+        self.slot.get(id.index()).filter(|&&s| s != 0).map(|&s| s as usize - 1)
+    }
+}
+
+/// A neighbour's two-hop entry: its last HELLO's symmetric list,
+/// verbatim, until `expires`.
+#[derive(Clone, Debug)]
+struct TwoHop {
+    /// The neighbour's label.
+    label: usize,
+    list: Vec<NodeId>,
+    expires: SimTime,
+}
+
+/// An originator's topology entry: the advertised link `(originator,
+/// selector)` is known under `ansn` until its expiry.
+///
+/// One ANSN per originator is not a simplification: entries are only
+/// written by [`Sets::advertise`], which either finds the set empty,
+/// clears it because the TC is newer, or finds the TC's ANSN equal to
+/// the stored one (of two distinct ANSNs exactly one is [`ansn_newer`],
+/// and an older TC is rejected) — so all of an originator's entries
+/// always carry the same ANSN. An empty set is the same as no set,
+/// whatever ANSN it last held: `advertise` reads the ANSN only beside a
+/// non-empty set, and every other reader skips empty ones.
+#[derive(Clone, Debug)]
+struct Origin {
+    ansn: u16,
+    /// `(selector, expiry)`, each selector once.
+    entries: Vec<(NodeId, SimTime)>,
+    /// No later than the earliest expiry among the selectors in this
+    /// originator's [`Sets::selectors`] row, [`SimTime::MAX`] for none.
+    /// Before it (time only moves forward), that row is exactly the live
+    /// entries; once a search finds it passed, the search re-derives both
+    /// ([`Sets::derive`]).
+    earliest: SimTime,
+}
+
+impl Default for Origin {
+    fn default() -> Self {
+        Origin { ansn: 0, entries: Vec::new(), earliest: SimTime::MAX }
+    }
+}
+
+/// The two-hop and topology sets over persistent labels.
+///
+/// An id gets a label the moment it enters the link state — as a HELLO
+/// sender or in its list, as a TC originator or selector — and keeps it
+/// until the CLEANUP sweep ([`Sets::sweep`]) relabels the ids still
+/// live, densely; this node is always label 0. Beside the entries sit
+/// their bitset rows, `words` words each, bit `v` standing for label
+/// `v`, so the route search and the MPR cover work on words with no
+/// per-id translation. Every label may originate a TC, so the topology
+/// set is indexed by label; only the few one-hop neighbours have
+/// two-hop entries, so those sit in a table of their own that `hop`
+/// indexes.
+#[derive(Clone, Debug)]
+struct Sets {
+    labels: Labels,
+    /// Words per bitset row: ⌈labels / 64⌉.
+    words: usize,
+    /// By label: the position of its two-hop entry plus one, 0 for none.
+    hop: Vec<u32>,
+    /// The two-hop entries, in no particular order.
+    two_hop: Vec<TwoHop>,
+    /// By two-hop entry, two rows each: the labels its list names, then
+    /// those it names more than once.
+    listed: Vec<u64>,
+    /// By label: the originator's topology entry.
+    topology: Vec<Origin>,
+    /// By label, one row each: the originator's selectors whose entries
+    /// were live at the last derive ([`Origin::earliest`]).
+    selectors: Vec<u64>,
+}
+
+impl Sets {
+    /// Empty sets, with this node labelled 0.
+    fn new(me: NodeId) -> Self {
+        let mut sets = Sets {
+            labels: Labels::default(),
+            words: 1,
+            hop: Vec::new(),
+            two_hop: Vec::new(),
+            listed: Vec::new(),
+            topology: Vec::new(),
+            selectors: Vec::new(),
+        };
+        sets.label(me);
+        sets
+    }
+
+    /// The label of `id`, the next free one if it has none yet.
     #[inline]
-    fn of(&mut self, id: NodeId) -> Option<usize> {
-        match self.slot.get(id.index()) {
-            Some(&slot) if slot != 0 => Some(slot as usize - 1),
-            _ => self.first_sight(id),
+    fn label(&mut self, id: NodeId) -> usize {
+        match self.labels.find(id) {
+            Some(label) => label,
+            None => self.first_sight(id),
         }
     }
 
     #[cold]
-    fn first_sight(&mut self, id: NodeId) -> Option<usize> {
-        if self.ids.len() == self.room {
-            return None;
+    fn first_sight(&mut self, id: NodeId) -> usize {
+        let label = self.labels.ids.len();
+        if label == 64 * self.words {
+            let words = self.words + 1;
+            self.listed = relayout(&self.listed, self.words, words, |_| true, Some);
+            self.selectors = relayout(&self.selectors, self.words, words, |_| true, Some);
+            self.words = words;
         }
-        if self.slot.len() <= id.index() {
-            self.slot.resize(id.index() + 1, 0);
+        if self.labels.slot.len() <= id.index() {
+            self.labels.slot.resize(id.index() + 1, 0);
         }
-        self.ids.push(id);
-        self.slot[id.index()] = self.ids.len() as u32; // at most 65 536 ids
-        Some(self.ids.len() - 1)
+        self.labels.slot[id.index()] = label as u32 + 1; // at most 65 536 ids
+        self.labels.ids.push(id);
+        self.hop.push(0);
+        self.topology.push(Origin::default());
+        self.selectors.resize((label + 1) * self.words, 0);
+        label
     }
+
+    /// The two-hop entry of the neighbour labelled `label`, with its
+    /// position, if it has one.
+    #[inline]
+    fn two_hop_of(&self, label: usize) -> Option<(usize, &TwoHop)> {
+        let i = (self.hop[label] as usize).checked_sub(1)?;
+        Some((i, &self.two_hop[i]))
+    }
+
+    /// Replaces `from`'s two-hop entry with `list`, alive until
+    /// `expires`.
+    fn hear(&mut self, from: NodeId, list: impl Iterator<Item = NodeId>, expires: SimTime) {
+        let p = self.label(from);
+        let i = match self.hop[p] {
+            0 => {
+                self.two_hop.push(TwoHop { label: p, list: Vec::new(), expires });
+                self.listed.resize(self.listed.len() + 2 * self.words, 0);
+                self.hop[p] = self.two_hop.len() as u32;
+                self.two_hop.len() - 1
+            }
+            pos => pos as usize - 1,
+        };
+        // The old list's allocation is reused; labelling a listed id may
+        // widen every row, so the rows are addressed afresh for each.
+        let mut twos = std::mem::take(&mut self.two_hop[i].list);
+        twos.clear();
+        self.listed[2 * i * self.words..2 * (i + 1) * self.words].fill(0);
+        for t in list {
+            twos.push(t);
+            let v = self.label(t);
+            let (at, bit) = (2 * i * self.words + v / 64, 1 << (v % 64));
+            self.listed[at + self.words] |= self.listed[at] & bit;
+            self.listed[at] |= bit;
+        }
+        self.two_hop[i].list = twos;
+        self.two_hop[i].expires = expires;
+    }
+
+    /// Drops `n`'s two-hop entry; whether it had one.
+    fn forget(&mut self, n: NodeId) -> bool {
+        let Some((i, _)) = self.labels.find(n).and_then(|p| self.two_hop_of(p)) else {
+            return false;
+        };
+        self.remove_two_hop(i);
+        true
+    }
+
+    /// Removes the two-hop entry at position `i`; the last takes its place.
+    fn remove_two_hop(&mut self, i: usize) {
+        let rows = 2 * self.words;
+        let last = self.two_hop.len() - 1;
+        self.listed.copy_within(last * rows..(last + 1) * rows, i * rows);
+        self.listed.truncate(last * rows);
+        let gone = self.two_hop.swap_remove(i);
+        self.hop[gone.label] = 0;
+        if let Some(moved) = self.two_hop.get(i) {
+            self.hop[moved.label] = i as u32 + 1;
+        }
+    }
+
+    /// TC receipt: the ANSN logic — a stale set is ignored, an older one
+    /// replaced — then `selectors` known under `ansn` until `expires`.
+    /// Whether the TC was accepted.
+    fn advertise(
+        &mut self,
+        originator: NodeId,
+        ansn: u16,
+        selectors: impl Iterator<Item = NodeId>,
+        expires: SimTime,
+    ) -> bool {
+        let o = self.label(originator);
+        let origin = &mut self.topology[o];
+        if !origin.entries.is_empty() && ansn_newer(origin.ansn, ansn) {
+            return false;
+        }
+        if origin.ansn != ansn {
+            origin.entries.clear();
+            origin.ansn = ansn;
+            origin.earliest = SimTime::MAX;
+            self.selectors[o * self.words..(o + 1) * self.words].fill(0);
+        }
+        for sel in selectors {
+            let s = self.label(sel);
+            let origin = &mut self.topology[o];
+            match origin.entries.iter_mut().find(|(known, _)| *known == sel) {
+                Some(known) => known.1 = expires,
+                None => origin.entries.push((sel, expires)),
+            }
+            origin.earliest = origin.earliest.min(expires);
+            set_bit(&mut self.selectors[o * self.words..], s);
+        }
+        true
+    }
+
+    /// Drops `dest`'s own topology entries and every entry naming it as
+    /// a selector; whether there were any.
+    fn expire_topology(&mut self, dest: NodeId) -> bool {
+        let Some(d) = self.labels.find(dest) else { return false };
+        let w = self.words;
+        let mut removed = !self.topology[d].entries.is_empty();
+        self.topology[d].entries.clear();
+        self.selectors[d * w..(d + 1) * w].fill(0);
+        for (origin, row) in self.topology.iter_mut().zip(self.selectors.chunks_exact_mut(w)) {
+            let before = origin.entries.len();
+            origin.entries.retain(|&(sel, _)| sel != dest);
+            removed |= origin.entries.len() != before;
+            row[d / 64] &= !(1 << (d % 64));
+        }
+        removed
+    }
+
+    /// Re-derives originator `o`'s selector row and earliest expiry from
+    /// its entries alive at `now`.
+    fn derive(&mut self, o: usize, now: SimTime) {
+        let w = self.words;
+        let row = &mut self.selectors[o * w..(o + 1) * w];
+        row.fill(0);
+        let origin = &mut self.topology[o];
+        origin.earliest = SimTime::MAX;
+        for &(sel, exp) in origin.entries.iter().filter(|&&(_, exp)| exp > now) {
+            set_bit(row, self.labels.get(sel));
+            origin.earliest = origin.earliest.min(exp);
+        }
+    }
+
+    /// The CLEANUP sweep: drops the two-hop entries and topology entries
+    /// that have expired by `now`, then relabels what is still live —
+    /// this node, `neighbours`, the two-hop entries and what they list,
+    /// the originators with entries and their selectors — densely, in
+    /// label order. Every other id loses its label and its `slot` entry,
+    /// and the rows narrow to the labels left.
+    fn sweep(&mut self, now: SimTime, neighbours: impl Iterator<Item = NodeId>) {
+        for i in (0..self.two_hop.len()).rev() {
+            if self.two_hop[i].expires <= now {
+                self.remove_two_hop(i);
+            }
+        }
+        let (n, w) = (self.labels.ids.len(), self.words);
+        let mut live = vec![0u64; w];
+        set_bit(&mut live, 0);
+        for (e, rows) in self.two_hop.iter().zip(self.listed.chunks_exact(2 * w)) {
+            set_bit(&mut live, e.label);
+            live.iter_mut().zip(rows).for_each(|(l, r)| *l |= r);
+        }
+        for o in 0..n {
+            self.topology[o].entries.retain(|&(_, e)| e > now);
+            self.derive(o, now);
+            if !self.topology[o].entries.is_empty() {
+                set_bit(&mut live, o);
+                live.iter_mut().zip(&self.selectors[o * w..]).for_each(|(l, r)| *l |= r);
+            }
+        }
+        for id in neighbours {
+            set_bit(&mut live, self.labels.get(id));
+        }
+        let is_live = |v: usize| live[v / 64] & 1 << (v % 64) != 0;
+        if (0..n).all(is_live) {
+            return; // every label is still live: nothing moves
+        }
+        let mut new = vec![None; n];
+        let mut kept = 0usize;
+        for v in (0..n).filter(|&v| is_live(v)) {
+            new[v] = Some(kept);
+            kept += 1;
+        }
+        let words = kept.div_ceil(64);
+        self.listed = relayout(&self.listed, w, words, |_| true, |v| new[v]);
+        self.selectors = relayout(&self.selectors, w, words, is_live, |v| new[v]);
+        self.words = words;
+        for e in &mut self.two_hop {
+            e.label = new[e.label].unwrap_or(0); // every entry's label is live
+        }
+        let Labels { slot, ids } = &mut self.labels;
+        for id in &*ids {
+            slot[id.index()] = 0;
+        }
+        let mut v = 0..;
+        ids.retain(|_| v.next().is_some_and(is_live));
+        for (label, id) in ids.iter().enumerate() {
+            slot[id.index()] = label as u32 + 1;
+        }
+        let mut v = 0..;
+        self.hop.retain(|_| v.next().is_some_and(is_live));
+        let mut v = 0..;
+        self.topology.retain(|_| v.next().is_some_and(is_live));
+    }
+}
+
+/// `rows` of `old` words rewritten `words` words wide: row `u` is kept
+/// where `keep(u)`, and each of its bits `v` moves to `new(v)`, or goes
+/// where that is `None`.
+fn relayout(
+    rows: &[u64],
+    old: usize,
+    words: usize,
+    keep: impl Fn(usize) -> bool,
+    new: impl Fn(usize) -> Option<usize>,
+) -> Vec<u64> {
+    let mut out = Vec::with_capacity(rows.len() / old * words);
+    for (u, row) in rows.chunks_exact(old).enumerate() {
+        if !keep(u) {
+            continue;
+        }
+        let at = out.len();
+        out.resize(at + words, 0);
+        for (k, &word) in row.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                if let Some(v) = new(64 * k + bits.trailing_zeros() as usize) {
+                    set_bit(&mut out[at..], v);
+                }
+                bits &= bits - 1;
+            }
+        }
+    }
+    out
+}
+
+/// Sets bit `v` of a bitset row.
+#[inline]
+fn set_bit(row: &mut [u64], v: usize) {
+    row[v / 64] |= 1 << (v % 64);
 }
 
 impl Olsr {
@@ -242,10 +537,9 @@ impl Olsr {
             id,
             cfg,
             links: FxMap::default(),
-            two_hop: FxMap::default(),
+            sets: Sets::new(id),
             mpr_set: Vec::new(),
             mpr_selectors: FxMap::default(),
-            topology: FxMap::default(),
             // Pre-sized: one insert per flooded TC received; the
             // periodic retain keeps capacity, so reserving once
             // removes every growth rehash from the hot path.
@@ -298,13 +592,8 @@ impl Olsr {
     /// whether any state existed to expire.
     pub fn force_expire(&mut self, dest: NodeId) -> bool {
         let mut removed = self.links.remove(&dest).is_some();
-        removed |= self.two_hop.remove(&dest).is_some();
-        removed |= self.topology.remove(&dest).is_some_and(|(_, sels)| !sels.is_empty());
-        for (_, sels) in self.topology.values_mut() {
-            let before = sels.len();
-            sels.retain(|&(sel, _)| sel != dest);
-            removed |= sels.len() != before;
-        }
+        removed |= self.sets.forget(dest);
+        removed |= self.sets.expire_topology(dest);
         if removed {
             self.dirty = true;
         }
@@ -323,7 +612,9 @@ impl Olsr {
     /// Appends a canonical byte encoding of the complete protocol state
     /// to `out` (sorted iteration everywhere; see
     /// `ldr::Ldr::verification_digest` for the contract). The
-    /// allocation scratch is excluded — it carries no protocol state.
+    /// allocation scratch is excluded — it carries no protocol state —
+    /// and so are the labels and bitset rows: every entry is written by
+    /// id, and label order never reaches a table or an MPR set.
     pub fn verification_digest(&self, out: &mut Vec<u8>) {
         let mut links: Vec<(&NodeId, &LinkState)> = self.links.iter().collect();
         links.sort_unstable_by_key(|(n, _)| n.0);
@@ -333,16 +624,18 @@ impl Olsr {
             out.push(u8::from(l.sym));
             put_u64(out, l.expires.as_nanos());
         }
-        let mut two_hop: Vec<(&NodeId, &(Vec<NodeId>, SimTime))> = self.two_hop.iter().collect();
+        let ids = &self.sets.labels.ids;
+        let mut two_hop: Vec<(NodeId, &TwoHop)> =
+            self.sets.two_hop.iter().map(|e| (ids[e.label], e)).collect();
         two_hop.sort_unstable_by_key(|(n, _)| n.0);
         put_u64(out, two_hop.len() as u64);
-        for (n, (twos, exp)) in two_hop {
+        for (n, TwoHop { list, expires, .. }) in two_hop {
             put_u16(out, n.0);
-            put_u64(out, twos.len() as u64);
-            for t in twos {
+            put_u64(out, list.len() as u64);
+            for t in list {
                 put_u16(out, t.0);
             }
-            put_u64(out, exp.as_nanos());
+            put_u64(out, expires.as_nanos());
         }
         put_u64(out, self.mpr_set.len() as u64);
         for &n in &self.mpr_set {
@@ -396,8 +689,8 @@ impl Olsr {
     /// expiry), in no particular order.
     fn topology_entries(&self) -> Vec<(NodeId, NodeId, u16, SimTime)> {
         let mut v = Vec::new();
-        for (&orig, (ansn, sels)) in &self.topology {
-            v.extend(sels.iter().map(|&(sel, exp)| (orig, sel, *ansn, exp)));
+        for (&orig, origin) in self.sets.labels.ids.iter().zip(&self.sets.topology) {
+            v.extend(origin.entries.iter().map(|&(sel, exp)| (orig, sel, origin.ansn, exp)));
         }
         v
     }
@@ -418,58 +711,48 @@ impl Olsr {
     /// Greedy MPR selection over `n1`, the current symmetric
     /// neighbours ascending by id: cover every strict two-hop neighbour.
     ///
-    /// This node and `n1` take the first labels, so an id listed by a
-    /// neighbour is a strict two-hop node exactly when its label lies
-    /// past them, and that excess is its bit: each neighbour gets a
-    /// bitset row of the two-hop nodes it reaches. A neighbour is
-    /// mandatory when it is the only *listing* of some `t`. Multiplicity
-    /// counts: a (corrupt) hello naming `t` twice makes two listings,
-    /// which the greedy step covers like any other. That step takes the
-    /// neighbour covering the most uncovered nodes, the smallest id
-    /// among equals (`n1` order and a strict `>`). Bits are numbered in
-    /// the order a hash map happened to be walked, and that cannot reach
-    /// the MPR set: the greedy step only ever counts the bits of a row.
+    /// Each neighbour's cover row is its two-hop bitset less this node
+    /// and `n1`. A neighbour is mandatory when it is the only *listing*
+    /// of some `t`. Multiplicity counts: a (corrupt) hello naming `t`
+    /// twice makes two listings, which the greedy step covers like any
+    /// other — so the bits listed exactly once are those a ones/twos
+    /// accumulator over the rows, fed the listed-twice bits besides,
+    /// leaves in `ones` alone. The greedy step takes the neighbour
+    /// covering the most uncovered nodes, the smallest id among equals
+    /// (`n1` order and a strict `>`). Which bit a two-hop node has is
+    /// label order, and that cannot reach the MPR set: the greedy step
+    /// only ever counts the bits of a row.
     pub(crate) fn recompute_mprs(&mut self, now: SimTime, n1: &[NodeId]) {
-        let scr = &mut self.scratch;
-        scr.labels.reset(usize::MAX);
-        scr.labels.of(self.id);
-        for &n in n1 {
-            scr.labels.of(n);
-        }
-        let one_hop = scr.labels.ids.len();
-        scr.pairs.clear();
-        scr.listings.clear();
-        for (p, n) in n1.iter().enumerate() {
-            let Some((twos, _)) = self.two_hop.get(n).filter(|(_, exp)| *exp > now) else {
-                continue;
-            };
-            for &t in twos {
-                if let Some(bit) = scr.labels.of(t).and_then(|l| l.checked_sub(one_hop)) {
-                    if bit == scr.listings.len() {
-                        scr.listings.push(0);
-                    }
-                    scr.listings[bit] += 1;
-                    scr.pairs.push((bit, p));
-                }
-            }
-        }
-        let bits = scr.listings.len();
-        let words = bits.div_ceil(64);
+        let (sets, scr, w) = (&self.sets, &mut self.scratch, self.sets.words);
         scr.cover.clear();
-        scr.cover.resize((n1.len() + 1) * words, 0);
+        scr.cover.resize((n1.len() + 3) * w, 0);
         scr.selected.clear();
         scr.selected.resize(n1.len(), false);
-        let (cover, uncovered) = scr.cover.split_at_mut(n1.len() * words);
-        for &(bit, p) in &scr.pairs {
-            cover[p * words + bit / 64] |= 1 << (bit % 64);
-            if scr.listings[bit] == 1 {
-                scr.selected[p] = true;
+        let (cover, acc) = scr.cover.split_at_mut(n1.len() * w);
+        let (ones, acc) = acc.split_at_mut(w);
+        let (twos, near) = acc.split_at_mut(w);
+        set_bit(near, 0);
+        for &n in n1 {
+            set_bit(near, sets.labels.get(n));
+        }
+        for (p, &n) in n1.iter().enumerate() {
+            let Some((i, _)) = sets.two_hop_of(sets.labels.get(n)).filter(|(_, e)| e.expires > now)
+            else {
+                continue;
+            };
+            let (listed, twice) = sets.listed[2 * i * w..2 * (i + 1) * w].split_at(w);
+            for (k, (&listed, &twice)) in listed.iter().zip(twice).enumerate() {
+                let row = listed & !near[k];
+                cover[p * w + k] = row;
+                twos[k] |= (ones[k] | twice) & row;
+                ones[k] |= row;
             }
         }
-        for bit in 0..bits {
-            uncovered[bit / 64] |= 1 << (bit % 64);
+        let row = |p: usize| &cover[p * w..(p + 1) * w];
+        for (p, selected) in scr.selected.iter_mut().enumerate() {
+            *selected = row(p).iter().zip(&*ones).zip(&*twos).any(|((c, o), t)| c & o & !t != 0);
         }
-        let row = |p: usize| &cover[p * words..(p + 1) * words];
+        let uncovered = ones;
         let strike = |uncovered: &mut [u64], p: usize| {
             uncovered.iter_mut().zip(row(p)).for_each(|(u, c)| *u &= !c);
         };
@@ -497,37 +780,38 @@ impl Olsr {
         self.mpr_set.extend(n1.iter().zip(&scr.selected).filter(|(_, &s)| s).map(|(&n, _)| n));
     }
 
-    /// Labels every vertex of the known graph — this node 0, `n1` next
-    /// in its own order, everything else on first sight — and ORs each
-    /// live directed link into `rows`, `words` words per row. `None` if
-    /// the graph has more than `64 * words` vertices: nothing built is
-    /// usable then.
-    fn build_rows(&mut self, now: SimTime, words: usize) -> Option<()> {
-        let Scratch { labels, n1, rows, .. } = &mut self.scratch;
-        labels.reset(64 * words);
+    /// ORs every live directed link into `rows`, one row of
+    /// [`Sets::words`] words per label: each live two-hop row copied,
+    /// then each live originator's selector row and its transpose,
+    /// after re-deriving the rows whose earliest expiry has passed.
+    fn build_rows(&mut self, now: SimTime) {
+        let (sets, rows) = (&mut self.sets, &mut self.scratch.rows);
+        let (n, w) = (sets.labels.ids.len(), sets.words);
         rows.clear();
-        rows.resize(64 * words * words, 0);
-        labels.of(self.id)?;
-        for &n in &*n1 {
-            labels.of(n)?;
+        rows.resize(n * w, 0);
+        for (e, listed) in sets.two_hop.iter().zip(sets.listed.chunks_exact(2 * w)) {
+            if e.expires > now {
+                rows[e.label * w..(e.label + 1) * w].copy_from_slice(&listed[..w]);
+            }
         }
-        for (&n, (twos, exp)) in &self.two_hop {
-            if *exp > now {
-                let row = labels.of(n)? * words;
-                for &t in twos {
-                    let v = labels.of(t)?;
-                    rows[row + v / 64] |= 1 << (v % 64);
+        for o in 0..n {
+            let origin = &sets.topology[o];
+            if origin.entries.is_empty() {
+                continue;
+            }
+            if origin.earliest <= now {
+                sets.derive(o, now);
+            }
+            for k in 0..w {
+                let mut bits = sets.selectors[o * w + k];
+                rows[o * w + k] |= bits;
+                while bits != 0 {
+                    let v = 64 * k + bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    set_bit(&mut rows[v * w..], o);
                 }
             }
         }
-        for (&orig, (_, sels)) in &self.topology {
-            for &(sel, _) in sels.iter().filter(|(_, exp)| *exp > now) {
-                let (u, v) = (labels.of(orig)?, labels.of(sel)?);
-                rows[u * words + v / 64] |= 1 << (v % 64);
-                rows[v * words + u / 64] |= 1 << (u % 64);
-            }
-        }
-        Some(())
     }
 
     /// Hop-count shortest paths by breadth-first search over links,
@@ -535,61 +819,57 @@ impl Olsr {
     ///
     /// Runs once per forwarding decision after a topology change, so it
     /// is the hottest code in the protocol at paper scale. The graph is
-    /// built as one bitset row per vertex over dense labels
-    /// ([`Olsr::build_rows`]; a repeated or doubly-learned link vanishes
-    /// in the OR), and expanding a vertex is `row & !seen` a word at a
-    /// time, each new bit claimed on the spot — every vertex exactly
-    /// once. Storage follows the number of vertices, not the size of
-    /// their ids (`64 · words²` row words, 2 KB for up to 128 vertices);
-    /// only the table is indexed by id, and it is sized to the highest
-    /// id alive in this search, so what a corrupt id costs ends when its
-    /// entry expires.
+    /// one bitset row per label ([`Olsr::build_rows`]; a repeated or
+    /// doubly-learned link vanishes in the OR), and expanding a vertex is
+    /// `row & !seen` a word at a time, each new bit claimed on the spot —
+    /// every vertex exactly once. Storage follows the number of labels —
+    /// handed out on receipt, persistent, dense again after each CLEANUP
+    /// — not the size of their ids: `labels × words` row words, 1.6 KB
+    /// for 100 labels. Only the table is indexed by id, and it grows to
+    /// the highest id this search reaches, so what a corrupt id costs the
+    /// table ends when its entry expires, and its label and row width at
+    /// the next CLEANUP.
     ///
-    /// A vertex's children are claimed in label order, which is `n1`
-    /// order for the one-hop set and otherwise the order a hash map was
-    /// walked in. That does not reach the table: the queue starts as the
-    /// one-hop set ascending by id, so at every level the vertices
-    /// sharing a first hop sit together, smaller first hops before
-    /// larger ones, however each parent's children are ordered among
-    /// themselves. A vertex is claimed by its earliest-queued parent,
-    /// which therefore carries the smallest first hop of any shortest
-    /// path to it (DESIGN.md §3 has the induction).
+    /// A vertex's children are claimed in label order, which is the
+    /// order the ids entered the link state, relabelled at each CLEANUP.
+    /// That does not reach the table: the queue starts as the one-hop
+    /// set ascending by id, so at every level the vertices sharing a
+    /// first hop sit together, smaller first hops before larger ones,
+    /// however each parent's children are ordered among themselves. A
+    /// vertex is claimed by its earliest-queued parent, which therefore
+    /// carries the smallest first hop of any shortest path to it
+    /// (DESIGN.md §3 has the induction).
     fn recompute_routes(&mut self, now: SimTime) {
         self.dirty = false;
         sym_links_into(&self.links, now, &mut self.scratch.n1);
-        let mut words = self.scratch.row_words.max(INITIAL_LABELS / 64);
-        while self.build_rows(now, words).is_none() {
-            words *= 2;
-        }
-        let Scratch { labels: Labels { ids, .. }, n1, rows, row_words, seen, queue, .. } =
-            &mut self.scratch;
-        *row_words = ids.len().div_ceil(64);
-        let highest = ids.iter().map(|id| id.index()).max().unwrap_or(0);
-        self.table.clear();
-        self.table.resize(highest + 1, (NodeId(0), 0));
-        // Labels 1.. are `n1` in order, less this node should it list
-        // itself: level one. This node, label 0, is seen from the start.
-        let level_one = 1..=n1.iter().filter(|&&n| n != self.id).count();
+        self.build_rows(now);
+        let (ids, w) = (&self.sets.labels.ids, self.sets.words);
+        let Scratch { n1, rows, seen, queue, .. } = &mut self.scratch;
+        let table = &mut self.table;
+        table.clear();
+        // Level one is `n1`, less this node should it list itself. This
+        // node, label 0, is seen from the start.
         seen.clear();
-        seen.resize(words, 0);
+        seen.resize(w, 0);
         seen[0] = 1;
         queue.clear();
-        for l in level_one {
-            seen[l / 64] |= 1 << (l % 64);
-            self.table[ids[l].index()] = (ids[l], 1);
+        for &n in n1.iter().filter(|&&n| n != self.id) {
+            let l = self.sets.labels.get(n);
+            set_bit(seen, l);
+            install(table, n, (n, 1));
             queue.push(l);
         }
         let mut head = 0;
         while let Some(&u) = queue.get(head) {
             head += 1;
-            let (first_hop, hops) = self.table[ids[u].index()];
-            for (w, (row, seen)) in rows[u * words..].iter().zip(seen.iter_mut()).enumerate() {
+            let (first_hop, hops) = table[ids[u].index()];
+            for (k, (row, seen)) in rows[u * w..].iter().zip(seen.iter_mut()).enumerate() {
                 let mut new = row & !*seen;
                 *seen |= new;
                 while new != 0 {
-                    let v = 64 * w + new.trailing_zeros() as usize;
+                    let v = 64 * k + new.trailing_zeros() as usize;
                     new &= new - 1;
-                    self.table[ids[v].index()] = (first_hop, hops + 1);
+                    install(table, ids[v], (first_hop, hops + 1));
                     queue.push(v);
                 }
             }
@@ -710,10 +990,7 @@ impl Olsr {
         self.links.insert(prev, LinkState { sym: hears_us, expires: now + hold });
         // Two-hop set (only via symmetric links): the neighbour's list
         // replaces the one it sent before, in the same allocation.
-        let (twos, expires) = self.two_hop.entry(prev).or_default();
-        twos.clear();
-        twos.extend(h.sym());
-        *expires = now + hold;
+        self.sets.hear(prev, h.sym(), now + hold);
         // MPR selector set.
         if selects_us {
             self.mpr_selectors.insert(prev, now + hold);
@@ -732,21 +1009,8 @@ impl Olsr {
         let seen = self.dup.get(&dkey).is_some_and(|&e| e > now);
         if !seen {
             self.dup.insert(dkey, now + self.cfg.duplicate_hold);
-            // ANSN logic: ignore stale sets; replace older ones.
-            let (ansn, sels) = self.topology.entry(tc.originator).or_default();
-            let stale = !sels.is_empty() && ansn_newer(*ansn, tc.ansn);
-            if !stale {
-                if *ansn != tc.ansn {
-                    sels.clear();
-                    *ansn = tc.ansn;
-                }
-                let expires = now + self.cfg.topology_hold;
-                for sel in tc.selectors() {
-                    match sels.iter_mut().find(|(s, _)| *s == sel) {
-                        Some(known) => known.1 = expires,
-                        None => sels.push((sel, expires)),
-                    }
-                }
+            let expires = now + self.cfg.topology_hold;
+            if self.sets.advertise(tc.originator, tc.ansn, tc.selectors(), expires) {
                 self.dirty = true;
             }
             // Default forwarding: retransmit only if the sender selected
@@ -758,6 +1022,16 @@ impl Olsr {
             }
         }
     }
+}
+
+/// Writes `route` towards `dest` into an id-indexed table, growing it
+/// to `dest` first if it is shorter.
+#[inline]
+fn install(table: &mut Vec<(NodeId, u32)>, dest: NodeId, route: (NodeId, u32)) {
+    if table.len() <= dest.index() {
+        table.resize(dest.index() + 1, (NodeId(0), 0));
+    }
+    table[dest.index()] = route;
 }
 
 /// The route an id-indexed table holds towards `dest`, if any.
@@ -798,10 +1072,9 @@ impl RoutingProtocol for Olsr {
         // Link-state soft state is all volatile; neighbours age the
         // crashed incarnation's TCs out on their own timers.
         self.links.clear();
-        self.two_hop.clear();
+        self.sets = Sets::new(self.id);
         self.mpr_set.clear();
         self.mpr_selectors.clear();
-        self.topology.clear();
         self.dup.clear();
         self.table.clear();
         self.dirty = false;
@@ -879,12 +1152,8 @@ impl RoutingProtocol for Olsr {
             CLEANUP_TOKEN => {
                 let now = ctx.now();
                 self.dup.retain(|_, &mut e| e > now);
-                self.topology.retain(|_, (_, sels)| {
-                    sels.retain(|&(_, e)| e > now);
-                    !sels.is_empty()
-                });
                 self.links.retain(|_, l| l.expires > now);
-                self.two_hop.retain(|_, (_, e)| *e > now);
+                self.sets.sweep(now, self.links.keys().copied());
                 self.dirty = true;
                 ctx.set_timer(SimDuration::from_secs(30), CLEANUP_TOKEN);
             }
@@ -896,7 +1165,7 @@ impl RoutingProtocol for Olsr {
         self.clock = ctx.now();
         if self.cfg.link_layer_feedback {
             self.links.remove(&next_hop);
-            self.two_hop.remove(&next_hop);
+            self.sets.forget(next_hop);
             self.dirty = true;
         }
         if let PacketBody::Data(data) = packet.body {

@@ -344,6 +344,11 @@ impl Twin {
         self.node.tc_from(1, tc);
     }
 
+    fn cleanup(&mut self) {
+        self.reference.cleanup(self.node.now);
+        self.node.call(|o, ctx| o.handle_timer(ctx, CLEANUP_TOKEN));
+    }
+
     /// Recomputes both tables and returns the node's, which must be the
     /// reference's.
     fn routes(&mut self) -> Vec<(NodeId, NodeId, u32)> {
@@ -356,10 +361,24 @@ impl Twin {
     }
 }
 
+/// The label count, row width and route-search row storage of `o`.
+fn layout(o: &Olsr) -> (usize, usize, usize) {
+    (o.sets.labels.ids.len(), o.sets.words, o.scratch.rows.len())
+}
+
+/// Whether every non-zero `slot` entry belongs to a label: what a label
+/// leaves behind when it goes is nothing.
+fn slots_match_labels(o: &Olsr) -> bool {
+    let Labels { slot, ids } = &o.sets.labels;
+    slot.iter().filter(|&&s| s != 0).count() == ids.len()
+        && ids.iter().enumerate().all(|(l, id)| slot[id.index()] as usize == l + 1)
+}
+
 /// One TC naming id 65535 makes the id-indexed table 65 536 entries
 /// long, but only while the entry lives: the search after
-/// `topology_hold` has lapsed is sized by the small ids again. Row
-/// storage follows the number of vertices and never notices.
+/// `topology_hold` has lapsed is sized by the small ids again. The
+/// corrupt id's label, and the row it adds, last until the next CLEANUP
+/// relabels what is live; row storage is `labels × words` throughout.
 #[test]
 fn a_corrupt_id_costs_a_long_table_only_while_its_entry_lives() {
     let mut t = Twin::new(0);
@@ -368,44 +387,75 @@ fn a_corrupt_id_costs_a_long_table_only_while_its_entry_lives() {
         t.tc(2, seq, &[3]);
         let routes = t.routes();
         assert_eq!(routes.len(), 3);
-        let scr = &t.node.olsr.scratch;
-        assert_eq!((t.node.olsr.table.len(), scr.row_words, scr.rows.len()), (4, 1, 64));
     };
     small(&mut t, 1);
+    assert_eq!((t.node.olsr.table.len(), layout(&t.node.olsr)), (4, (4, 1, 4)));
     t.tc(3, 1, &[65535]);
     assert_eq!(t.routes().last(), Some(&(NodeId(65535), NodeId(1), 4)));
-    let scr = &t.node.olsr.scratch;
-    assert_eq!((t.node.olsr.table.len(), scr.row_words, scr.rows.len()), (65536, 1, 64));
+    assert_eq!((t.node.olsr.table.len(), layout(&t.node.olsr)), (65536, (5, 1, 5)));
     t.node.now += OlsrConfig::default().topology_hold + SimDuration::from_secs(1);
     small(&mut t, 2);
-    let labels = &t.node.olsr.scratch.labels;
-    assert_eq!(labels.slot.iter().filter(|&&s| s != 0).count(), labels.ids.len());
+    assert_eq!((t.node.olsr.table.len(), layout(&t.node.olsr)), (4, (5, 1, 5)));
+    t.cleanup();
+    t.routes();
+    assert_eq!((t.node.olsr.table.len(), layout(&t.node.olsr)), (4, (4, 1, 4)));
+    assert!(slots_match_labels(&t.node.olsr));
+    assert_eq!(t.node.olsr.sets.labels.find(NodeId(65535)), None);
+}
+
+/// Self and 63 one-hop-listed ids fill one row word; a corrupt 65535
+/// takes label 64 and widens every row to two words. Once its entry has
+/// expired, the next CLEANUP takes its label, its `slot` entry and the
+/// second word away again.
+#[test]
+fn a_corrupt_ids_label_and_row_width_are_gone_after_the_next_cleanup() {
+    let mut t = Twin::new(0);
+    let listed: Vec<u16> = (0..64).filter(|&i| i != 1).collect();
+    t.hello_from(1, hello(&listed, &[], &[]));
+    t.routes();
+    assert_eq!(layout(&t.node.olsr), (64, 1, 64));
+    t.tc(2, 1, &[65535]);
+    assert_eq!(t.routes().last(), Some(&(NodeId(65535), NodeId(1), 3)));
+    assert_eq!(layout(&t.node.olsr), (65, 2, 130));
+    assert_eq!(t.node.olsr.sets.labels.find(NodeId(65535)), Some(64));
+    t.node.now += OlsrConfig::default().topology_hold + SimDuration::from_secs(1);
+    t.hello_from(1, hello(&listed, &[], &[]));
+    t.cleanup();
+    assert_eq!(t.routes().len(), 63);
+    assert_eq!(layout(&t.node.olsr), (64, 1, 64));
+    assert_eq!(t.node.olsr.sets.labels.find(NodeId(65535)), None);
+    assert!(t.node.olsr.sets.labels.slot.len() == 65536 && slots_match_labels(&t.node.olsr));
 }
 
 /// A chain `0 – id(1) – id(2) – … – id(200)` learned from 200 TCs: 201
-/// vertices, so a fresh node's search starts over twice (64 → 128 → 256
-/// labels) and then runs on four-word rows; the next search starts
-/// there. Ids are sparse and descending, so no label equals its id.
+/// labels, so the rows widen from one word to four as the labels arrive
+/// — past 64 and past 128 labels, the two doublings of the label count
+/// the search once started over at — and the search runs on four-word
+/// rows, 201 of them. Ids are sparse and descending, so no label equals
+/// its id.
 #[test]
 fn a_two_hundred_hop_chain_is_walked_across_two_doublings() {
     let id = |i: u16| 40_000 - 7 * i;
     let mut t = Twin::new(0);
     t.hello_from(id(1), hello(&[0], &[], &[]));
+    let mut widths = vec![t.node.olsr.sets.words];
     for i in (1..200).rev() {
         t.tc(id(i), 1, &[id(i + 1)]);
+        widths.extend(Some(t.node.olsr.sets.words).filter(|w| widths.last() != Some(w)));
     }
+    assert_eq!(widths, [1, 2, 3, 4]);
     for again in [false, true] {
         let routes = t.routes();
         let expected: Vec<_> =
             (1..=200).rev().map(|i| (NodeId(id(i)), NodeId(id(1)), u32::from(i))).collect();
         assert_eq!(routes, expected, "again: {again}");
-        let scr = &t.node.olsr.scratch;
-        assert_eq!((scr.row_words, scr.rows.len(), scr.seen.len()), (4, 64 * 4 * 4, 4));
+        assert_eq!((layout(&t.node.olsr), t.node.olsr.scratch.seen.len()), ((201, 4, 201 * 4), 4));
     }
 }
 
 /// `modelcheck` clones a node per explored state: the clone must not
-/// copy the scratch, and must compute what the original computes.
+/// copy the scratch, must carry the labels (link state now), and must
+/// compute what the original computes.
 #[test]
 fn a_clone_drops_the_scratch_and_computes_the_same() {
     let mut n = Node::new(0);
@@ -416,10 +466,12 @@ fn a_clone_drops_the_scratch_and_computes_the_same() {
     n.olsr.recompute_routes(n.now);
     n.hello_from(3, hello(&[0, 8], &[], &[])); // dirty again
     let scr = &n.olsr.scratch;
-    assert!(!scr.rows.is_empty() && !scr.cover.is_empty() && !scr.labels.slot.is_empty());
+    assert!(!scr.rows.is_empty() && !scr.cover.is_empty() && !scr.queue.is_empty());
     let mut c = Node { olsr: n.olsr.clone(), rng: SimRng::from_seed(0), now: n.now };
     let scr = &c.olsr.scratch;
-    assert_eq!(scr.rows.capacity() + scr.cover.capacity() + scr.labels.slot.capacity(), 0);
+    assert_eq!(scr.rows.capacity() + scr.cover.capacity() + scr.queue.capacity(), 0);
+    assert_eq!(c.olsr.sets.labels.ids, n.olsr.sets.labels.ids);
+    assert_eq!(c.olsr.sets.labels.ids.len(), 9, "0–8");
     let observe = |n: &mut Node| {
         n.select_mprs();
         n.olsr.force_recompute();
@@ -753,14 +805,14 @@ mod differential {
     /// vertices, the route search starts over with twice the room, and
     /// rows, `seen` and the MPR cover run to several words.
     #[derive(Clone, Copy)]
-    struct Ids {
+    pub(super) struct Ids {
         pool: u16,
         wide: bool,
         run: u16,
     }
 
     impl Ids {
-        fn shape(shape: u16) -> Self {
+        pub(super) fn shape(shape: u16) -> Self {
             match shape {
                 0 => Ids { pool: 6, wide: true, run: 1 },
                 1..=3 => Ids { pool: 125 + 25 * shape, wide: false, run: 12 },
@@ -768,7 +820,7 @@ mod differential {
             }
         }
 
-        fn node(self, raw: u16) -> NodeId {
+        pub(super) fn node(self, raw: u16) -> NodeId {
             match raw % 8 {
                 0 if self.wide => NodeId(raw),
                 1 if self.wide => NodeId(u16::MAX - raw / 8 % 3),
@@ -776,7 +828,7 @@ mod differential {
             }
         }
 
-        fn nodes(self, raw: &[u16]) -> Vec<NodeId> {
+        pub(super) fn nodes(self, raw: &[u16]) -> Vec<NodeId> {
             // `node` reads the id off `raw / 8`: steps of 8 are neighbours.
             let run = |r: u16| (0..self.run).map(move |k| self.node(r.wrapping_add(8 * k)));
             raw.iter().flat_map(|&r| run(r)).collect()
@@ -786,14 +838,14 @@ mod differential {
     /// An ANSN near `base`: equal, just older, just newer, or half the
     /// number space away (where "newer" flips) — and since each draw
     /// moves `base`, around every wrap position in turn.
-    fn ansn(base: u16, pick: u16) -> u16 {
+    pub(super) fn ansn(base: u16, pick: u16) -> u16 {
         const STEPS: [u16; 9] = [0, 0, 1, 2, u16::MAX, u16::MAX - 1, 32767, 32768, 32769];
         base.wrapping_add(STEPS[usize::from(pick) % STEPS.len()])
     }
 
     /// Clock steps in ms: mostly sub-second, sometimes across
     /// `neighbor_hold` (6 s) or `topology_hold` (15 s).
-    const CLOCK_STEPS_MS: [u64; 16] =
+    pub(super) const CLOCK_STEPS_MS: [u64; 16] =
         [0, 0, 1, 1, 50, 300, 300, 900, 900, 2100, 2100, 2100, 2100, 3100, 6100, 16000];
 
     /// One step: (what, two raw ids, three raw id lists, a free pick).
@@ -953,6 +1005,318 @@ mod differential {
                 pair.assert_same();
                 pair.recompute();
                 pair.assert_same();
+            }
+        }
+    }
+}
+
+/// `recompute_mprs`, `build_rows` and the route search as they were
+/// while each computation handed out labels of its own, in order of
+/// first sight, reading the link state entry by entry and id by id: the
+/// oracles for [`labelled`].
+mod oracle {
+    use super::super::*;
+
+    /// Dense labels `0, 1, 2, …` in order of first sight for the sparse
+    /// ids of one computation, as many as it has made room for.
+    struct Labels {
+        room: usize,
+        /// By id: its label plus one, or 0 for an id not met yet.
+        slot: Vec<u32>,
+        /// By label: the id.
+        ids: Vec<NodeId>,
+    }
+
+    impl Labels {
+        fn new(room: usize) -> Self {
+            Labels { room, slot: Vec::new(), ids: Vec::new() }
+        }
+
+        /// The label of `id`, the next free one if it has none yet —
+        /// `None` if there is no room for another.
+        fn of(&mut self, id: NodeId) -> Option<usize> {
+            match self.slot.get(id.index()) {
+                Some(&slot) if slot != 0 => Some(slot as usize - 1),
+                _ => {
+                    if self.ids.len() == self.room {
+                        return None;
+                    }
+                    if self.slot.len() <= id.index() {
+                        self.slot.resize(id.index() + 1, 0);
+                    }
+                    self.ids.push(id);
+                    self.slot[id.index()] = self.ids.len() as u32;
+                    Some(self.ids.len() - 1)
+                }
+            }
+        }
+    }
+
+    /// The two-hop set as `(neighbour, list, expiry)`.
+    fn two_hop(o: &Olsr) -> impl Iterator<Item = (NodeId, &[NodeId], SimTime)> {
+        o.sets.two_hop.iter().map(|e| (o.sets.labels.ids[e.label], &e.list[..], e.expires))
+    }
+
+    /// The topology set as `(originator, [(selector, expiry)])`.
+    fn topology(o: &Olsr) -> impl Iterator<Item = (NodeId, &[(NodeId, SimTime)])> {
+        o.sets.labels.ids.iter().zip(&o.sets.topology).map(|(&id, t)| (id, &t.entries[..]))
+    }
+
+    /// Greedy MPR selection over `n1`: this node and `n1` take the first
+    /// labels, a listed id labelled past them is a strict two-hop node
+    /// and the excess is its cover bit, with a listing count beside it.
+    pub fn mprs(o: &Olsr, now: SimTime, n1: &[NodeId]) -> Vec<NodeId> {
+        let mut labels = Labels::new(usize::MAX);
+        labels.of(o.id);
+        for &n in n1 {
+            labels.of(n);
+        }
+        let one_hop = labels.ids.len();
+        let (mut pairs, mut listings) = (Vec::new(), Vec::<u32>::new());
+        for (p, n) in n1.iter().enumerate() {
+            let Some((_, twos, _)) = two_hop(o).find(|&(m, _, exp)| m == *n && exp > now) else {
+                continue;
+            };
+            for &t in twos {
+                if let Some(bit) = labels.of(t).and_then(|l| l.checked_sub(one_hop)) {
+                    if bit == listings.len() {
+                        listings.push(0);
+                    }
+                    listings[bit] += 1;
+                    pairs.push((bit, p));
+                }
+            }
+        }
+        let bits = listings.len();
+        let words = bits.div_ceil(64);
+        let mut cover = vec![0u64; (n1.len() + 1) * words];
+        let mut selected = vec![false; n1.len()];
+        let (cover, uncovered) = cover.split_at_mut(n1.len() * words);
+        for &(bit, p) in &pairs {
+            cover[p * words + bit / 64] |= 1 << (bit % 64);
+            if listings[bit] == 1 {
+                selected[p] = true;
+            }
+        }
+        for bit in 0..bits {
+            uncovered[bit / 64] |= 1 << (bit % 64);
+        }
+        let row = |p: usize| &cover[p * words..(p + 1) * words];
+        let strike = |uncovered: &mut [u64], p: usize| {
+            uncovered.iter_mut().zip(row(p)).for_each(|(u, c)| *u &= !c);
+        };
+        for p in (0..n1.len()).filter(|&p| selected[p]) {
+            strike(uncovered, p);
+        }
+        while uncovered.iter().any(|&w| w != 0) {
+            let mut best = (0, 0);
+            for p in (0..n1.len()).filter(|&p| !selected[p]) {
+                let covers: u32 =
+                    row(p).iter().zip(&*uncovered).map(|(c, u)| (c & u).count_ones()).sum();
+                if covers > best.0 {
+                    best = (covers, p);
+                }
+            }
+            if best.0 == 0 {
+                break;
+            }
+            selected[best.1] = true;
+            strike(uncovered, best.1);
+        }
+        n1.iter().zip(&selected).filter(|(_, &s)| s).map(|(&n, _)| n).collect()
+    }
+
+    /// Labels every vertex of the known graph — this node 0, `n1` next
+    /// in its own order, everything else on first sight — and ORs each
+    /// live directed link into rows of `words` words. `None` if the
+    /// graph has more than `64 * words` vertices.
+    fn build_rows(
+        o: &Olsr,
+        now: SimTime,
+        n1: &[NodeId],
+        words: usize,
+    ) -> Option<(Labels, Vec<u64>)> {
+        let mut labels = Labels::new(64 * words);
+        let mut rows = vec![0u64; 64 * words * words];
+        labels.of(o.id)?;
+        for &n in n1 {
+            labels.of(n)?;
+        }
+        for (n, twos, exp) in two_hop(o) {
+            if exp > now {
+                let row = labels.of(n)? * words;
+                for &t in twos {
+                    let v = labels.of(t)?;
+                    rows[row + v / 64] |= 1 << (v % 64);
+                }
+            }
+        }
+        for (orig, sels) in topology(o) {
+            for &(sel, _) in sels.iter().filter(|(_, exp)| *exp > now) {
+                let (u, v) = (labels.of(orig)?, labels.of(sel)?);
+                rows[u * words + v / 64] |= 1 << (v % 64);
+                rows[v * words + u / 64] |= 1 << (u % 64);
+            }
+        }
+        Some((labels, rows))
+    }
+
+    /// The route search over [`build_rows`], starting over with twice
+    /// the room until the graph fits: `(destination, next hop, hops)`,
+    /// ascending by destination.
+    pub fn routes(o: &Olsr, now: SimTime) -> Vec<(NodeId, NodeId, u32)> {
+        let mut n1 = Vec::new();
+        sym_links_into(&o.links, now, &mut n1);
+        let mut words = 1;
+        let (Labels { ids, .. }, rows) = loop {
+            match build_rows(o, now, &n1, words) {
+                Some(built) => break built,
+                None => words *= 2,
+            }
+        };
+        let highest = ids.iter().map(|id| id.index()).max().unwrap_or(0);
+        let mut table = vec![(NodeId(0), 0); highest + 1];
+        // Labels 1.. are `n1` in order, less this node should it list
+        // itself: level one. This node, label 0, is seen from the start.
+        let mut seen = vec![0u64; words];
+        seen[0] = 1;
+        let mut queue = Vec::new();
+        for l in 1..=n1.iter().filter(|&&n| n != o.id).count() {
+            seen[l / 64] |= 1 << (l % 64);
+            table[ids[l].index()] = (ids[l], 1);
+            queue.push(l);
+        }
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            let (first_hop, hops) = table[ids[u].index()];
+            for (w, (row, seen)) in rows[u * words..].iter().zip(seen.iter_mut()).enumerate() {
+                let mut new = row & !*seen;
+                *seen |= new;
+                while new != 0 {
+                    let v = 64 * w + new.trailing_zeros() as usize;
+                    new &= new - 1;
+                    table[ids[v].index()] = (first_hop, hops + 1);
+                    queue.push(v);
+                }
+            }
+        }
+        (0..=u16::MAX)
+            .zip(table)
+            .filter(|&(_, (_, hops))| hops != 0)
+            .map(|(dest, (next, hops))| (NodeId(dest), next, hops))
+            .collect()
+    }
+}
+
+/// One node driven through random HELLO / TC / clock / CLEANUP /
+/// link-failure / reboot sequences. After every step its MPR selection
+/// and its route search run, and each must match its [`oracle`] on the
+/// same state; the labels must be one per labelled id and the rows as
+/// wide and as many as the labels need, and right after a CLEANUP the
+/// labelled ids must be exactly those the link state still holds.
+mod labelled {
+    use super::differential::{ansn, Ids, CLOCK_STEPS_MS};
+    use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
+
+    const ME: u16 = 2;
+
+    /// Every id the link state holds, and this node.
+    fn held_ids(o: &Olsr) -> BTreeSet<NodeId> {
+        let mut held = BTreeSet::from([o.id]);
+        held.extend(o.links.keys());
+        for (orig, sel, ..) in o.topology_entries() {
+            held.extend([orig, sel]);
+        }
+        for e in &o.sets.two_hop {
+            held.insert(o.sets.labels.ids[e.label]);
+            held.extend(&e.list);
+        }
+        held
+    }
+
+    fn assert_layout(o: &Olsr) {
+        let s = &o.sets;
+        let (n, w) = (s.labels.ids.len(), s.words);
+        assert!(slots_match_labels(o), "a slot entry outlived its label");
+        assert_eq!(s.labels.ids[0], o.id, "this node is label 0");
+        assert_eq!(w, n.div_ceil(64), "row words for {n} labels");
+        assert_eq!((s.hop.len(), s.topology.len(), s.selectors.len()), (n, n, n * w));
+        assert_eq!(s.listed.len(), s.two_hop.len() * 2 * w);
+        assert_eq!(s.hop.iter().filter(|&&h| h != 0).count(), s.two_hop.len());
+        for (i, e) in s.two_hop.iter().enumerate() {
+            assert_eq!(s.hop[e.label] as usize, i + 1, "hop index of label {}", e.label);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn persistent_labels_compute_what_per_computation_labels_did(
+            shape in 0u16..64,
+            steps in prop::collection::vec(
+                (
+                    any::<u8>(),
+                    any::<u16>(),
+                    prop::collection::vec(any::<u16>(), 0..7),
+                    any::<u16>(),
+                ),
+                1..60,
+            ),
+        ) {
+            let ids = Ids::shape(shape);
+            let mut n = Node::new(ME);
+            let (mut tc_seq, mut last_ansn) = (0u16, 65533);
+            for (what, a, xs, pick) in steps {
+                n.now += SimDuration::from_millis(CLOCK_STEPS_MS[usize::from(pick % 16)]);
+                let now = n.now;
+                match what % 8 {
+                    0..=2 => {
+                        let mut sym = ids.nodes(&xs);
+                        if pick / 16 % 4 != 0 {
+                            sym.push(NodeId(ME)); // mostly symmetric links
+                        }
+                        if pick / 64 % 4 == 0 {
+                            sym.extend(sym.first().copied()); // a double listing
+                        }
+                        let mpr = ids.nodes(&xs[..xs.len() / 2]);
+                        n.hello_from(ids.node(a).0, Hello { sym, heard: vec![], mpr });
+                    }
+                    3 | 4 => {
+                        tc_seq = tc_seq.wrapping_add(1);
+                        last_ansn = ansn(last_ansn, pick / 16);
+                        let (originator, selectors) = (ids.node(a), ids.nodes(&xs));
+                        let tc = Tc { originator, ansn: last_ansn, seq: tc_seq, ttl: 3, selectors };
+                        n.tc_from(ids.node(pick).0, tc);
+                    }
+                    5 => {
+                        n.call(|o, ctx| o.handle_timer(ctx, CLEANUP_TOKEN));
+                        let labelled: BTreeSet<NodeId> =
+                            n.olsr.sets.labels.ids.iter().copied().collect();
+                        prop_assert_eq!(labelled, held_ids(&n.olsr), "labels right after CLEANUP");
+                    }
+                    6 => {
+                        let ctrl = ControlPacket { kind: ControlKind::Hello, bytes: vec![] };
+                        let body = PacketBody::Control(ctrl);
+                        let p = Packet { uid: 1, origin: NodeId(ME), body };
+                        n.call(|o, ctx| o.handle_unicast_failure(ctx, ids.node(a), p));
+                    }
+                    _ if pick % 8 == 0 => {
+                        n.call(|o, ctx| o.handle_reboot(ctx));
+                    }
+                    _ => {} // the clock alone moves
+                }
+                assert_layout(&n.olsr);
+                let n1 = n.olsr.sym_neighbors(now);
+                n.olsr.recompute_mprs(now, &n1);
+                prop_assert_eq!(n.olsr.mprs(), &oracle::mprs(&n.olsr, now, &n1)[..], "mprs");
+                n.olsr.recompute_routes(now);
+                let routes: Vec<_> = n.olsr.routes().collect();
+                prop_assert_eq!(routes, oracle::routes(&n.olsr, now), "routes");
+                let (labels, words, rows) = layout(&n.olsr);
+                prop_assert_eq!(rows, labels * words, "row storage");
             }
         }
     }
@@ -1130,7 +1494,8 @@ mod traced {
     /// A TC naming 65535 grows the table to 65 536 entries and its
     /// expiry shrinks it back; a smaller highest id than before must
     /// still invalidate the routes past it, and a larger one install
-    /// them.
+    /// them. The label 65535 took on receipt outlives the route until
+    /// the next CLEANUP, which drops it and traces nothing.
     #[test]
     fn a_corrupt_id_is_installed_and_invalidated_as_the_table_grows_and_shrinks() {
         let mut t = Traced::new();
@@ -1149,6 +1514,12 @@ mod traced {
         assert_eq!(got, want);
         assert!(matches!(got[..], [TraceEvent::RouteInvalidate { dest: NodeId(65535), .. }]));
         assert_eq!(t.node.olsr.table.len(), 4);
+        assert_eq!(t.node.olsr.sets.labels.find(NodeId(65535)), Some(3), "after 2, 1 and 3");
+        t.node.call(|o, ctx| o.handle_timer(ctx, CLEANUP_TOKEN));
+        let (got, want) = t.recompute(None);
+        assert_eq!((got, want), (vec![], vec![]));
+        assert_eq!((t.node.olsr.table.len(), t.node.olsr.sets.labels.ids.len()), (4, 3));
+        assert_eq!(t.node.olsr.sets.labels.find(NodeId(65535)), None);
         // Neighbour 1 goes; its replacement 9 lists 3 and a new 5.
         t.link_failure(NodeId(1));
         t.hello_from(NodeId(9), ids(&[ME, 3, 5]));

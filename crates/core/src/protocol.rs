@@ -858,7 +858,7 @@ impl RoutingProtocol for Ldr {
         self.cache.clear();
         // `clear`, not a fresh `Discoveries`: the generation counter
         // keeps running, so a retry timer armed before the reboot (the
-        // simulator does not retire them, ROADMAP 7(f)) never matches a
+        // simulator does not retire them, ROADMAP item 3) never matches a
         // discovery opened after it. AODV and DSR start over at zero and
         // can alias; each flavour is pinned by its protocol's unit tests.
         self.pending.clear();

@@ -1022,7 +1022,7 @@ fn post_reboot_replies_dominate_pre_crash_advertisements() {
 #[test]
 fn a_retry_timer_from_before_the_reboot_finds_no_discovery_after_it() {
     // The simulator does not retire a rebooted node's timers (ROADMAP
-    // 7(f)). LDR keeps counting generations across the reboot, so the
+    // item 3). LDR keeps counting generations across the reboot, so the
     // survivor is stale; AODV and DSR start over and it is not. No sweep
     // cell happens to show the difference, so each flavour is pinned here.
     let mut n = Node::new(0);

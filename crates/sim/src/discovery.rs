@@ -37,7 +37,7 @@ struct Discovery {
 ///   generation leaves its timers in flight; [`Discoveries::dest_of`]
 ///   maps them to nothing and the caller ignores them.
 /// * **Reboot.** Timers also outlive a reboot in the simulator (ROADMAP
-///   item 7(f)), and the two ways a protocol resets this value differ
+///   item 3), and the two ways a protocol resets this value differ
 ///   in what such a timer then meets. [`Discoveries::clear`] keeps the
 ///   generation counter, so no pre-reboot token names a post-reboot
 ///   discovery (LDR). Replacing the value with `Discoveries::default()`

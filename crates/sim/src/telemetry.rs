@@ -883,7 +883,7 @@ impl JsonlTrace {
     /// The document as a borrowed string, rendered on first use and
     /// kept until the next record. Kept for the frozen `benchmark/`
     /// package, whose traced run copies out of it; delete with ROADMAP
-    /// item 7(b). New callers want [`JsonlTrace::render`].
+    /// item 9(b). New callers want [`JsonlTrace::render`].
     pub fn contents(&self) -> &str {
         self.rendered.get_or_init(|| self.render())
     }
