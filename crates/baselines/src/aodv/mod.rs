@@ -15,7 +15,7 @@ use manet_sim::discovery::Discoveries;
 use manet_sim::hash::FxBuild;
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{
-    Ctx, DropReason, ProtoCounter, RouteDump, RouteTelemetry, RoutingProtocol,
+    Ctx, DropReason, ProtoCounter, ProtocolModel, RouteDump, RoutingProtocol,
 };
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::wire::{put_u16, put_u32, put_u64};
@@ -182,117 +182,8 @@ impl Aodv {
         self.routes.get(&dest)
     }
 
-    /// Whether a discovery for `dest` is in progress.
-    pub fn is_discovering(&self, dest: NodeId) -> bool {
-        self.pending.is_pending(dest)
-    }
-
     fn active(&self, dest: NodeId, now: SimTime) -> Option<&Route> {
         self.routes.get(&dest).filter(|r| r.is_active(now))
-    }
-
-    // ----- verification hooks ----------------------------------------------
-    //
-    // Counterparts of the `ldr::Ldr` hooks, used by `crates/modelcheck`
-    // to drive AODV through the same exhaustive event interleavings.
-
-    /// Forces the route towards `dest` (if any) to expire immediately —
-    /// the model checker's route-table-timeout transition. A timeout is
-    /// not an invalidation: `valid` and the stored sequence number are
-    /// untouched (RFC 3561 increments the number only on *detected*
-    /// breaks, which is exactly the distinction the known AODV loop
-    /// scenarios exploit).
-    pub fn force_expire(&mut self, dest: NodeId) -> bool {
-        match self.routes.get_mut(&dest) {
-            Some(r) => {
-                r.expires = SimTime::ZERO;
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Raises this node's own sequence number by one — the model
-    /// checker's destination-seqno-increment transition.
-    pub fn bump_own_seqno(&mut self) {
-        self.own_seq = self.own_seq.wrapping_add(1);
-    }
-
-    /// How many expanding-ring attempts the TTL schedule needs before
-    /// an RREQ reaches a destination `dist` hops away, or `None` when
-    /// the configured schedule tops out short of `dist`. Used by the
-    /// model checker's liveness executor to grant a probe discovery its
-    /// schedule-mandated retries and not one more.
-    pub fn discovery_attempts_for(&self, dist: u32) -> Option<u32> {
-        let mut attempt = 1u32;
-        while attempt < self.cfg.max_attempts && u32::from(self.cfg.ttl_for_attempt(attempt)) < dist
-        {
-            attempt += 1;
-        }
-        (u32::from(self.cfg.ttl_for_attempt(attempt)) >= dist).then_some(attempt)
-    }
-
-    /// Appends a canonical byte encoding of the complete protocol state
-    /// to `out` (sorted map iteration; see
-    /// `ldr::Ldr::verification_digest` for the contract).
-    pub fn verification_digest(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.own_seq);
-        put_u32(out, self.next_rreqid);
-        put_u64(out, self.clock.as_nanos());
-
-        let mut routes: Vec<(&NodeId, &Route)> = self.routes.iter().collect();
-        routes.sort_unstable_by_key(|(d, _)| d.0);
-        put_u64(out, routes.len() as u64);
-        for (dest, r) in routes {
-            put_u16(out, dest.0);
-            match r.seq {
-                None => out.push(0),
-                Some(s) => {
-                    out.push(1);
-                    put_u32(out, s);
-                }
-            }
-            put_u32(out, r.hops);
-            put_u16(out, r.next.0);
-            out.push(u8::from(r.valid));
-            put_u64(out, r.expires.as_nanos());
-            let mut pre: Vec<u16> = r.precursors.iter().map(|n| n.0).collect();
-            pre.sort_unstable();
-            put_u64(out, pre.len() as u64);
-            for p in pre {
-                put_u16(out, p);
-            }
-        }
-
-        let mut seen: Vec<(&(NodeId, u32), &SimTime)> = self.seen.iter().collect();
-        seen.sort_unstable_by_key(|((origin, rreqid), _)| (origin.0, *rreqid));
-        put_u64(out, seen.len() as u64);
-        for ((origin, rreqid), exp) in seen {
-            put_u16(out, origin.0);
-            put_u32(out, *rreqid);
-            put_u64(out, exp.as_nanos());
-        }
-
-        let mut fwd: Vec<_> = self.forwarded.iter().collect();
-        fwd.sort_unstable_by_key(|((orig, dst), _)| (orig.0, dst.0));
-        put_u64(out, fwd.len() as u64);
-        for ((orig, dst), (seq, hops, exp)) in fwd {
-            put_u16(out, orig.0);
-            put_u16(out, dst.0);
-            put_u32(out, *seq);
-            out.push(*hops);
-            put_u64(out, exp.as_nanos());
-        }
-
-        self.pending.digest(out);
-
-        let mut nb: Vec<(&NodeId, &SimTime)> = self.neighbors.iter().collect();
-        nb.sort_unstable_by_key(|(n, _)| n.0);
-        put_u64(out, nb.len() as u64);
-        for (n, deadline) in nb {
-            put_u16(out, n.0);
-            put_u64(out, deadline.as_nanos());
-        }
     }
 
     /// RFC 3561 §6.2 update rule: accept if the sequence number is
@@ -771,17 +662,6 @@ impl RoutingProtocol for Aodv {
         }
     }
 
-    fn route_successors(&self) -> Vec<(NodeId, NodeId)> {
-        let mut v: Vec<(NodeId, NodeId)> = self
-            .routes
-            .iter()
-            .filter(|(_, r)| r.is_active(self.clock))
-            .map(|(&d, r)| (d, r.next))
-            .collect();
-        v.sort_unstable_by_key(|(d, _)| d.0);
-        v
-    }
-
     fn route_table_dump(&self) -> Vec<RouteDump> {
         let mut v: Vec<RouteDump> = self
             .routes
@@ -802,18 +682,102 @@ impl RoutingProtocol for Aodv {
     fn own_seqno_value(&self) -> Option<f64> {
         Some(f64::from(self.own_seq))
     }
+}
 
-    fn telemetry_snapshot(&self) -> RouteTelemetry {
-        // Avoids the dump's allocation + sort; called per node on every
-        // sampler tick.
-        let mut t = RouteTelemetry::default();
-        for r in self.routes.values() {
-            t.entries += 1;
-            if r.is_active(self.clock) {
-                t.valid += 1;
+/// The model checker's hooks (see `ldr::Ldr`'s implementation), so
+/// `crates/modelcheck` drives AODV through the same exhaustive event
+/// interleavings.
+impl ProtocolModel for Aodv {
+    /// A timeout is not an invalidation: `valid` and the stored
+    /// sequence number are untouched (RFC 3561 increments the number
+    /// only on *detected* breaks, which is exactly the distinction the
+    /// known AODV loop scenarios exploit).
+    fn force_expire(&mut self, dest: NodeId) -> bool {
+        match self.routes.get_mut(&dest) {
+            Some(r) => {
+                r.expires = SimTime::ZERO;
+                true
+            }
+            None => false,
+        }
+    }
+
+    fn bump_own_seqno(&mut self) {
+        self.own_seq = self.own_seq.wrapping_add(1);
+    }
+
+    fn digest(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.own_seq);
+        put_u32(out, self.next_rreqid);
+        put_u64(out, self.clock.as_nanos());
+
+        let mut routes: Vec<(&NodeId, &Route)> = self.routes.iter().collect();
+        routes.sort_unstable_by_key(|(d, _)| d.0);
+        put_u64(out, routes.len() as u64);
+        for (dest, r) in routes {
+            put_u16(out, dest.0);
+            match r.seq {
+                None => out.push(0),
+                Some(s) => {
+                    out.push(1);
+                    put_u32(out, s);
+                }
+            }
+            put_u32(out, r.hops);
+            put_u16(out, r.next.0);
+            out.push(u8::from(r.valid));
+            put_u64(out, r.expires.as_nanos());
+            let mut pre: Vec<u16> = r.precursors.iter().map(|n| n.0).collect();
+            pre.sort_unstable();
+            put_u64(out, pre.len() as u64);
+            for p in pre {
+                put_u16(out, p);
             }
         }
-        t
+
+        let mut seen: Vec<(&(NodeId, u32), &SimTime)> = self.seen.iter().collect();
+        seen.sort_unstable_by_key(|((origin, rreqid), _)| (origin.0, *rreqid));
+        put_u64(out, seen.len() as u64);
+        for ((origin, rreqid), exp) in seen {
+            put_u16(out, origin.0);
+            put_u32(out, *rreqid);
+            put_u64(out, exp.as_nanos());
+        }
+
+        let mut fwd: Vec<_> = self.forwarded.iter().collect();
+        fwd.sort_unstable_by_key(|((orig, dst), _)| (orig.0, dst.0));
+        put_u64(out, fwd.len() as u64);
+        for ((orig, dst), (seq, hops, exp)) in fwd {
+            put_u16(out, orig.0);
+            put_u16(out, dst.0);
+            put_u32(out, *seq);
+            out.push(*hops);
+            put_u64(out, exp.as_nanos());
+        }
+
+        self.pending.digest(out);
+
+        let mut nb: Vec<(&NodeId, &SimTime)> = self.neighbors.iter().collect();
+        nb.sort_unstable_by_key(|(n, _)| n.0);
+        put_u64(out, nb.len() as u64);
+        for (n, deadline) in nb {
+            put_u16(out, n.0);
+            put_u64(out, deadline.as_nanos());
+        }
+    }
+
+    fn discovery_pending(&self, dest: NodeId) -> bool {
+        self.pending.is_pending(dest)
+    }
+
+    /// The expanding-ring attempts the TTL schedule needs.
+    fn discovery_attempts(&self, dist: u32) -> Option<u32> {
+        let mut attempt = 1u32;
+        while attempt < self.cfg.max_attempts && u32::from(self.cfg.ttl_for_attempt(attempt)) < dist
+        {
+            attempt += 1;
+        }
+        (u32::from(self.cfg.ttl_for_attempt(attempt)) >= dist).then_some(attempt)
     }
 }
 

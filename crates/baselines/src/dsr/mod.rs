@@ -24,7 +24,7 @@ use manet_sim::discovery::Discoveries;
 use manet_sim::hash::FxBuild;
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{
-    Ctx, DropReason, ProtoCounter, RouteDump, RouteTelemetry, RoutingProtocol,
+    Ctx, DropReason, ProtoCounter, ProtocolModel, RouteDump, RouteTelemetry, RoutingProtocol,
 };
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, TraceEvent};
@@ -133,96 +133,6 @@ impl Dsr {
     /// The route cache (for tests and inspection).
     pub fn cache(&self) -> &RouteCache {
         &self.cache
-    }
-
-    /// Whether a discovery for `dest` is pending.
-    pub fn is_discovering(&self, dest: NodeId) -> bool {
-        self.pending.is_pending(dest)
-    }
-
-    // ----- verification hooks ----------------------------------------------
-    //
-    // Counterparts of the `ldr::Ldr` hooks, used by `crates/modelcheck`
-    // to drive DSR through the same exhaustive event interleavings.
-
-    /// Forces every cached path towards `dest` to time out — the model
-    /// checker's route-cache-timeout transition (the draft-07
-    /// RouteCacheTimeout, collapsed to an instant). Returns whether any
-    /// path existed to expire.
-    pub fn force_expire(&mut self, dest: NodeId) -> bool {
-        self.cache.remove_dest(dest) > 0
-    }
-
-    /// How many discovery attempts reach a destination `dist` hops
-    /// away: two when the first attempt is a non-propagating (TTL 1)
-    /// neighbourhood query that cannot get there, one otherwise —
-    /// `None` if the attempt budget forbids the propagating retry.
-    /// Used by the model checker's liveness executor.
-    pub fn discovery_attempts_for(&self, dist: u32) -> Option<u32> {
-        if self.cfg.non_propagating_first && dist > 1 {
-            (self.cfg.max_attempts >= 2).then_some(2)
-        } else {
-            Some(1)
-        }
-    }
-
-    /// Route-cache snapshot in the route-table dump shape the model
-    /// checker consumes: one row per destination (the shortest cached
-    /// path), `d = fd =` hop count, no sequence number. The simulator's
-    /// own `route_table_dump` stays empty — DSR keeps no next-hop table
-    /// and its loop freedom is per packet — so this view exists only
-    /// for verification.
-    pub fn verification_route_dump(&self) -> Vec<RouteDump> {
-        let now = self.clock;
-        let mut rows: Vec<RouteDump> = Vec::new();
-        for (path, _) in self.cache.entries_sorted() {
-            let (Some(&next), Some(&dest)) = (path.first(), path.last()) else { continue };
-            let hops = path.len() as u32;
-            match rows.iter_mut().find(|r| r.dest == dest) {
-                Some(row) => {
-                    if hops < row.dist {
-                        row.next = next;
-                        row.dist = hops;
-                    }
-                }
-                None => rows.push(RouteDump {
-                    dest,
-                    next,
-                    dist: hops,
-                    feasible_dist: None,
-                    seqno: None,
-                    valid: self.cache.lookup(dest, now).is_some(),
-                }),
-            }
-        }
-        rows.sort_unstable_by_key(|r| r.dest.0);
-        rows
-    }
-
-    /// Appends a canonical byte encoding of the complete protocol state
-    /// to `out` (sorted iteration everywhere; see
-    /// `ldr::Ldr::verification_digest` for the contract).
-    pub fn verification_digest(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.next_id);
-        put_u64(out, self.clock.as_nanos());
-        let entries = self.cache.entries_sorted();
-        put_u64(out, entries.len() as u64);
-        for (path, added) in entries {
-            put_u64(out, path.len() as u64);
-            for n in path {
-                put_u16(out, n.0);
-            }
-            put_u64(out, added.as_nanos());
-        }
-        let mut seen: Vec<(&(NodeId, u32), &SimTime)> = self.seen.iter().collect();
-        seen.sort_unstable_by_key(|((origin, id), _)| (origin.0, *id));
-        put_u64(out, seen.len() as u64);
-        for ((origin, id), exp) in seen {
-            put_u16(out, origin.0);
-            put_u32(out, *id);
-            put_u64(out, exp.as_nanos());
-        }
-        self.pending.digest(out);
     }
 
     fn send_with_route(&mut self, ctx: &mut Ctx, mut data: DataPacket, cached: Vec<NodeId>) {
@@ -562,24 +472,98 @@ impl RoutingProtocol for Dsr {
         ctx.drop_data(data, DropReason::BrokenSourceRoute);
     }
 
-    fn route_successors(&self) -> Vec<(NodeId, NodeId)> {
-        // DSR keeps no next-hop table; loop freedom is per packet
-        // (source routes never repeat a node), so the successor-graph
-        // auditor does not apply.
-        Vec::new()
-    }
-
-    fn route_table_dump(&self) -> Vec<RouteDump> {
-        Vec::new()
-    }
-
     fn telemetry_snapshot(&self) -> RouteTelemetry {
-        // DSR's "table" is the path cache: entries = cached paths,
-        // valid = paths still alive under the draft-07 timeout (all of
-        // them under draft-03's never-expiring caches).
+        // `route_table_dump` keeps the empty default: DSR has no
+        // next-hop table, and loop freedom is per packet (source routes
+        // never repeat a node), so the successor-graph auditors have
+        // nothing to check. Its "table" is the path cache: entries =
+        // cached paths, valid = paths still alive under the draft-07
+        // timeout (all of them under draft-03's never-expiring caches).
         RouteTelemetry {
             entries: self.cache.len() as u64,
             valid: self.cache.live_paths(self.clock) as u64,
+        }
+    }
+}
+
+/// The model checker's hooks (see `ldr::Ldr`'s implementation), so
+/// `crates/modelcheck` drives DSR through the same exhaustive event
+/// interleavings. The loop check reads successors off the empty
+/// `route_table_dump`, so it is vacuous here by design.
+impl ProtocolModel for Dsr {
+    /// Every cached path towards `dest` times out — the draft-07
+    /// RouteCacheTimeout, collapsed to an instant.
+    fn force_expire(&mut self, dest: NodeId) -> bool {
+        self.cache.remove_dest(dest) > 0
+    }
+
+    fn digest(&self, out: &mut Vec<u8>) {
+        put_u32(out, self.next_id);
+        put_u64(out, self.clock.as_nanos());
+        let entries = self.cache.entries_sorted();
+        put_u64(out, entries.len() as u64);
+        for (path, added) in entries {
+            put_u64(out, path.len() as u64);
+            for n in path {
+                put_u16(out, n.0);
+            }
+            put_u64(out, added.as_nanos());
+        }
+        let mut seen: Vec<(&(NodeId, u32), &SimTime)> = self.seen.iter().collect();
+        seen.sort_unstable_by_key(|((origin, id), _)| (origin.0, *id));
+        put_u64(out, seen.len() as u64);
+        for ((origin, id), exp) in seen {
+            put_u16(out, origin.0);
+            put_u32(out, *id);
+            put_u64(out, exp.as_nanos());
+        }
+        self.pending.digest(out);
+    }
+
+    /// The route cache in the dump shape: one row per destination (the
+    /// shortest cached path), `d = fd =` hop count, no sequence number.
+    /// The simulator-facing `route_table_dump` stays empty, so this view
+    /// exists only for verification: it lets the checker's expiry
+    /// transition enumerate cache timeouts.
+    fn dump(&self) -> Vec<RouteDump> {
+        let now = self.clock;
+        let mut rows: Vec<RouteDump> = Vec::new();
+        for (path, _) in self.cache.entries_sorted() {
+            let (Some(&next), Some(&dest)) = (path.first(), path.last()) else { continue };
+            let hops = path.len() as u32;
+            match rows.iter_mut().find(|r| r.dest == dest) {
+                Some(row) => {
+                    if hops < row.dist {
+                        row.next = next;
+                        row.dist = hops;
+                    }
+                }
+                None => rows.push(RouteDump {
+                    dest,
+                    next,
+                    dist: hops,
+                    feasible_dist: None,
+                    seqno: None,
+                    valid: self.cache.lookup(dest, now).is_some(),
+                }),
+            }
+        }
+        rows.sort_unstable_by_key(|r| r.dest.0);
+        rows
+    }
+
+    fn discovery_pending(&self, dest: NodeId) -> bool {
+        self.pending.is_pending(dest)
+    }
+
+    /// Two attempts when the first is a non-propagating (TTL 1)
+    /// neighbourhood query that cannot get there, one otherwise —
+    /// `None` if the attempt budget forbids the propagating retry.
+    fn discovery_attempts(&self, dist: u32) -> Option<u32> {
+        if self.cfg.non_propagating_first && dist > 1 {
+            (self.cfg.max_attempts >= 2).then_some(2)
+        } else {
+            Some(1)
         }
     }
 }

@@ -98,7 +98,7 @@ fn origination_without_route_floods_nonpropagating_first() {
     let rreqs = sent_rreqs(&acts);
     assert_eq!(rreqs.len(), 1);
     assert_eq!(rreqs[0].ttl, 1, "first attempt queries neighbours only");
-    assert!(n.dsr.is_discovering(NodeId(9)));
+    assert!(n.dsr.discovery_pending(NodeId(9)));
     // Retry propagates network-wide.
     let acts = n.call(|d, ctx| d.handle_timer(ctx, Discoveries::token(NodeId(9), 0)));
     let rreqs = sent_rreqs(&acts);
@@ -196,7 +196,7 @@ fn rrep_at_origin_flushes_buffered_packets() {
     let acts = n.call(|d, ctx| d.handle_rrep(ctx, NodeId(2), m));
     let sent = sent_data(&acts);
     assert_eq!(sent.len(), 2);
-    assert!(!n.dsr.is_discovering(NodeId(9)));
+    assert!(!n.dsr.discovery_pending(NodeId(9)));
 }
 
 #[test]
@@ -280,7 +280,7 @@ fn source_failure_rediscoveres() {
     let p = Packet { uid: 1, origin: NodeId(0), body: PacketBody::Data(d) };
     let acts = n.call(|x, ctx| x.handle_unicast_failure(ctx, NodeId(2), p));
     // Link 0->2 removed; cached route gone; re-discovery begins.
-    assert!(n.dsr.is_discovering(NodeId(9)));
+    assert!(n.dsr.discovery_pending(NodeId(9)));
     assert_eq!(sent_rreqs(&acts).len(), 1);
 }
 

@@ -36,7 +36,7 @@ pub mod messages;
 
 use manet_sim::hash::FxBuild;
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
-use manet_sim::protocol::{Ctx, DropReason, RouteDump, RouteTelemetry, RoutingProtocol};
+use manet_sim::protocol::{Ctx, DropReason, ProtocolModel, RouteDump, RoutingProtocol};
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, TraceEvent};
 use manet_sim::wire::{put_u16, put_u32, put_u64};
@@ -579,112 +579,6 @@ impl Olsr {
             .map(|(dest, &(next, hops))| (NodeId(dest), next, hops))
     }
 
-    // ----- verification hooks ----------------------------------------------
-    //
-    // Counterparts of the `ldr::Ldr` hooks, used by `crates/modelcheck`
-    // to drive OLSR through the same exhaustive event interleavings.
-
-    /// Forces the link-state soft state behind the route towards `dest`
-    /// to time out — the model checker's soft-state-expiry transition
-    /// (NEIGHB_HOLD_TIME / TOP_HOLD_TIME lapsing, collapsed to an
-    /// instant). The derived routing table is left to the next
-    /// recomputation, exactly as with a natural timeout. Returns
-    /// whether any state existed to expire.
-    pub fn force_expire(&mut self, dest: NodeId) -> bool {
-        let mut removed = self.links.remove(&dest).is_some();
-        removed |= self.sets.forget(dest);
-        removed |= self.sets.expire_topology(dest);
-        if removed {
-            self.dirty = true;
-        }
-        removed
-    }
-
-    /// Recomputes the routing table immediately if the topology is
-    /// dirty — the model checker's way of observing the table a node
-    /// *would* forward with, outside any callback.
-    pub fn force_recompute(&mut self) {
-        if self.dirty {
-            self.recompute_routes(self.clock);
-        }
-    }
-
-    /// Appends a canonical byte encoding of the complete protocol state
-    /// to `out` (sorted iteration everywhere; see
-    /// `ldr::Ldr::verification_digest` for the contract). The
-    /// allocation scratch is excluded — it carries no protocol state —
-    /// and so are the labels and bitset rows: every entry is written by
-    /// id, and label order never reaches a table or an MPR set.
-    pub fn verification_digest(&self, out: &mut Vec<u8>) {
-        let mut links: Vec<(&NodeId, &LinkState)> = self.links.iter().collect();
-        links.sort_unstable_by_key(|(n, _)| n.0);
-        put_u64(out, links.len() as u64);
-        for (n, l) in links {
-            put_u16(out, n.0);
-            out.push(u8::from(l.sym));
-            put_u64(out, l.expires.as_nanos());
-        }
-        let ids = &self.sets.labels.ids;
-        let mut two_hop: Vec<(NodeId, &TwoHop)> =
-            self.sets.two_hop.iter().map(|e| (ids[e.label], e)).collect();
-        two_hop.sort_unstable_by_key(|(n, _)| n.0);
-        put_u64(out, two_hop.len() as u64);
-        for (n, TwoHop { list, expires, .. }) in two_hop {
-            put_u16(out, n.0);
-            put_u64(out, list.len() as u64);
-            for t in list {
-                put_u16(out, t.0);
-            }
-            put_u64(out, expires.as_nanos());
-        }
-        put_u64(out, self.mpr_set.len() as u64);
-        for &n in &self.mpr_set {
-            put_u16(out, n.0);
-        }
-        let mut selectors: Vec<(&NodeId, &SimTime)> = self.mpr_selectors.iter().collect();
-        selectors.sort_unstable_by_key(|(n, _)| n.0);
-        put_u64(out, selectors.len() as u64);
-        for (n, exp) in selectors {
-            put_u16(out, n.0);
-            put_u64(out, exp.as_nanos());
-        }
-        let mut topology = self.topology_entries();
-        topology.sort_unstable_by_key(|&(o, s, ..)| (o.0, s.0));
-        put_u64(out, topology.len() as u64);
-        for (orig, sel, ansn, exp) in topology {
-            put_u16(out, orig.0);
-            put_u16(out, sel.0);
-            put_u16(out, ansn);
-            put_u64(out, exp.as_nanos());
-        }
-        let mut dup: Vec<(&(NodeId, u16), &SimTime)> = self.dup.iter().collect();
-        dup.sort_unstable_by_key(|((o, s), _)| (o.0, *s));
-        put_u64(out, dup.len() as u64);
-        for ((orig, seq), exp) in dup {
-            put_u16(out, orig.0);
-            put_u16(out, *seq);
-            put_u64(out, exp.as_nanos());
-        }
-        put_u64(out, self.routes().count() as u64);
-        for (dest, next, hops) in self.routes() {
-            put_u16(out, dest.0);
-            put_u16(out, next.0);
-            put_u32(out, hops);
-        }
-        out.push(u8::from(self.dirty));
-        put_u16(out, self.ansn);
-        put_u16(out, self.tc_seq);
-        put_u64(out, self.outq.len() as u64);
-        for (kind, bytes, initiated) in &self.outq {
-            out.push(*kind as u8);
-            put_u64(out, bytes.len() as u64);
-            out.extend_from_slice(bytes);
-            out.push(u8::from(*initiated));
-        }
-        out.push(u8::from(self.drain_scheduled));
-        put_u64(out, self.clock.as_nanos());
-    }
-
     /// The topology set flattened to (originator, selector, ansn,
     /// expiry), in no particular order.
     fn topology_entries(&self) -> Vec<(NodeId, NodeId, u16, SimTime)> {
@@ -1178,11 +1072,8 @@ impl RoutingProtocol for Olsr {
         }
     }
 
-    fn route_successors(&self) -> Vec<(NodeId, NodeId)> {
-        self.routes().map(|(dest, next, _)| (dest, next)).collect()
-    }
-
     fn route_table_dump(&self) -> Vec<RouteDump> {
+        // Every computed entry is usable until the next recompute.
         self.routes()
             .map(|(dest, next, hops)| RouteDump {
                 dest,
@@ -1194,12 +1085,106 @@ impl RoutingProtocol for Olsr {
             })
             .collect()
     }
+}
 
-    fn telemetry_snapshot(&self) -> RouteTelemetry {
-        // Every BFS-computed entry is usable until the next recompute,
-        // so entries and valid coincide.
-        let n = self.routes().count() as u64;
-        RouteTelemetry { entries: n, valid: n }
+/// The model checker's hooks (see `ldr::Ldr`'s implementation), so
+/// `crates/modelcheck` drives OLSR through the same exhaustive event
+/// interleavings.
+impl ProtocolModel for Olsr {
+    /// Forces the link-state soft state behind the route towards `dest`
+    /// to time out (NEIGHB_HOLD_TIME / TOP_HOLD_TIME lapsing, collapsed
+    /// to an instant). The derived routing table is left to the next
+    /// recomputation, exactly as with a natural timeout.
+    fn force_expire(&mut self, dest: NodeId) -> bool {
+        let mut removed = self.links.remove(&dest).is_some();
+        removed |= self.sets.forget(dest);
+        removed |= self.sets.expire_topology(dest);
+        if removed {
+            self.dirty = true;
+        }
+        removed
+    }
+
+    /// The allocation scratch is excluded — it carries no protocol
+    /// state — and so are the labels and bitset rows: every entry is
+    /// written by id, and label order never reaches a table or an MPR
+    /// set.
+    fn digest(&self, out: &mut Vec<u8>) {
+        let mut links: Vec<(&NodeId, &LinkState)> = self.links.iter().collect();
+        links.sort_unstable_by_key(|(n, _)| n.0);
+        put_u64(out, links.len() as u64);
+        for (n, l) in links {
+            put_u16(out, n.0);
+            out.push(u8::from(l.sym));
+            put_u64(out, l.expires.as_nanos());
+        }
+        let ids = &self.sets.labels.ids;
+        let mut two_hop: Vec<(NodeId, &TwoHop)> =
+            self.sets.two_hop.iter().map(|e| (ids[e.label], e)).collect();
+        two_hop.sort_unstable_by_key(|(n, _)| n.0);
+        put_u64(out, two_hop.len() as u64);
+        for (n, TwoHop { list, expires, .. }) in two_hop {
+            put_u16(out, n.0);
+            put_u64(out, list.len() as u64);
+            for t in list {
+                put_u16(out, t.0);
+            }
+            put_u64(out, expires.as_nanos());
+        }
+        put_u64(out, self.mpr_set.len() as u64);
+        for &n in &self.mpr_set {
+            put_u16(out, n.0);
+        }
+        let mut selectors: Vec<(&NodeId, &SimTime)> = self.mpr_selectors.iter().collect();
+        selectors.sort_unstable_by_key(|(n, _)| n.0);
+        put_u64(out, selectors.len() as u64);
+        for (n, exp) in selectors {
+            put_u16(out, n.0);
+            put_u64(out, exp.as_nanos());
+        }
+        let mut topology = self.topology_entries();
+        topology.sort_unstable_by_key(|&(o, s, ..)| (o.0, s.0));
+        put_u64(out, topology.len() as u64);
+        for (orig, sel, ansn, exp) in topology {
+            put_u16(out, orig.0);
+            put_u16(out, sel.0);
+            put_u16(out, ansn);
+            put_u64(out, exp.as_nanos());
+        }
+        let mut dup: Vec<(&(NodeId, u16), &SimTime)> = self.dup.iter().collect();
+        dup.sort_unstable_by_key(|((o, s), _)| (o.0, *s));
+        put_u64(out, dup.len() as u64);
+        for ((orig, seq), exp) in dup {
+            put_u16(out, orig.0);
+            put_u16(out, *seq);
+            put_u64(out, exp.as_nanos());
+        }
+        put_u64(out, self.routes().count() as u64);
+        for (dest, next, hops) in self.routes() {
+            put_u16(out, dest.0);
+            put_u16(out, next.0);
+            put_u32(out, hops);
+        }
+        out.push(u8::from(self.dirty));
+        put_u16(out, self.ansn);
+        put_u16(out, self.tc_seq);
+        put_u64(out, self.outq.len() as u64);
+        for (kind, bytes, initiated) in &self.outq {
+            out.push(*kind as u8);
+            put_u64(out, bytes.len() as u64);
+            out.extend_from_slice(bytes);
+            out.push(u8::from(*initiated));
+        }
+        out.push(u8::from(self.drain_scheduled));
+        put_u64(out, self.clock.as_nanos());
+    }
+
+    /// Recomputes the routing table if the topology is dirty: the table
+    /// a node *would* forward with, observed outside any callback.
+    fn refresh_routes(&mut self) {
+        if self.dirty {
+            self.recompute_routes(self.clock);
+        }
     }
 }
 

@@ -474,9 +474,9 @@ fn a_clone_drops_the_scratch_and_computes_the_same() {
     assert_eq!(c.olsr.sets.labels.ids.len(), 9, "0–8");
     let observe = |n: &mut Node| {
         n.select_mprs();
-        n.olsr.force_recompute();
+        n.olsr.refresh_routes();
         let mut digest = Vec::new();
-        n.olsr.verification_digest(&mut digest);
+        n.olsr.digest(&mut digest);
         (digest, n.olsr.mprs().to_vec(), n.olsr.routes().collect::<Vec<_>>())
     };
     let original = observe(&mut n);
@@ -720,8 +720,8 @@ mod reference {
             *self = Reference { clock: self.clock, ..Reference::new(self.id, self.cfg.clone()) };
         }
 
-        /// [`Olsr::verification_digest`] as it was, over this state and
-        /// the jitter queue of `node`.
+        /// [`Olsr`]'s [`ProtocolModel::digest`] as it was, over this
+        /// state and the jitter queue of `node`.
         pub fn digest(&self, node: &Olsr, out: &mut Vec<u8>) {
             put_u64(out, self.links.len() as u64);
             for (n, l) in &self.links {
@@ -954,7 +954,7 @@ mod differential {
         /// is an input to anything but its own next recomputation.
         fn recompute(&mut self) {
             self.node.select_mprs();
-            self.node.olsr.force_recompute();
+            self.node.olsr.refresh_routes();
             self.reference.recompute_mprs(self.node.now);
             self.reference.recompute_if_dirty(self.reference.clock);
         }
@@ -968,16 +968,20 @@ mod differential {
                 r.topology.iter().map(|(&(o, s), &(a, e))| (o, s, a, e)).collect();
             assert_eq!(topology, expected, "topology");
             let successors: Vec<_> = r.table.iter().map(|(&d, &(n, _))| (d, n)).collect();
-            assert_eq!(o.route_successors(), successors, "route_successors");
+            assert_eq!(
+                manet_sim::protocol::successors(&o.route_table_dump()),
+                successors,
+                "successors"
+            );
             let dump: Vec<_> =
                 o.route_table_dump().iter().map(|e| (e.dest, e.next, e.dist)).collect();
             let expected: Vec<_> = r.table.iter().map(|(&d, &(n, h))| (d, n, h)).collect();
             assert_eq!(dump, expected, "route_table_dump");
             assert_eq!(o.telemetry_snapshot().entries, r.table.len() as u64);
             let (mut got, mut want) = (Vec::new(), Vec::new());
-            o.verification_digest(&mut got);
+            o.digest(&mut got);
             r.digest(o, &mut want);
-            assert_eq!(got, want, "verification_digest");
+            assert_eq!(got, want, "digest");
         }
     }
 

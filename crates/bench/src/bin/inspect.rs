@@ -1,19 +1,41 @@
 //! Diagnostic: dump the full metrics breakdown for one run.
+//!
+//! `inspect [PROTO] [FLOWS] [PAUSE] [DURATION] [NODES]`; an unknown
+//! protocol name prints the usage line and exits 2.
 
-use ldr_bench::scenario::{Protocol, Scenario};
+use ldr_bench::scenario::{Ablation, Protocol, Scenario};
+use std::process::ExitCode;
 
-fn main() {
+/// Every protocol name `inspect` accepts, with what it runs.
+const PROTOCOLS: [(&str, Protocol); 8] = [
+    ("ldr", Protocol::Ldr),
+    ("aodv", Protocol::Aodv),
+    ("dsr", Protocol::Dsr),
+    ("olsr", Protocol::Olsr),
+    ("ldr-noopt", Protocol::LdrNoOpts),
+    ("ldr-nored", Protocol::LdrWithout(Ablation::ReducedDistance)),
+    ("ldr-nottl", Protocol::LdrWithout(Ablation::OptimalTtl)),
+    ("ldr-nolife", Protocol::LdrWithout(Ablation::MinimumLifetime)),
+];
+
+fn parse_protocol(name: &str) -> Option<Protocol> {
+    PROTOCOLS.iter().find(|(n, _)| *n == name).map(|&(_, p)| p)
+}
+
+fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
-    use ldr_bench::scenario::Ablation;
-    let proto = match args.next().as_deref() {
-        Some("aodv") => Protocol::Aodv,
-        Some("dsr") => Protocol::Dsr,
-        Some("olsr") => Protocol::Olsr,
-        Some("ldr-noopt") => Protocol::LdrNoOpts,
-        Some("ldr-nored") => Protocol::LdrWithout(Ablation::ReducedDistance),
-        Some("ldr-nottl") => Protocol::LdrWithout(Ablation::OptimalTtl),
-        Some("ldr-nolife") => Protocol::LdrWithout(Ablation::MinimumLifetime),
-        _ => Protocol::Ldr,
+    let proto = match args.next() {
+        None => Protocol::Ldr,
+        Some(name) => match parse_protocol(&name) {
+            Some(p) => p,
+            None => {
+                let names: Vec<&str> = PROTOCOLS.iter().map(|(n, _)| *n).collect();
+                eprintln!("inspect: unknown protocol {name:?}");
+                eprintln!("usage: inspect [PROTO] [FLOWS] [PAUSE] [DURATION] [NODES]");
+                eprintln!("protocols: {}", names.join(" "));
+                return ExitCode::from(2);
+            }
+        },
     };
     let flows: usize = args.next().and_then(|s| s.parse().ok()).unwrap_or(30);
     let pause: u64 = args.next().and_then(|s| s.parse().ok()).unwrap_or(600);
@@ -38,4 +60,20 @@ fn main() {
     println!("  collisions      {}", m.collisions);
     println!("  loops           {}", m.loop_violations);
     println!("  mean_own_seqno  {:.2}", m.mean_own_seqno);
+    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn protocol_names_parse_and_unknown_names_are_rejected() {
+        assert_eq!(parse_protocol("ldr"), Some(Protocol::Ldr));
+        assert_eq!(parse_protocol("aodv"), Some(Protocol::Aodv));
+        assert_eq!(parse_protocol("ldr-nottl"), Some(Protocol::LdrWithout(Ablation::OptimalTtl)));
+        for bad in ["aodv7", "LDR", "", "olsr-nojit"] {
+            assert_eq!(parse_protocol(bad), None, "{bad:?} must not fall back to LDR");
+        }
+    }
 }

@@ -38,17 +38,12 @@ pub enum Protocol {
     LdrWithout(Ablation),
     /// AODV (draft 10).
     Aodv,
-    /// AODV with §6.9 hello messages instead of pure link-layer
-    /// feedback.
-    AodvHello,
     /// DSR draft 3 (the GloMoSim runs).
     Dsr,
     /// DSR draft 7 flavour (the Qualnet cross-check).
     Dsr7,
     /// OLSR draft 6 with the paper's FIFO jitter queue.
     Olsr,
-    /// OLSR without the jitter-queue fix (the "base OLSR").
-    OlsrNoJitter,
 }
 
 /// One LDR optimisation to disable for ablation.
@@ -74,11 +69,9 @@ impl Protocol {
             Protocol::LdrNoOpts => "LDR-noopt".into(),
             Protocol::LdrWithout(a) => format!("LDR-{a:?}"),
             Protocol::Aodv => "AODV".into(),
-            Protocol::AodvHello => "AODV-hello".into(),
             Protocol::Dsr => "DSR".into(),
             Protocol::Dsr7 => "DSR-d7".into(),
             Protocol::Olsr => "OLSR".into(),
-            Protocol::OlsrNoJitter => "OLSR-nojit".into(),
         }
     }
 
@@ -103,17 +96,9 @@ impl Protocol {
                 Box::new(Ldr::factory(cfg))
             }
             Protocol::Aodv => Box::new(Aodv::factory(AodvConfig::default())),
-            Protocol::AodvHello => {
-                let cfg = AodvConfig {
-                    hello_interval: Some(manet_sim::time::SimDuration::from_secs(1)),
-                    ..AodvConfig::default()
-                };
-                Box::new(Aodv::factory(cfg))
-            }
             Protocol::Dsr => Box::new(Dsr::factory(DsrConfig::draft3())),
             Protocol::Dsr7 => Box::new(Dsr::factory(DsrConfig::draft7())),
             Protocol::Olsr => Box::new(Olsr::factory(OlsrConfig::default())),
-            Protocol::OlsrNoJitter => Box::new(Olsr::factory(OlsrConfig::without_jitter_queue())),
         }
     }
 }
@@ -141,8 +126,8 @@ pub struct Scenario {
     /// Run the loop auditor during the run (records violations).
     pub audit: bool,
     /// Inert: [`crate::runner::build_world`] ignores it (the parallel
-    /// kernel is gone, DESIGN.md §14). Read only by the frozen
-    /// `probe.parallel` in `benchmark/`, and goes with it.
+    /// kernel is gone). Read only by the frozen `probe.parallel` in
+    /// `benchmark/`, and goes with it (ROADMAP 9(b)).
     pub workers: usize,
     /// Attach the deterministic kernel profiler
     /// ([`manet_sim::prof`]): per-phase wall-time attribution plus

@@ -1,26 +1,20 @@
-//! A bounded work-stealing worker pool for trial and sweep execution.
-//!
-//! The pre-PR-9 runner spawned one OS thread per trial with no cap,
-//! oversubscribing the host, and a single panicking trial aborted the
-//! whole batch via `join().expect(…)`, discarding every completed
-//! cell. This pool fixes both:
+//! A bounded worker pool for trial and sweep execution.
 //!
 //! * **Bounded**: at most `threads` worker OS threads exist at any
 //!   instant (callers size this against the host core count — see
 //!   [`host_cores`]).
-//! * **Work-stealing**: jobs are dealt round-robin onto per-worker
-//!   deques; a worker drains its own deque front-first and steals from
-//!   the back of its siblings' deques when idle, so a handful of slow
-//!   cells cannot strand the rest of the pool.
+//! * **Greedy list scheduling**: workers claim jobs from one shared
+//!   cursor, in job order; an idle worker takes the next unclaimed
+//!   job, so a handful of slow cells cannot strand the rest of the
+//!   pool.
 //! * **Panic-isolated**: each job runs under `catch_unwind`; a
 //!   panicking job yields `Err(panic message)` in its result slot and
 //!   every other job still runs to completion.
 //!
 //! Results are returned **in job order** regardless of completion
-//! order, so pooled execution aggregates exactly like the sequential
-//! loop it replaces (proven by the runner's equality tests).
+//! order, so pooled execution aggregates exactly like a sequential
+//! loop (proven by the runner's equality tests).
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;
@@ -85,45 +79,26 @@ where
         return (Vec::new(), PoolStats::default());
     }
     let n_workers = threads.max(1).min(n_jobs);
-    // Each FnOnce is taken exactly once, by whichever worker claims
-    // its index.
+    // Each FnOnce is taken exactly once, by the worker whose cursor
+    // claim returned its index.
     let slots: Vec<Mutex<Option<F>>> = jobs.into_iter().map(|j| Mutex::new(Some(j))).collect();
-    // Round-robin deal onto per-worker deques.
-    let queues: Vec<Mutex<VecDeque<usize>>> =
-        (0..n_workers).map(|_| Mutex::new(VecDeque::new())).collect();
-    for idx in 0..n_jobs {
-        lock_or_recover(&queues[idx % n_workers]).push_back(idx);
-    }
+    let next = AtomicUsize::new(0);
     let live = AtomicUsize::new(0);
     let peak = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, JobResult<T>)>();
 
     let mut results: Vec<Option<JobResult<T>>> = (0..n_jobs).map(|_| None).collect();
     std::thread::scope(|scope| {
-        for w in 0..n_workers {
+        for _ in 0..n_workers {
             let tx = tx.clone();
-            let slots = &slots;
-            let queues = &queues;
-            let live = &live;
-            let peak = &peak;
+            let (slots, next, live, peak) = (&slots, &next, &live, &peak);
             scope.spawn(move || {
                 let now_live = live.fetch_add(1, Ordering::SeqCst) + 1;
                 peak.fetch_max(now_live, Ordering::SeqCst);
                 loop {
-                    // Own deque first (front), then steal from the
-                    // back of the others, nearest sibling first.
-                    let mut claimed = lock_or_recover(&queues[w]).pop_front();
-                    if claimed.is_none() {
-                        for off in 1..n_workers {
-                            let v = (w + off) % n_workers;
-                            if let Some(idx) = lock_or_recover(&queues[v]).pop_back() {
-                                claimed = Some(idx);
-                                break;
-                            }
-                        }
-                    }
-                    let Some(idx) = claimed else { break };
-                    let Some(job) = lock_or_recover(&slots[idx]).take() else { continue };
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(slot) = slots.get(idx) else { break };
+                    let Some(job) = lock_or_recover(slot).take() else { continue };
                     let result = catch_unwind(AssertUnwindSafe(job)).map_err(panic_text);
                     if tx.send((idx, result)).is_err() {
                         break; // receiver gone: the caller bailed out

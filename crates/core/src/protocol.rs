@@ -29,7 +29,7 @@ use crate::seqno::SeqNo;
 use manet_sim::discovery::Discoveries;
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{
-    Ctx, DropReason, ProtoCounter, RouteDump, RouteTelemetry, RoutingProtocol,
+    Ctx, DropReason, ProtoCounter, ProtocolModel, RouteDump, RoutingProtocol,
 };
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, RouteVerdict, TraceEvent};
@@ -87,7 +87,7 @@ struct CacheEntry {
 /// ```
 /// use ldr::{Ldr, LdrConfig};
 /// use manet_sim::packet::{DataPacket, NodeId};
-/// use manet_sim::protocol::{Ctx, RoutingProtocol};
+/// use manet_sim::protocol::{Ctx, ProtocolModel, RoutingProtocol};
 /// use manet_sim::rng::SimRng;
 /// use manet_sim::time::SimTime;
 ///
@@ -99,7 +99,7 @@ struct CacheEntry {
 ///     src: NodeId(0), dst: NodeId(7), flow: 0, seq: 0,
 ///     created: SimTime::from_secs(1), payload_len: 512, ttl: 64, ext: vec![],
 /// });
-/// assert!(node.is_active_for(NodeId(7)));
+/// assert!(node.discovery_pending(NodeId(7)));
 /// assert!(!actions.is_empty()); // RREQ broadcast + retry timer
 /// ```
 #[derive(Clone)]
@@ -147,100 +147,6 @@ impl Ldr {
     /// This node's own destination sequence number.
     pub fn own_seqno(&self) -> SeqNo {
         self.own_seqno
-    }
-
-    /// Whether a discovery for `dest` is in progress.
-    pub fn is_active_for(&self, dest: NodeId) -> bool {
-        self.pending.is_pending(dest)
-    }
-
-    // ----- verification hooks ----------------------------------------------
-    //
-    // Used by the exhaustive model checker (`crates/modelcheck`), which
-    // drives the protocol callbacks directly and needs (a) a canonical
-    // encoding of the full node state for state-space deduplication and
-    // (b) environment transitions — soft-state expiry, the destination
-    // raising its own number — that the simulator normally produces via
-    // the passage of time.
-
-    /// Forces the route towards `dest` (if any) to expire immediately —
-    /// the model checker's route-table-timeout transition. Returns
-    /// whether an entry existed. Soft-state only: `sn`/`fd` history is
-    /// untouched, exactly as with a natural timeout.
-    pub fn force_expire(&mut self, dest: NodeId) -> bool {
-        self.routes.force_expire(dest)
-    }
-
-    /// Raises this node's own destination sequence number by one — the
-    /// model checker's destination-seqno-increment transition (the
-    /// owner-only operation of §3).
-    pub fn bump_own_seqno(&mut self) {
-        self.own_seqno.increment();
-    }
-
-    /// How many expanding-ring attempts the *cold* TTL schedule needs
-    /// before an RREQ reaches a destination `dist` hops away (capped at
-    /// `max_attempts`). The *optimal TTL* optimisation can only seed
-    /// the ring at `ttl_start` or above, so this is an upper bound for
-    /// warm starts too. Returns `None` when even the final attempt's
-    /// TTL cannot reach `dist` — the configuration, not the protocol,
-    /// rules the discovery out. The model checker's liveness executor
-    /// grants a probe discovery exactly this many attempts: a protocol
-    /// whose state loss costs *extra* attempts is the one that stalls.
-    pub fn discovery_attempts_for(&self, dist: u32) -> Option<u32> {
-        let mut attempt = 1u32;
-        while attempt < self.cfg.max_attempts
-            && u32::from(self.cfg.ttl_for_attempt(attempt, None)) < dist
-        {
-            attempt += 1;
-        }
-        (u32::from(self.cfg.ttl_for_attempt(attempt, None)) >= dist).then_some(attempt)
-    }
-
-    /// Appends a canonical byte encoding of the complete protocol state
-    /// to `out`. Two `Ldr` values produce the same bytes iff they are
-    /// behaviourally identical, which is what the model checker hashes
-    /// for state-space deduplication. All map iteration is sorted, so
-    /// the encoding is independent of hash-map order.
-    pub fn verification_digest(&self, out: &mut Vec<u8>) {
-        put_u64(out, self.own_seqno.to_u64());
-        put_u32(out, self.next_rreqid);
-        put_u64(out, self.clock.as_nanos());
-
-        let mut routes: Vec<(&NodeId, &RouteEntry)> = self.routes.iter().collect();
-        routes.sort_unstable_by_key(|(d, _)| d.0);
-        put_u64(out, routes.len() as u64);
-        for (dest, e) in routes {
-            put_u16(out, dest.0);
-            put_u64(out, e.seqno.to_u64());
-            put_u32(out, e.dist);
-            put_u32(out, e.fd);
-            put_u16(out, e.next_hop.0);
-            out.push(u8::from(e.valid));
-            put_u64(out, e.expires.as_nanos());
-        }
-
-        let mut cache: Vec<(&(NodeId, u32), &CacheEntry)> = self.cache.iter().collect();
-        cache.sort_unstable_by_key(|((origin, rreqid), _)| (origin.0, *rreqid));
-        put_u64(out, cache.len() as u64);
-        for ((origin, rreqid), c) in cache {
-            put_u16(out, origin.0);
-            put_u32(out, *rreqid);
-            put_u16(out, c.last_hop.0);
-            put_u64(out, c.expires.as_nanos());
-            match c.relayed {
-                None => out.push(0),
-                Some((sn, d)) => {
-                    out.push(1);
-                    put_u64(out, sn.to_u64());
-                    put_u32(out, d);
-                }
-            }
-            out.push(u8::from(c.replied));
-            out.push(u8::from(c.reverse_ok));
-        }
-
-        self.pending.digest(out);
     }
 
     // ----- traced table mutations ------------------------------------------
@@ -865,10 +771,6 @@ impl RoutingProtocol for Ldr {
         ctx.set_timer(CLEANUP_INTERVAL, CLEANUP_TOKEN);
     }
 
-    fn route_successors(&self) -> Vec<(NodeId, NodeId)> {
-        self.routes.successors(self.clock)
-    }
-
     fn route_table_dump(&self) -> Vec<RouteDump> {
         let mut v: Vec<RouteDump> = self
             .routes
@@ -891,19 +793,87 @@ impl RoutingProtocol for Ldr {
             f64::from(self.own_seqno.epoch - 1) * 2f64.powi(32) + f64::from(self.own_seqno.counter),
         )
     }
+}
 
-    fn telemetry_snapshot(&self) -> RouteTelemetry {
-        // Counted directly off the table — the sampler calls this every
-        // interval on every node, so skip the `route_table_dump`
-        // allocation and sort.
-        let (mut entries, mut valid) = (0, 0);
-        for (_, e) in self.routes.iter() {
-            entries += 1;
-            if e.is_active(self.clock) {
-                valid += 1;
-            }
+/// The model checker (`crates/modelcheck`) drives the callbacks
+/// directly; these hooks give it a canonical encoding of the full node
+/// state for state-space deduplication, plus the environment
+/// transitions — soft-state expiry, the destination raising its own
+/// number — that the simulator produces via the passage of time.
+impl ProtocolModel for Ldr {
+    /// Forces the route towards `dest` (if any) to expire immediately.
+    /// Soft-state only: `sn`/`fd` history is untouched, exactly as with
+    /// a natural timeout.
+    fn force_expire(&mut self, dest: NodeId) -> bool {
+        self.routes.force_expire(dest)
+    }
+
+    /// Raises this node's own destination sequence number by one (the
+    /// owner-only operation of §3).
+    fn bump_own_seqno(&mut self) {
+        self.own_seqno.increment();
+    }
+
+    /// Two `Ldr` values produce the same bytes iff they are
+    /// behaviourally identical. All map iteration is sorted, so the
+    /// encoding is independent of hash-map order.
+    fn digest(&self, out: &mut Vec<u8>) {
+        put_u64(out, self.own_seqno.to_u64());
+        put_u32(out, self.next_rreqid);
+        put_u64(out, self.clock.as_nanos());
+
+        let mut routes: Vec<(&NodeId, &RouteEntry)> = self.routes.iter().collect();
+        routes.sort_unstable_by_key(|(d, _)| d.0);
+        put_u64(out, routes.len() as u64);
+        for (dest, e) in routes {
+            put_u16(out, dest.0);
+            put_u64(out, e.seqno.to_u64());
+            put_u32(out, e.dist);
+            put_u32(out, e.fd);
+            put_u16(out, e.next_hop.0);
+            out.push(u8::from(e.valid));
+            put_u64(out, e.expires.as_nanos());
         }
-        RouteTelemetry { entries, valid }
+
+        let mut cache: Vec<(&(NodeId, u32), &CacheEntry)> = self.cache.iter().collect();
+        cache.sort_unstable_by_key(|((origin, rreqid), _)| (origin.0, *rreqid));
+        put_u64(out, cache.len() as u64);
+        for ((origin, rreqid), c) in cache {
+            put_u16(out, origin.0);
+            put_u32(out, *rreqid);
+            put_u16(out, c.last_hop.0);
+            put_u64(out, c.expires.as_nanos());
+            match c.relayed {
+                None => out.push(0),
+                Some((sn, d)) => {
+                    out.push(1);
+                    put_u64(out, sn.to_u64());
+                    put_u32(out, d);
+                }
+            }
+            out.push(u8::from(c.replied));
+            out.push(u8::from(c.reverse_ok));
+        }
+
+        self.pending.digest(out);
+    }
+
+    fn discovery_pending(&self, dest: NodeId) -> bool {
+        self.pending.is_pending(dest)
+    }
+
+    /// The expanding-ring attempts the *cold* TTL schedule needs
+    /// (capped at `max_attempts`). The *optimal TTL* optimisation can
+    /// only seed the ring at `ttl_start` or above, so this is an upper
+    /// bound for warm starts too.
+    fn discovery_attempts(&self, dist: u32) -> Option<u32> {
+        let mut attempt = 1u32;
+        while attempt < self.cfg.max_attempts
+            && u32::from(self.cfg.ttl_for_attempt(attempt, None)) < dist
+        {
+            attempt += 1;
+        }
+        (u32::from(self.cfg.ttl_for_attempt(attempt, None)) >= dist).then_some(attempt)
     }
 }
 

@@ -2,7 +2,7 @@
 //! inspecting the queued actions — no simulator required.
 
 use super::*;
-use manet_sim::protocol::Action;
+use manet_sim::protocol::{successors, Action};
 use manet_sim::rng::SimRng;
 
 /// Test harness around one LDR node.
@@ -213,7 +213,7 @@ fn origination_without_route_floods_rreq_and_buffers() {
     assert!(!m.t_bit && !m.n_bit && !m.d_bit);
     assert_eq!(counted(&acts, ProtoCounter::DiscoveryStarted), 1);
     assert!(acts.iter().any(|a| matches!(a, Action::SetTimer { .. })));
-    assert!(n.ldr.is_active_for(NodeId(7)));
+    assert!(n.ldr.discovery_pending(NodeId(7)));
     assert!(sent_data(&acts).is_empty(), "data must wait for the route");
 }
 
@@ -481,7 +481,7 @@ fn terminus_installs_route_and_flushes_buffered_data() {
     let sent = sent_data(&acts);
     assert_eq!(sent.len(), 2, "both buffered packets go out");
     assert!(sent.iter().all(|(next, _)| *next == NodeId(4)));
-    assert!(!n.ldr.is_active_for(NodeId(7)));
+    assert!(!n.ldr.discovery_pending(NodeId(7)));
     let e = n.ldr.routes.active(NodeId(7), n.now).unwrap();
     assert_eq!((e.dist, e.fd), (3, 3));
 }
@@ -664,7 +664,7 @@ fn unicast_failure_on_own_data_rediscoveres_without_seqno_increment() {
     let sn_before = n.ldr.own_seqno();
     let fd_before = n.ldr.routes.invariants(NodeId(7)).fd;
     let acts = n.link_failure(6, data(5, 7));
-    assert!(n.ldr.is_active_for(NodeId(7)), "own traffic triggers re-discovery");
+    assert!(n.ldr.discovery_pending(NodeId(7)), "own traffic triggers re-discovery");
     let rreqs = sent_rreqs(&acts);
     assert_eq!(rreqs.len(), 1);
     // The re-discovery carries the preserved invariants: same sn, the
@@ -759,7 +759,7 @@ fn discovery_fails_after_max_attempts_dropping_buffered_data() {
     assert!(sent_rreqs(&a2).is_empty());
     assert_eq!(dropped(&a2), vec![DropReason::NoRoute, DropReason::NoRoute]);
     assert_eq!(counted(&a2, ProtoCounter::DiscoveryFailed), 1);
-    assert!(!n.ldr.is_active_for(NodeId(7)));
+    assert!(!n.ldr.discovery_pending(NodeId(7)));
 }
 
 #[test]
@@ -830,16 +830,15 @@ fn optimal_ttl_uses_distance_and_fd() {
 // ----- auditor hooks ----------------------------------------------------------
 
 #[test]
-fn route_successors_reports_only_active_routes() {
+fn dump_successors_report_only_active_routes() {
     let mut n = Node::new(5);
     n.install_route(7, sn(1), 2, 6);
     n.install_route(8, sn(1), 2, 4);
     n.ldr.routes.invalidate(NodeId(8), n.now);
     // Touch the clock via a callback so the snapshot time is current.
     n.data_from(2, data(0, 5));
-    let succ = n.ldr.route_successors();
-    assert_eq!(succ, vec![(NodeId(7), NodeId(6))]);
     let dump = n.ldr.route_table_dump();
+    assert_eq!(successors(&dump), vec![(NodeId(7), NodeId(6))]);
     assert_eq!(dump.len(), 2);
     assert!(dump.iter().any(|r| r.dest == NodeId(8) && !r.valid));
 }

@@ -312,18 +312,6 @@ impl RouteTable {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// `(dest, next_hop)` pairs for all active routes (loop auditor).
-    pub fn successors(&self, now: SimTime) -> Vec<(NodeId, NodeId)> {
-        let mut v: Vec<(NodeId, NodeId)> = self
-            .entries
-            .iter()
-            .filter(|(_, e)| e.is_active(now))
-            .map(|(&d, e)| (d, e.next_hop))
-            .collect();
-        v.sort_unstable_by_key(|(d, _)| d.0);
-        v
-    }
 }
 
 #[cfg(test)]
@@ -461,7 +449,10 @@ mod tests {
         rt.consider_advertisement(NodeId(5), sn(1), 1, NodeId(2), t(0), t(10));
         rt.consider_advertisement(NodeId(6), sn(1), 1, NodeId(3), t(0), t(10));
         rt.invalidate(NodeId(6), t(1));
-        assert_eq!(rt.successors(t(1)), vec![(NodeId(5), NodeId(2))]);
+        // The loop auditors' successor lists keep only active entries.
+        assert_eq!(rt.active(NodeId(5), t(1)).map(|e| e.next_hop), Some(NodeId(2)));
+        assert!(rt.active(NodeId(6), t(1)).is_none());
+        assert!(rt.get(NodeId(6)).is_some(), "invalidation keeps the history");
     }
 
     #[test]

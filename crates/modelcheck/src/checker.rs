@@ -10,12 +10,12 @@
 //! soundness, and the post-state successor graphs are searched for
 //! cycles.
 
-use crate::model::ProtocolModel;
 use crate::net::{Event, NetState, Scenario};
 use crate::shrink;
 use ldr::SeqNo;
 use manet_sim::loopcheck::find_loops;
 use manet_sim::packet::NodeId;
+use manet_sim::protocol::{successors, ProtocolModel};
 use manet_sim::trace::{InvariantSnapshot, RouteVerdict, TraceEvent};
 use std::collections::HashMap;
 use std::fmt;
@@ -201,7 +201,7 @@ pub(crate) fn check_transition<M: ProtocolModel>(
     }
     // Successor-graph acyclicity per destination.
     let tables: Vec<Vec<(NodeId, NodeId)>> =
-        post.nodes.iter().map(|m| m.route_successors()).collect();
+        post.nodes.iter().map(|m| successors(&m.route_table_dump())).collect();
     if let Some(v) = find_loops(&tables).into_iter().next() {
         return Some(Violation::RoutingLoop { dest: v.destination, cycle: v.cycle });
     }

@@ -26,10 +26,10 @@
 
 use crate::checker::{check_transition, Violation};
 use crate::live::{self, LiveVerdict};
-use crate::model::ProtocolModel;
 use crate::net::{NetState, Scenario};
 use crate::{shrink, Event};
 use manet_sim::packet::NodeId;
+use manet_sim::protocol::ProtocolModel;
 use manet_sim::rng::SimRng;
 use std::collections::BTreeSet;
 use std::fmt;

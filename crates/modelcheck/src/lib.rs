@@ -16,7 +16,8 @@
 //! driving the *real* protocol implementations — [`ldr::Ldr`] and the
 //! [`manet_baselines::Aodv`] baseline — through the simulator's own
 //! [`manet_sim::protocol::RoutingProtocol`] callbacks (the
-//! [`model::ProtocolModel`] trait adds only the verification hooks).
+//! [`ProtocolModel`] trait beside it adds only the verification hooks,
+//! implemented once in each protocol's own crate).
 //!
 //! At every transition the checker verifies the paper's safety
 //! obligations: per-destination successor graphs stay acyclic
@@ -36,7 +37,7 @@
 //! Beyond the exhaustive DFS, the crate hunts: [`topo`] manufactures
 //! deterministic 3–6 node scenarios, [`coverage`] walks them steered
 //! by fingerprint novelty (all four protocols — the DSR and OLSR
-//! baselines implement [`model::ProtocolModel`] too), and [`live`]
+//! baselines implement [`ProtocolModel`] too), and [`live`]
 //! adds the liveness question — after fair completion, can the probe
 //! source still reach a route? — alongside the safety frontier.
 //!
@@ -49,7 +50,6 @@
 pub mod checker;
 pub mod coverage;
 pub mod live;
-pub mod model;
 pub mod net;
 pub mod report;
 pub mod scenarios;
@@ -59,5 +59,5 @@ pub mod topo;
 pub use checker::{Budget, Checker, Counterexample, Outcome, Violation};
 pub use coverage::{Exploration, ExploreBudget, Finding, ViolationClass};
 pub use live::LiveVerdict;
-pub use model::ProtocolModel;
+pub use manet_sim::protocol::ProtocolModel;
 pub use net::{Event, NetState, Scenario};

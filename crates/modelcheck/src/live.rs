@@ -39,11 +39,11 @@
 //! 5. **Verdict** — after a final route refresh at the source,
 //!    [`LiveVerdict::Pass`] iff the source holds a usable route.
 
-use crate::model::ProtocolModel;
 use crate::net::{Event, NetState, Scenario};
 use crate::shrink::shrink_with;
 use ldr::SeqNo;
 use manet_sim::packet::NodeId;
+use manet_sim::protocol::ProtocolModel;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::fmt::Write as _;

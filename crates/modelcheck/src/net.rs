@@ -17,9 +17,8 @@
 //! AODV loop among them) ordinary reachable states instead of
 //! improbable schedules.
 
-use crate::model::ProtocolModel;
 use manet_sim::packet::{ControlKind, DataPacket, NodeId, Packet, PacketBody};
-use manet_sim::protocol::{Action, Ctx};
+use manet_sim::protocol::{Action, Ctx, ProtocolModel};
 use manet_sim::rng::SimRng;
 use manet_sim::time::SimTime;
 use manet_sim::trace::TraceEvent;

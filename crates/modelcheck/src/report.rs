@@ -9,12 +9,11 @@
 //! dependence, so regression tests pin it byte-for-byte.
 
 use crate::checker::Counterexample;
-use crate::model::ProtocolModel;
 use crate::net::{NetState, Scenario, T0};
 use ldr::SeqNo;
 use manet_sim::audit::InvariantAuditor;
 use manet_sim::packet::NodeId;
-use manet_sim::protocol::RouteDump;
+use manet_sim::protocol::{successors, ProtocolModel, RouteDump};
 use std::fmt::Write as _;
 
 fn route_line(out: &mut String, r: &RouteDump) {
@@ -51,9 +50,9 @@ pub fn forensic_section<M: ProtocolModel>(
         }
         state = step.state;
         let dumps: Vec<Vec<RouteDump>> = state.nodes.iter().map(|m| m.dump()).collect();
-        let successors: Vec<Vec<(NodeId, NodeId)>> =
-            state.nodes.iter().map(|m| m.route_successors()).collect();
-        auditor.check(T0, 0, &dumps, &successors);
+        let tables: Vec<Vec<(NodeId, NodeId)>> =
+            state.nodes.iter().map(|m| successors(&m.route_table_dump())).collect();
+        auditor.check(T0, 0, &dumps, &tables);
         if auditor.report().is_some() {
             break;
         }

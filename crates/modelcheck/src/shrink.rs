@@ -10,9 +10,9 @@
 //! no longer apply are skipped rather than derailing the replay.
 
 use crate::checker::{self, Violation};
-use crate::model::ProtocolModel;
 use crate::net::{Event, Scenario};
 use manet_sim::packet::NodeId;
+use manet_sim::protocol::ProtocolModel;
 
 /// Greedy single-event removal to a 1-minimal trace under an arbitrary
 /// oracle. `oracle(candidate)` must return whether the candidate still

@@ -136,7 +136,7 @@ impl Discoveries {
 
     /// Appends a canonical byte encoding of the complete state (sorted
     /// by destination; equal bytes iff behaviourally identical) for the
-    /// protocols' `verification_digest`s.
+    /// protocols' [`ProtocolModel::digest`](crate::protocol::ProtocolModel::digest)s.
     pub fn digest(&self, out: &mut Vec<u8>) {
         wire::put_u64(out, self.next_generation);
         let mut pending: Vec<(&NodeId, &Discovery)> = self.pending.iter().collect();

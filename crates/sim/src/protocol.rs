@@ -328,13 +328,10 @@ pub trait RoutingProtocol: Send {
     /// nothing, which is only right for stateless protocols.
     fn handle_reboot(&mut self, _ctx: &mut Ctx) {}
 
-    /// Snapshot of (destination, next hop) pairs for every currently
-    /// *usable* route — consumed by the loop auditor.
-    fn route_successors(&self) -> Vec<(NodeId, NodeId)> {
-        Vec::new()
-    }
-
-    /// Human-inspectable routing-table snapshot (examples, debugging).
+    /// The routing table, sorted by destination, with `valid` set on
+    /// the rows usable for forwarding right now. This is the one table
+    /// view: the loop auditors read [`successors`] of it and the sampler
+    /// its occupancy, so no protocol states "usable" twice.
     fn route_table_dump(&self) -> Vec<RouteDump> {
         Vec::new()
     }
@@ -345,16 +342,81 @@ pub trait RoutingProtocol: Send {
         None
     }
 
-    /// Route-table occupancy for the time-series sampler. Must be
-    /// read-only and cheap; the default derives it from
-    /// [`RoutingProtocol::route_table_dump`], which is correct but
-    /// allocates — protocols override it with a direct count.
+    /// Route-table occupancy for the time-series sampler, derived from
+    /// [`RoutingProtocol::route_table_dump`]. Only a protocol whose
+    /// state is not a next-hop table (DSR's path cache) overrides it.
     fn telemetry_snapshot(&self) -> RouteTelemetry {
         let dump = self.route_table_dump();
         RouteTelemetry {
             entries: dump.len() as u64,
             valid: dump.iter().filter(|r| r.valid).count() as u64,
         }
+    }
+}
+
+/// The `(dest, next)` pairs of the valid rows of one node's
+/// [`RoutingProtocol::route_table_dump`], in dump order — the successor
+/// list the loop auditors check for cycles.
+pub fn successors(dump: &[RouteDump]) -> Vec<(NodeId, NodeId)> {
+    dump.iter().filter(|r| r.valid).map(|r| (r.dest, r.next)).collect()
+}
+
+/// The verification hooks a model checker needs on top of
+/// [`RoutingProtocol`]: a canonical state digest for state-space
+/// deduplication, the two environment transitions — soft-state expiry
+/// and owner sequence-number increments — that the simulator produces
+/// through the passage of time, and the liveness executor's probes.
+/// Each protocol implements it once, in its own crate; the checker
+/// (`modelcheck`) drives any implementor through the same scenarios.
+pub trait ProtocolModel: RoutingProtocol + Clone {
+    /// Environment transition: the route towards `dest` times out
+    /// (soft-state only; history survives). Returns whether an entry
+    /// existed to expire.
+    fn force_expire(&mut self, dest: NodeId) -> bool;
+    /// Environment transition: this node raises its *own* destination
+    /// sequence number (the owner-only operation). A no-op for the
+    /// protocols without one (DSR; OLSR's ANSN belongs to TC flooding):
+    /// scenarios give them a zero bump budget, so the transition is
+    /// never enumerated.
+    fn bump_own_seqno(&mut self) {}
+    /// Appends a canonical byte encoding of the complete protocol state
+    /// (sorted map iteration; equal bytes iff behaviourally identical).
+    fn digest(&self, out: &mut Vec<u8>);
+    /// Full routing-table snapshot, sorted by destination: the
+    /// simulator-facing dump, unless the protocol keeps its routes
+    /// somewhere that dump does not show.
+    fn dump(&self) -> Vec<RouteDump> {
+        self.route_table_dump()
+    }
+    /// Whether a usable route towards `dest` exists right now (the
+    /// liveness executor's probe predicate). The default reads the
+    /// routing-table dump, which is correct for every table-driven
+    /// protocol.
+    fn has_route(&self, dest: NodeId) -> bool {
+        self.dump().iter().any(|r| r.valid && r.dest == dest)
+    }
+    /// Whether a route discovery towards `dest` is still in progress
+    /// (reported in liveness stalls to distinguish "gave up" from
+    /// "still trying"). Proactive protocols have no discoveries.
+    fn discovery_pending(&self, _dest: NodeId) -> bool {
+        false
+    }
+    /// Brings derived routing state up to date outside any callback.
+    /// Proactive protocols recompute their dirty-gated tables here;
+    /// on-demand protocols need nothing.
+    fn refresh_routes(&mut self) {}
+    /// How many discovery attempts the protocol's own TTL schedule
+    /// needs to reach a destination `dist` hops away, starting cold —
+    /// `None` when the configured schedule cannot reach it at all (the
+    /// probe is then vacuous: the configuration, not a protocol bug,
+    /// rules the discovery out). The liveness executor grants a probe
+    /// exactly this many attempts (firing the retry timers between
+    /// them): expanding-ring searches get their schedule-mandated
+    /// retries, but a protocol whose state loss costs *extra* attempts
+    /// stalls — which is the deficiency the restart witnesses pin.
+    /// Single-flood and proactive protocols need one.
+    fn discovery_attempts(&self, _dist: u32) -> Option<u32> {
+        Some(1)
     }
 }
 

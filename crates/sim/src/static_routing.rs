@@ -124,14 +124,6 @@ impl RoutingProtocol for StaticRouting {
         }
     }
 
-    fn route_successors(&self) -> Vec<(NodeId, NodeId)> {
-        self.next_hop
-            .iter()
-            .enumerate()
-            .filter_map(|(dst, nh)| nh.map(|n| (NodeId(dst as u16), n)))
-            .collect()
-    }
-
     fn route_table_dump(&self) -> Vec<RouteDump> {
         self.next_hop
             .iter()
@@ -153,6 +145,7 @@ impl RoutingProtocol for StaticRouting {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::successors;
 
     #[test]
     fn line_tables_point_along_the_chain() {
@@ -188,7 +181,7 @@ mod tests {
     fn successors_listed_for_auditor() {
         let t = StaticRouting::tables_for_line(3);
         let p = StaticRouting::new(NodeId(0), t);
-        let succ = p.route_successors();
+        let succ = successors(&p.route_table_dump());
         assert!(succ.contains(&(NodeId(1), NodeId(1))));
         assert!(succ.contains(&(NodeId(2), NodeId(1))));
         assert_eq!(p.route_table_dump().len(), 2);

@@ -20,7 +20,7 @@ use crate::prof::{
     ProfSnapshot, Profiler, DISPATCH_BASE, HIST_FEL_DEPTH, PHASE_FEL_POP, PHASE_FEL_PUSH,
     PHASE_KERN_LOOP, PHASE_PROTOCOL, PHASE_TELEMETRY_SAMPLE, PHASE_TRACE_EMIT,
 };
-use crate::protocol::{Action, Ctx, DropReason, RoutingProtocol};
+use crate::protocol::{successors, Action, Ctx, DropReason, RoutingProtocol};
 use crate::rng::SimRng;
 use crate::spatial::NeighborGrid;
 use crate::telemetry::{SampleBaseline, SeriesSample};
@@ -422,8 +422,8 @@ impl World {
         self.trace_events
     }
 
-    /// Always 0: the parallel kernel is gone (DESIGN.md §14). Read only
-    /// by the frozen `probe.parallel` in `benchmark/`, and goes with it.
+    /// Always 0: the parallel kernel is gone. Read only by the frozen
+    /// `probe.parallel` in `benchmark/`, and goes with it (ROADMAP 9(b)).
     pub fn parallel_windows(&self) -> u64 {
         0
     }
@@ -453,7 +453,7 @@ impl World {
     /// violations.
     pub fn audit_now(&mut self) -> Vec<LoopViolation> {
         let tables: Vec<Vec<(NodeId, NodeId)>> =
-            self.nodes.iter().map(|s| s.protocol.route_successors()).collect();
+            self.nodes.iter().map(|s| successors(&s.protocol.route_table_dump())).collect();
         let violations = find_loops(&tables);
         self.metrics.loop_violations += violations.len() as u64;
         if self.first_loop.is_none() {
@@ -980,10 +980,9 @@ impl World {
         }
         let dumps: Vec<Vec<crate::protocol::RouteDump>> =
             self.nodes.iter().map(|s| s.protocol.route_table_dump()).collect();
-        let successors: Vec<Vec<(NodeId, NodeId)>> =
-            self.nodes.iter().map(|s| s.protocol.route_successors()).collect();
+        let tables: Vec<Vec<(NodeId, NodeId)>> = dumps.iter().map(|d| successors(d)).collect();
         let Some(aud) = self.auditor.as_mut() else { return };
-        let new = aud.check(self.now, self.cfg.seed, &dumps, &successors);
+        let new = aud.check(self.now, self.cfg.seed, &dumps, &tables);
         self.metrics.invariant_checks += 1;
         self.metrics.invariant_breaches += new;
     }
