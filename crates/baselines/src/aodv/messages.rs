@@ -1,6 +1,10 @@
 //! AODV control messages (after draft-ietf-manet-aodv-10, the version
 //! the paper compares against) with a fixed wire layout.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap))]
+#![cfg_attr(not(test), deny(clippy::cast_sign_loss))]
+
 use manet_sim::packet::NodeId;
 use manet_sim::wire::{clamp_count, get_u16, get_u32, get_u8};
 
@@ -138,7 +142,7 @@ impl Rerr {
     /// Encodes: 4-byte header plus 8 bytes per entry.
     pub fn encode(&self) -> Vec<u8> {
         let count = clamp_count(self.entries.len());
-        let mut b = Vec::with_capacity(4 + 8 * self.entries.len());
+        let mut b = Vec::with_capacity(self.entries.len().saturating_mul(8).saturating_add(4));
         b.push(3u8);
         b.push(count);
         b.extend_from_slice(&[0, 0]);

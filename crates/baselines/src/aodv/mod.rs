@@ -12,7 +12,7 @@
 pub mod messages;
 
 use manet_sim::discovery::Discoveries;
-use manet_sim::hash::FxBuild;
+use manet_sim::hash::FxMap;
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{
     Ctx, DropReason, ProtoCounter, ProtocolModel, RouteDump, RoutingProtocol,
@@ -20,12 +20,6 @@ use manet_sim::protocol::{
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::wire::{put_u16, put_u32, put_u64};
 use messages::{Rerr, RerrEntry, Rrep, Rreq};
-use std::collections::HashMap;
-
-/// Protocol state maps use the deterministic Fx hasher: every iteration
-/// over them is sorted or commutative before it can influence behaviour,
-/// and SipHash cost is measurable on the per-packet paths.
-type FxMap<K, V> = HashMap<K, V, FxBuild>;
 
 /// Timer token for the periodic state sweep.
 const CLEANUP_TOKEN: u64 = u64::MAX;
@@ -241,6 +235,7 @@ impl Aodv {
     /// destination so hash-map order cannot reach the wire.
     fn invalidate_via(&mut self, next: NodeId, now: SimTime) -> Vec<RerrEntry> {
         let mut lost = Vec::new();
+        #[expect(clippy::iter_over_hash_type, reason = "order-free; `lost` is sorted below")]
         for (&dest, r) in self.routes.iter_mut() {
             if r.next == next && r.is_active(now) {
                 r.valid = false;

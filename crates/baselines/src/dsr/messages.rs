@@ -2,6 +2,10 @@
 //! packets (after draft-ietf-manet-dsr-03, which the paper's GloMoSim
 //! runs used; the draft-07 differences live in [`super::DsrConfig`]).
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap))]
+#![cfg_attr(not(test), deny(clippy::cast_sign_loss))]
+
 use manet_sim::packet::NodeId;
 use manet_sim::wire::{get_u16, get_u32, get_u8, push_node_list, read_node_list};
 

@@ -21,7 +21,7 @@ pub mod messages;
 
 use cache::RouteCache;
 use manet_sim::discovery::Discoveries;
-use manet_sim::hash::FxBuild;
+use manet_sim::hash::{FxMap, FxSet};
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{
     Ctx, DropReason, ProtoCounter, ProtocolModel, RouteDump, RouteTelemetry, RoutingProtocol,
@@ -30,11 +30,6 @@ use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, TraceEvent};
 use manet_sim::wire::{put_u16, put_u32, put_u64};
 use messages::{Rerr, Rrep, Rreq, SourceRoute};
-use std::collections::HashMap;
-
-/// Deterministic fast-hashed map for protocol state (iterations over
-/// these are order-insensitive: retain-only or sorted afterwards).
-type FxMap<K, V> = HashMap<K, V, FxBuild>;
 
 const CLEANUP_TOKEN: u64 = u64::MAX;
 const CLEANUP_INTERVAL: SimDuration = SimDuration::from_secs(10);
@@ -255,7 +250,7 @@ impl Dsr {
             path.extend_from_slice(&m.route);
             path.push(self.id);
             path.extend_from_slice(&cached);
-            let mut uniq = std::collections::HashSet::new();
+            let mut uniq = FxSet::default();
             if path.iter().all(|n| uniq.insert(*n)) {
                 // This node sits at position route.len() + 1; the reply
                 // goes to the previous hop, whose position is idx.

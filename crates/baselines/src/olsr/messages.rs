@@ -8,6 +8,10 @@
 //! and needs each id once. The owned [`Hello::decode`] / [`Tc::decode`]
 //! are that parser plus a collect.
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap))]
+#![cfg_attr(not(test), deny(clippy::cast_sign_loss))]
+
 use manet_sim::packet::NodeId;
 use manet_sim::wire::{clamp_count, push_ids};
 
@@ -124,7 +128,7 @@ impl<'a> TcRef<'a> {
             return None;
         }
         let mut frame = self.frame.to_vec();
-        *frame.get_mut(1)? = self.ttl - 1;
+        *frame.get_mut(1)? = self.ttl.checked_sub(1)?;
         Some(frame)
     }
 }

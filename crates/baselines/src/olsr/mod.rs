@@ -34,20 +34,14 @@
 
 pub mod messages;
 
-use manet_sim::hash::FxBuild;
+use manet_sim::hash::FxMap;
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{Ctx, DropReason, ProtocolModel, RouteDump, RoutingProtocol};
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, TraceEvent};
 use manet_sim::wire::{put_u16, put_u32, put_u64};
 use messages::{Hello, HelloRef, Tc, TcRef};
-use std::collections::{HashMap, VecDeque};
-
-/// Protocol state maps use the deterministic Fx hasher: every iteration
-/// over them is order-insensitive (sorted or commutative afterwards),
-/// and SipHash was a measurable slice of OLSR's per-hello and
-/// per-recompute cost at paper scale.
-type FxMap<K, V> = HashMap<K, V, FxBuild>;
+use std::collections::VecDeque;
 
 const HELLO_TOKEN: u64 = 1;
 const TC_TOKEN: u64 = 2;

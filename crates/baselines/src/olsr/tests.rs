@@ -496,7 +496,8 @@ fn a_clone_drops_the_scratch_and_computes_the_same() {
 /// modelled — the digest takes it from the node under test.
 mod reference {
     use super::super::*;
-    use std::collections::{BTreeMap, BTreeSet, HashSet, VecDeque};
+    use manet_sim::hash::FxSet;
+    use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
     pub struct Reference {
         pub id: NodeId,
@@ -540,7 +541,7 @@ mod reference {
 
         pub fn recompute_mprs(&mut self, now: SimTime) {
             let n1: Vec<NodeId> = self.sym_neighbors(now);
-            let n1_set: HashSet<NodeId> = n1.iter().copied().collect();
+            let n1_set: FxSet<NodeId> = n1.iter().copied().collect();
             let mut coverage: BTreeMap<NodeId, Vec<NodeId>> = BTreeMap::new();
             for &n in &n1 {
                 if let Some((twos, exp)) = self.two_hop.get(&n) {

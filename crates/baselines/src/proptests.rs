@@ -4,6 +4,7 @@
 
 use crate::dsr::cache::RouteCache;
 use crate::olsr::{Olsr, OlsrConfig};
+use manet_sim::hash::FxSet;
 use manet_sim::packet::NodeId;
 use manet_sim::protocol::{Ctx, RoutingProtocol};
 use manet_sim::rng::SimRng;
@@ -69,7 +70,7 @@ proptest! {
         }
         if let Some(path) = cache.lookup(NodeId(dst), t) {
             prop_assert_eq!(path.last(), Some(&NodeId(dst)));
-            let mut uniq = std::collections::HashSet::new();
+            let mut uniq = FxSet::default();
             prop_assert!(path.iter().all(|n| uniq.insert(*n)), "looping path");
             let best = stored
                 .iter()
@@ -125,8 +126,7 @@ proptest! {
         olsr.recompute_mprs(now, &olsr.sym_neighbors(now));
         let mprs = olsr.mprs();
         // Every strict two-hop node must be covered by an MPR.
-        let n1_set: std::collections::HashSet<NodeId> =
-            n1_twos.iter().map(|(n, _)| *n).collect();
+        let n1_set: FxSet<NodeId> = n1_twos.iter().map(|(n, _)| *n).collect();
         let mut uncovered = Vec::new();
         for (n1, twos) in &n1_twos {
             for t in twos {

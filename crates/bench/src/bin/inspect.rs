@@ -3,6 +3,9 @@
 //! `inspect [PROTO] [FLOWS] [PAUSE] [DURATION] [NODES]`; an unknown
 //! protocol name prints the usage line and exits 2.
 
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+
 use ldr_bench::scenario::{Ablation, Protocol, Scenario};
 use std::process::ExitCode;
 

@@ -22,6 +22,9 @@
 //! seed of every `(scenario, fault level, protocol)` row as
 //! `<scenario>-l<level>-<protocol>-{trace,series,prof}.jsonl`.
 
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+
 use ldr_bench::grids::{grid, GridOpts, GRIDS};
 use ldr_bench::runner::trial_fault_plan;
 use ldr_bench::sweep::{run_sweep, CellSpec, SweepConfig};

@@ -21,6 +21,9 @@
 //! prof documents per row), or
 //! [`ldr_bench::telemetry_export::export_run`].
 
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+
 use ldr_bench::forensics::{self, TraceFile};
 use ldr_bench::profiling::{render_report, ProfView};
 use std::io::Write;

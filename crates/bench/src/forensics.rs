@@ -7,7 +7,8 @@
 //! the simulator's own `sim::audit` machinery, so the two
 //! implementations cross-check each other.
 
-use std::collections::{BTreeMap, HashMap};
+use manet_sim::hash::FxMap;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 // ----- a minimal JSON reader --------------------------------------------
@@ -558,7 +559,7 @@ pub fn drops_report(trace: &TraceFile) -> String {
 /// re-derivation of the simulator's online loop audit.
 pub fn loops_check(trace: &TraceFile) -> String {
     // dest -> (node -> next)
-    let mut succ: HashMap<u64, HashMap<u64, u64>> = HashMap::new();
+    let mut succ: FxMap<u64, FxMap<u64, u64>> = FxMap::default();
     let mut mutations = 0u64;
     let mut loops: Vec<String> = Vec::new();
     for ev in &trace.events {

@@ -30,6 +30,9 @@
 //! cached**: a panic is a bug, and a fixed binary must re-run the
 //! cell rather than resurrect the failure from disk.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented))]
+
 use crate::forensics::Json;
 use crate::runner::{run_world, trial_fault_plan, trial_seed};
 use crate::scenario::{paper_cases, Protocol, Scenario, SimFlavor};

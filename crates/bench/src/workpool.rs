@@ -15,6 +15,9 @@
 //! order, so pooled execution aggregates exactly like a sequential
 //! loop (proven by the runner's equality tests).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented))]
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc;

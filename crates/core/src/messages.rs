@@ -8,6 +8,10 @@
 //! sizes in the simulator are realistic; encode/decode round-trips are
 //! tested below (including property tests).
 
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap))]
+#![cfg_attr(not(test), deny(clippy::cast_sign_loss))]
+
 use crate::invariants::Distance;
 use crate::seqno::SeqNo;
 use manet_sim::packet::NodeId;
@@ -202,7 +206,7 @@ impl Rerr {
     /// Encodes: 4-byte header plus 12 bytes per entry.
     pub fn encode(&self) -> Vec<u8> {
         let count = manet_sim::wire::clamp_count(self.entries.len());
-        let mut b = Vec::with_capacity(4 + 12 * self.entries.len());
+        let mut b = Vec::with_capacity(self.entries.len().saturating_mul(12).saturating_add(4));
         b.push(3u8); // type
         b.push(count);
         put_u16(&mut b, 0); // reserved

@@ -27,6 +27,7 @@ use crate::messages::{Rerr, RerrEntry, Rrep, Rreq};
 use crate::route_table::{AdvertOutcome, RouteEntry, RouteTable};
 use crate::seqno::SeqNo;
 use manet_sim::discovery::Discoveries;
+use manet_sim::hash::FxMap;
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{
     Ctx, DropReason, ProtoCounter, ProtocolModel, RouteDump, RoutingProtocol,
@@ -34,11 +35,6 @@ use manet_sim::protocol::{
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, RouteVerdict, TraceEvent};
 use manet_sim::wire::{put_u16, put_u32, put_u64};
-use std::collections::HashMap;
-
-/// Deterministic fast-hashed map for protocol state (iterations over
-/// these are order-insensitive: retain-only or sorted afterwards).
-type FxMap<K, V> = HashMap<K, V, manet_sim::hash::FxBuild>;
 
 /// The `(sn, d, fd)` triple of a table entry, scalarised for tracing.
 fn snap(e: Option<&RouteEntry>) -> Option<InvariantSnapshot> {
@@ -155,7 +151,7 @@ impl Ldr {
     /// [`RouteTable::consider_advertisement`], emitting the NDC verdict
     /// (with the `(sn, d, fd)` triple before and after) and, when the
     /// table changed, the mutation itself.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments, reason = "Procedure 3's inputs plus the trace context")]
     fn consider_traced(
         &mut self,
         ctx: &mut Ctx,

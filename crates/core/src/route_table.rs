@@ -9,10 +9,9 @@
 
 use crate::invariants::{ndc_accepts, Distance, Invariants, INFINITY};
 use crate::seqno::SeqNo;
-use manet_sim::hash::FxBuild;
+use manet_sim::hash::FxMap;
 use manet_sim::packet::NodeId;
 use manet_sim::time::SimTime;
-use std::collections::HashMap;
 
 /// One destination's state.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -93,12 +92,25 @@ impl AdvertOutcome {
 /// let out = rt.consider_advertisement(NodeId(9), sn, 3, NodeId(4), now, exp);
 /// assert_eq!(out, AdvertOutcome::Infeasible);
 /// ```
+///
+/// Loop freedom (Theorem 4) needs every entry change to go through
+/// Procedure 3 here, so no method hands out a `&mut RouteEntry`: code
+/// outside this module can read entries but not write them.
+///
+/// ```compile_fail,E0599
+/// # use ldr::route_table::RouteTable;
+/// # use manet_sim::packet::NodeId;
+/// let mut rt = RouteTable::new();
+/// if let Some(e) = rt.get_mut(NodeId(9)) {
+///     e.fd = 0;
+/// }
+/// ```
 #[derive(Clone, Debug, Default)]
 pub struct RouteTable {
     /// Keyed by destination; every iteration is sorted before it can
     /// influence anything observable, so the deterministic fast hasher
     /// is sound here.
-    entries: HashMap<NodeId, RouteEntry, FxBuild>,
+    entries: FxMap<NodeId, RouteEntry>,
 }
 
 impl RouteTable {
@@ -110,11 +122,6 @@ impl RouteTable {
     /// Borrow an entry.
     pub fn get(&self, dest: NodeId) -> Option<&RouteEntry> {
         self.entries.get(&dest)
-    }
-
-    /// Mutably borrow an entry.
-    pub fn get_mut(&mut self, dest: NodeId) -> Option<&mut RouteEntry> {
-        self.entries.get_mut(&dest)
     }
 
     /// The invariants this node holds for `dest` (history included).
@@ -234,6 +241,7 @@ impl RouteTable {
     /// the affected destinations with their stored sequence numbers.
     pub fn invalidate_via(&mut self, via: NodeId, now: SimTime) -> Vec<(NodeId, SeqNo)> {
         let mut out = Vec::new();
+        #[expect(clippy::iter_over_hash_type, reason = "order-free flag clear; `out` is sorted")]
         for (&dest, e) in self.entries.iter_mut() {
             if e.next_hop == via && e.is_active(now) {
                 e.valid = false;
@@ -478,7 +486,7 @@ mod tests {
                 (0u32..3, 0u32..15, 0u16..6), 1..80
             ))| {
                 let mut rt = RouteTable::new();
-                let mut fd_per_sn: std::collections::HashMap<u32, u32> = Default::default();
+                let mut fd_per_sn: FxMap<u32, u32> = FxMap::default();
                 for (i, (c, d, via)) in ops.iter().enumerate() {
                     let now = t(i as u64);
                     let expires = t(i as u64 + 5);

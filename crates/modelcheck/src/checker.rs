@@ -13,11 +13,11 @@
 use crate::net::{Event, NetState, Scenario};
 use crate::shrink;
 use ldr::SeqNo;
+use manet_sim::hash::FxMap;
 use manet_sim::loopcheck::find_loops;
 use manet_sim::packet::NodeId;
 use manet_sim::protocol::{successors, ProtocolModel};
 use manet_sim::trace::{InvariantSnapshot, RouteVerdict, TraceEvent};
-use std::collections::HashMap;
 use std::fmt;
 
 /// Search bounds. Exploration stops (and the outcome is marked
@@ -255,7 +255,7 @@ impl Checker {
     pub fn run<M: ProtocolModel>(&self, factory: impl Fn(NodeId) -> M + Copy) -> Outcome {
         let scenario = &self.scenario;
         let root = NetState::init(scenario, factory);
-        let mut visited: HashMap<u128, usize> = HashMap::new();
+        let mut visited: FxMap<u128, usize> = FxMap::default();
         visited.insert(root.fingerprint(), 0);
         let events = root.enumerate(scenario);
         let mut stack = vec![Frame { state: root, via: None, events, idx: 0 }];

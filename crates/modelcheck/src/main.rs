@@ -13,6 +13,10 @@
 //! unexpected class elsewhere). The deterministic report goes to
 //! stdout and, with `--out`, to a file for the CI artifact.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unreachable, clippy::unimplemented, clippy::allow_attributes))]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type, clippy::allow_attributes_without_reason))]
+
 use modelcheck::coverage::{self, Exploration, ExploreBudget, ViolationClass};
 use modelcheck::{report, scenarios, topo, Checker};
 

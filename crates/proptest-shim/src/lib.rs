@@ -28,6 +28,9 @@
 //!
 //! [`proptest`]: https://docs.rs/proptest
 
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type, clippy::allow_attributes_without_reason))]
+#![cfg_attr(not(test), deny(clippy::allow_attributes))]
+
 /// Test-runner configuration, the deterministic RNG, regression-seed
 /// persistence and the shrinking property runner.
 pub mod test_runner {
@@ -272,17 +275,6 @@ pub mod strategy {
         }
     }
 
-    /// Always generates a clone of the wrapped value.
-    #[derive(Clone, Debug)]
-    pub struct Just<T: Clone>(pub T);
-
-    impl<T: Clone> Strategy for Just<T> {
-        type Value = T;
-        fn generate(&self, _rng: &mut TestRng) -> T {
-            self.0.clone()
-        }
-    }
-
     macro_rules! unsigned_range_strategy {
         ($($t:ty),+) => {$(
             impl Strategy for core::ops::Range<$t> {
@@ -348,7 +340,6 @@ pub mod strategy {
     tuple_strategy!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7, I: 8);
     tuple_strategy!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7, I: 8, J: 9);
     tuple_strategy!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7, I: 8, J: 9, K: 10);
-    tuple_strategy!(A: 0, B: 1, C: 2, D: 3, E: 4, F: 5, G: 6, H: 7, I: 8, J: 9, K: 10, L: 11);
 }
 
 /// `any::<T>()` for the primitive types the tests use.
@@ -396,28 +387,6 @@ pub mod arbitrary {
         )+};
     }
     arb_uint!(u8, u16, u32, u64, usize);
-
-    macro_rules! arb_int {
-        ($($t:ty),+) => {$(
-            impl Arbitrary for $t {
-                fn arbitrary(rng: &mut TestRng) -> $t {
-                    rng.next_u64() as $t
-                }
-                fn shrink_value(&self) -> Vec<$t> {
-                    let v = *self;
-                    let mut out = Vec::new();
-                    if v != 0 {
-                        out.push(0);
-                        if v / 2 != 0 {
-                            out.push(v / 2);
-                        }
-                    }
-                    out
-                }
-            }
-        )+};
-    }
-    arb_int!(i8, i16, i32, i64, isize);
 
     impl Arbitrary for bool {
         fn arbitrary(rng: &mut TestRng) -> bool {
@@ -609,9 +578,9 @@ pub mod bool {
 /// module alias.
 pub mod prelude {
     pub use crate::arbitrary::any;
-    pub use crate::strategy::{Just, Strategy};
+    pub use crate::strategy::Strategy;
     pub use crate::test_runner::Config as ProptestConfig;
-    pub use crate::{prop_assert, prop_assert_eq, prop_assert_ne, proptest};
+    pub use crate::{prop_assert, prop_assert_eq, proptest};
 
     /// Mirror of the real prelude's `prop` re-export module.
     pub mod prop {
@@ -630,12 +599,6 @@ macro_rules! prop_assert {
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($($args:tt)+) => { assert_eq!($($args)+) };
-}
-
-/// Asserts inequality inside a property (delegates to `assert_ne!`).
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($($args:tt)+) => { assert_ne!($($args)+) };
 }
 
 /// The property-test entry point. Supports the block form (a sequence

@@ -8,11 +8,11 @@
 //! from a stale one, the give-up policy, and the canonical digest of
 //! all of it for the model checker.
 
-use crate::hash::FxBuild;
+use crate::hash::FxMap;
 use crate::packet::{DataPacket, NodeId};
 use crate::protocol::{Ctx, DropReason, ProtoCounter};
 use crate::wire;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 /// One open discovery: the node is waiting for a route to the key.
 #[derive(Clone, Debug)]
@@ -48,7 +48,7 @@ struct Discovery {
 ///   flavour until the kernel retires a rebooted node's timers.
 #[derive(Clone, Debug, Default)]
 pub struct Discoveries {
-    pending: HashMap<NodeId, Discovery, FxBuild>,
+    pending: FxMap<NodeId, Discovery>,
     next_generation: u64,
 }
 

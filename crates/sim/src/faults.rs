@@ -16,9 +16,10 @@
 //!
 //! This module must never consult wall-clock time or OS entropy, and all
 //! of its runtime collections are order-deterministic (`Vec`, `BTreeMap`,
-//! `BTreeSet` — never `HashMap`/`HashSet`, whose iteration order is
-//! seeded per-process). `cargo xtask check` enforces both rules for this
-//! file.
+//! `BTreeSet` — never a hash map, whose iteration order depends on its
+//! hasher). The workspace's `clippy.toml` bans the wall clock and std's
+//! hash maps, and `clippy::iter_over_hash_type` flags any loop over an
+//! [`FxMap`](crate::hash::FxMap).
 //!
 //! # Fault semantics
 //!

@@ -9,11 +9,12 @@
 //! deterministic across runs and platforms.
 //!
 //! Determinism caveat: a map's *iteration order* still depends on its
-//! hash function. Swapping a map to [`FxBuild`] is only sound where
-//! every iteration of that map is order-insensitive (probe-only use,
-//! or results sorted/fold-commutative afterwards). The `cargo xtask`
-//! determinism lint keeps raw `HashMap`/`HashSet` out of the files
-//! where ordering bugs would be silent.
+//! hash function. An [`FxMap`] is only sound where every iteration of
+//! it is order-insensitive (probe-only use, or results
+//! sorted/fold-commutative afterwards). The workspace's `clippy.toml`
+//! bans std's `HashMap`/`HashSet` everywhere but in [`FxMap`] and
+//! [`FxSet`], and `clippy::iter_over_hash_type` makes every loop over
+//! one carry an `#[expect]` saying why its order does not matter.
 
 use std::hash::{BuildHasherDefault, Hasher};
 
@@ -65,14 +66,20 @@ impl Hasher for FxHasher {
     }
 }
 
-/// `BuildHasher` for [`FxHasher`] — plug into `HashMap`/`HashSet` type
-/// parameters.
+/// `BuildHasher` for [`FxHasher`].
 pub type FxBuild = BuildHasherDefault<FxHasher>;
+
+/// The workspace's hash map: std's map under the fixed-key [`FxBuild`].
+#[expect(clippy::disallowed_types, reason = "the one sanctioned std hash map: FxBuild-hashed")]
+pub type FxMap<K, V> = std::collections::HashMap<K, V, FxBuild>;
+
+/// The workspace's hash set: std's set under the fixed-key [`FxBuild`].
+#[expect(clippy::disallowed_types, reason = "the one sanctioned std hash set: FxBuild-hashed")]
+pub type FxSet<T> = std::collections::HashSet<T, FxBuild>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
 
     #[test]
     fn hashes_are_deterministic_and_spread() {
@@ -86,7 +93,7 @@ mod tests {
 
     #[test]
     fn map_with_fx_build_behaves_like_a_map() {
-        let mut m: HashMap<u16, u32, FxBuild> = HashMap::default();
+        let mut m: FxMap<u16, u32> = FxMap::default();
         for k in 0..1000u16 {
             m.insert(k, u32::from(k) * 3);
         }

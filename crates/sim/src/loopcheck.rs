@@ -113,8 +113,9 @@ pub fn find_loops(tables: &[Vec<(NodeId, NodeId)>]) -> Vec<LoopViolation> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hash::FxMap;
     use proptest::prelude::*;
-    use std::collections::{BTreeMap, HashMap};
+    use std::collections::BTreeMap;
 
     /// The map-based body `find_loops` had before it moved to stamped
     /// arrays, verbatim: the oracle of the differential below.
@@ -131,7 +132,7 @@ mod tests {
         let mut violations = Vec::new();
         for (&dest, succ) in &successor {
             // Colour nodes: 0 unvisited, 1 on current path, 2 done.
-            let mut colour: HashMap<NodeId, u8> = HashMap::new();
+            let mut colour: FxMap<NodeId, u8> = FxMap::default();
             let starts: Vec<NodeId> = succ.keys().copied().collect();
             'outer: for &start in &starts {
                 if colour.get(&start).copied().unwrap_or(0) != 0 {

@@ -3,12 +3,10 @@
 //! RREP Recv — plus supporting counters (drops, MAC stats, loop-audit
 //! violations, mean destination sequence number for Fig. 7).
 
-use crate::hash::FxBuild;
+use crate::hash::{FxMap, FxSet};
 use crate::packet::ControlKind;
 use crate::protocol::{DropReason, ProtoCounter};
 use crate::time::SimDuration;
-use std::collections::HashMap;
-use std::collections::HashSet;
 
 /// Everything measured during one simulation run.
 ///
@@ -27,18 +25,18 @@ pub struct Metrics {
     pub data_tx_hops: u64,
     /// Sum of end-to-end latencies of delivered packets, seconds.
     pub latency_sum_s: f64,
-    /// Hop-wise control transmissions by kind. (These counter maps use
-    /// the deterministic [`FxBuild`] hasher — they are bumped on every
+    /// Hop-wise control transmissions by kind. (These counter maps are
+    /// deterministic [`FxMap`]s — they are bumped on every
     /// control hop / drop / delivery, and every consumer is
     /// order-insensitive: point lookups, commutative sums and
     /// whole-map equality.)
-    pub control_tx: HashMap<ControlKind, u64, FxBuild>,
+    pub control_tx: FxMap<ControlKind, u64>,
     /// Control packets initiated (first transmission only) by kind.
-    pub control_init: HashMap<ControlKind, u64, FxBuild>,
+    pub control_init: FxMap<ControlKind, u64>,
     /// Routing-layer data drops by reason.
-    pub drops: HashMap<DropReason, u64, FxBuild>,
+    pub drops: FxMap<DropReason, u64>,
     /// Protocol-reported counters.
-    pub proto: HashMap<ProtoCounter, u64, FxBuild>,
+    pub proto: FxMap<ProtoCounter, u64>,
     /// Frames lost to interface-queue overflow.
     pub ifq_drops: u64,
     /// Unicast frames abandoned after the MAC retry limit.
@@ -61,7 +59,7 @@ pub struct Metrics {
     pub mean_own_seqno: f64,
     /// Simulated run length, for rate normalisation.
     pub sim_seconds: f64,
-    delivered_keys: HashSet<(u32, u32), FxBuild>,
+    delivered_keys: FxSet<(u32, u32)>,
 }
 
 impl Metrics {

@@ -40,8 +40,7 @@
 
 use crate::event::Event;
 use std::fmt::Write as _;
-// xtask:allow(determinism): the profiler is the one sanctioned wall-clock reader in this crate; readings are observational only and never feed simulation state
-use std::time::Instant;
+use wall::Instant;
 
 /// Schema identifier of the profiler JSONL file.
 pub const PROF_SCHEMA: &str = "manet-prof";
@@ -130,12 +129,18 @@ pub struct Profiler {
     hists: [[u64; HIST_BUCKETS]; N_HISTS],
 }
 
-/// The single `Instant::now` read, centralized so the justified
-/// determinism-lint allow covers exactly one call site.
-#[inline]
-fn read_wall_clock() -> Instant {
-    // xtask:allow(determinism): sole wall-clock read of the profiler; the value is accumulated into observation-only counters and never compared against simulated time
-    Instant::now()
+/// The profiler's clock, the one wall-clock reader in the simulator
+/// crates, kept in one module so its lint exemption covers nothing else:
+/// readings accrue into observation-only counters and never feed
+/// simulation state.
+#[expect(clippy::disallowed_types, clippy::disallowed_methods, reason = "observation-only")]
+mod wall {
+    pub(super) type Instant = std::time::Instant;
+
+    #[inline]
+    pub(super) fn now() -> Instant {
+        Instant::now()
+    }
 }
 
 impl Default for Profiler {
@@ -148,7 +153,7 @@ impl Profiler {
     /// A fresh profiler with an empty span stack.
     pub fn new() -> Self {
         Profiler {
-            last: read_wall_clock(),
+            last: wall::now(),
             stack: Vec::with_capacity(8),
             nanos: [0; N_PHASES],
             counts: [0; N_PHASES],
@@ -163,7 +168,7 @@ impl Profiler {
     /// kernel is not running then) and restarts the clock.
     #[inline]
     fn flush(&mut self) {
-        let now = read_wall_clock();
+        let now = wall::now();
         if let Some(&top) = self.stack.last() {
             self.nanos[top as usize] += (now - self.last).as_nanos() as u64;
         }

@@ -2,17 +2,17 @@
 
 #![cfg(test)]
 
+use crate::hash::{FxMap, FxSet};
 use crate::loopcheck::find_loops;
 use crate::packet::NodeId;
 use proptest::prelude::*;
-use std::collections::{HashMap, HashSet};
 
 /// Brute-force oracle: for each destination, walk the successor chain
 /// from every node with a visited set; revisiting any node before
 /// terminating (at the destination or at a node without a successor)
 /// means the chain contains a cycle.
 fn has_loop_oracle(tables: &[Vec<(NodeId, NodeId)>]) -> bool {
-    let mut succ: HashMap<NodeId, HashMap<NodeId, NodeId>> = HashMap::new();
+    let mut succ: FxMap<NodeId, FxMap<NodeId, NodeId>> = FxMap::default();
     for (i, entries) in tables.iter().enumerate() {
         for &(dest, next) in entries {
             succ.entry(dest).or_default().insert(NodeId(i as u16), next);
@@ -20,7 +20,7 @@ fn has_loop_oracle(tables: &[Vec<(NodeId, NodeId)>]) -> bool {
     }
     for (dest, map) in &succ {
         for &start in map.keys() {
-            let mut seen = HashSet::new();
+            let mut seen = FxSet::default();
             let mut cur = start;
             loop {
                 if cur == *dest {
@@ -50,7 +50,7 @@ proptest! {
         )
     ) {
         let mut tables: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); 8];
-        let mut seen = HashSet::new();
+        let mut seen = FxSet::default();
         for (node, dest, next) in entries {
             // One successor per (node, dest).
             if seen.insert((node, dest)) && node != next {
@@ -72,7 +72,7 @@ proptest! {
         )
     ) {
         let mut tables: Vec<Vec<(NodeId, NodeId)>> = vec![Vec::new(); 6];
-        let mut seen = HashSet::new();
+        let mut seen = FxSet::default();
         for (node, dest, next) in entries {
             if seen.insert((node, dest)) && node != next {
                 tables[node as usize].push((NodeId(dest), NodeId(next)));

@@ -12,8 +12,9 @@
 //! All randomness in a simulation run MUST come from a [`SimRng`]
 //! (directly, via [`SimRng::stream`], or via [`SimRng::split`]); OS
 //! entropy (`std::time`, `SystemTime`, `/dev/urandom`, hash-map
-//! iteration order) is forbidden in simulator paths and enforced by
-//! `cargo xtask check`. Given the same seed, the same build produces the
+//! iteration order) is forbidden in simulator paths, and the
+//! workspace's `clippy.toml` bans the std types and calls that read it.
+//! Given the same seed, the same build produces the
 //! same event sequence, metrics and traces on every machine, which is
 //! what makes counterexample replay (`crates/modelcheck`) and the
 //! forensic audit dumps meaningful.

@@ -81,8 +81,7 @@
 //! # Determinism
 //!
 //! The index draws no randomness, reads no clocks and iterates only
-//! `Vec`s in index order (no `HashMap`/`HashSet`; enforced by
-//! `cargo xtask check`). Rebuild instants are a pure function of query
+//! `Vec`s in index order (no hash maps). Rebuild instants are a pure function of query
 //! times, which are simulation times.
 
 use crate::geometry::Position;

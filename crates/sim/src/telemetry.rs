@@ -7,7 +7,7 @@
 //!
 //! * a **time-series sampler** driven by the kernel's
 //!   [`crate::event::Event::TelemetrySample`] event (sim-time only —
-//!   wall clocks are banned in this crate by `cargo xtask check`):
+//!   wall clocks are banned in this crate by the workspace `clippy.toml`):
 //!   each [`SeriesSample`] snapshots rolling delivery ratio,
 //!   per-[`ControlKind`] transmission rates, per-protocol route-table
 //!   occupancy ([`crate::protocol::RoutingProtocol::telemetry_snapshot`]),

@@ -7,8 +7,12 @@
 //! malformed input surfaces as a rejected frame (`None`), never as a
 //! panic. These helpers make that property compositional — no bare
 //! indexing, no unchecked offset arithmetic, no narrowing casts — and
-//! the `cargo xtask check` panic-surface pass keeps the codecs that
-//! use them honest.
+//! the clippy lints denied at the top of this file and of every
+//! `messages.rs` keep the codecs that use them honest.
+
+#![cfg_attr(not(test), deny(clippy::indexing_slicing, clippy::arithmetic_side_effects))]
+#![cfg_attr(not(test), deny(clippy::cast_possible_truncation, clippy::cast_possible_wrap))]
+#![cfg_attr(not(test), deny(clippy::cast_sign_loss))]
 
 use crate::packet::NodeId;
 

@@ -5,13 +5,12 @@
 use super::{take_pooled, World};
 use crate::event::Event;
 use crate::faults::RxFate;
-use crate::hash::FxBuild;
+use crate::hash::FxMap;
 use crate::mac::MacState;
 use crate::packet::{NodeId, Packet, PacketBody};
 use crate::prof::{PHASE_NEIGHBOR_GRID, PHASE_NEIGHBOR_LINEAR};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::TraceEvent;
-use std::collections::HashMap;
 
 /// Link-layer frame payload.
 #[derive(Clone, Debug)]
@@ -49,7 +48,7 @@ pub(super) struct Batch {
 
 /// The transmissions on the air, by transmission id: a few dozen,
 /// probed by exact key, never iterated.
-pub(super) type Batches = HashMap<u64, Batch, FxBuild>;
+pub(super) type Batches = FxMap<u64, Batch>;
 
 /// A reception that began uncorrupted: where its verdict is
 /// (`receivers[pos]` of `tx_id`) and what could still corrupt it reads.
@@ -370,13 +369,14 @@ mod tests {
     use crate::config::SimConfig;
     use crate::faults::{FaultAction, FaultPlan};
     use crate::geometry::Position;
+    use crate::hash::FxSet;
     use crate::mac::OutFrame;
     use crate::mobility::StaticMobility;
     use crate::packet::{ControlKind, ControlPacket, DataPacket, DEFAULT_DATA_TTL};
     use crate::static_routing::StaticRouting;
     use crate::trace::MemoryTrace;
     use proptest::prelude::*;
-    use std::collections::{HashSet, VecDeque};
+    use std::collections::VecDeque;
     use std::sync::{Arc, Mutex};
 
     /// The remember-set [`RecentCache`] replaced, kept as its oracle: the
@@ -384,7 +384,7 @@ mod tests {
     #[derive(Debug, Default)]
     pub(in crate::world) struct RecentOracle {
         order: VecDeque<u64>,
-        set: HashSet<u64>,
+        set: FxSet<u64>,
         /// Duplicate verdicts given.
         pub(in crate::world) duplicates: u64,
     }

@@ -7,12 +7,12 @@
 set -x
 cd "$(dirname "$0")/.." || exit 1
 B="cargo run --release -q -p ldr-bench --bin sweepbench -- --full --grid"
-$B fig2 --trials 3                                       > results/fig2.txt 2> results/fig2.log
-$B fig7 --trials 3 --duration 600                        > results/fig7.txt 2> results/fig7.log
-$B table1 --trials 2 --duration 600 --pauses 0,120,600   > results/table1.txt 2> results/table1.log
-$B fig3 --trials 2 --duration 600 --pauses 0,120,600,900 > results/fig3.txt 2> results/fig3.log
-$B fig4 --trials 3 --duration 600                        > results/fig4.txt 2> results/fig4.log
-$B fig5 --trials 2 --duration 600 --pauses 0,120,600,900 > results/fig5.txt 2> results/fig5.log
-$B fig6 --trials 2 --duration 600 --pauses 0,120,600,900 > results/fig6.txt 2> results/fig6.log
-$B ablation --trials 3 --duration 900 --pauses 0,120,600 > results/ablation.txt 2> results/ablation.log
+$B fig2 --trials 3                                       > results/fig2.txt
+$B fig7 --trials 3 --duration 600                        > results/fig7.txt
+$B table1 --trials 2 --duration 600 --pauses 0,120,600   > results/table1.txt
+$B fig3 --trials 2 --duration 600 --pauses 0,120,600,900 > results/fig3.txt
+$B fig4 --trials 3 --duration 600                        > results/fig4.txt
+$B fig5 --trials 2 --duration 600 --pauses 0,120,600,900 > results/fig5.txt
+$B fig6 --trials 2 --duration 600 --pauses 0,120,600,900 > results/fig6.txt
+$B ablation --trials 3 --duration 900 --pauses 0,120,600 > results/ablation.txt
 echo DONE > results/ALL_DONE
