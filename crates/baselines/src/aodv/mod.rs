@@ -11,7 +11,9 @@
 
 pub mod messages;
 
-use manet_sim::discovery::Discoveries;
+use manet_sim::discovery::{
+    self, Discoveries, ACTIVE_ROUTE_TIMEOUT, MY_ROUTE_TIMEOUT, PATH_DISCOVERY_TIME, TTL_START,
+};
 use manet_sim::hash::FxMap;
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{
@@ -23,81 +25,21 @@ use messages::{Rerr, RerrEntry, Rrep, Rreq};
 
 /// Timer token for the periodic state sweep.
 const CLEANUP_TOKEN: u64 = u64::MAX;
-/// Timer token for periodic hello emission and neighbour sweeps.
-const HELLO_TOKEN: u64 = u64::MAX - 1;
 const CLEANUP_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
-/// AODV protocol constants (RFC 3561 defaults).
+/// AODV's one setting; its timing is RFC 3561's, the constants of
+/// [`manet_sim::discovery`] it shares with LDR. Link breaks are sensed
+/// by the MAC layer only (no hellos), and originated requests never set
+/// the `D` flag.
 #[derive(Clone, Debug, PartialEq)]
 pub struct AodvConfig {
-    /// ACTIVE_ROUTE_TIMEOUT.
-    pub active_route_timeout: SimDuration,
-    /// MY_ROUTE_TIMEOUT (granted by destinations).
-    pub my_route_timeout: SimDuration,
-    /// NODE_TRAVERSAL_TIME.
-    pub node_traversal_time: SimDuration,
-    /// TTL_START.
-    pub ttl_start: u8,
-    /// TTL_INCREMENT.
-    pub ttl_increment: u8,
-    /// TTL_THRESHOLD.
-    pub ttl_threshold: u8,
-    /// NET_DIAMETER.
-    pub net_diameter: u8,
     /// Total discovery attempts before giving up.
     pub max_attempts: u32,
-    /// Data packets buffered per destination during discovery.
-    pub buffer_cap: usize,
-    /// PATH_DISCOVERY_TIME (RREQ flood dedup state lifetime).
-    pub rreq_cache_ttl: SimDuration,
-    /// `D` flag on originated RREQs: only destinations may answer.
-    pub destination_only: bool,
-    /// Periodic hello messages (RFC 3561 §6.9) for link sensing, as an
-    /// alternative to MAC-layer feedback. `None` (the default, and the
-    /// evaluation's configuration) relies on link-layer detection only.
-    pub hello_interval: Option<SimDuration>,
-    /// Hellos missed before a neighbour is declared lost.
-    pub allowed_hello_loss: u32,
 }
 
 impl Default for AodvConfig {
     fn default() -> Self {
-        AodvConfig {
-            active_route_timeout: SimDuration::from_secs(3),
-            my_route_timeout: SimDuration::from_secs(6),
-            node_traversal_time: SimDuration::from_millis(40),
-            ttl_start: 2,
-            ttl_increment: 2,
-            ttl_threshold: 7,
-            net_diameter: 35,
-            max_attempts: 5,
-            buffer_cap: 64,
-            rreq_cache_ttl: SimDuration::from_millis(2800),
-            destination_only: false,
-            hello_interval: None,
-            allowed_hello_loss: 2,
-        }
-    }
-}
-
-impl AodvConfig {
-    /// TTL for discovery attempt `attempt` (1-based expanding ring).
-    fn ttl_for_attempt(&self, attempt: u32) -> u8 {
-        let mut ttl = self.ttl_start;
-        for _ in 1..attempt {
-            if ttl >= self.ttl_threshold {
-                return self.net_diameter;
-            }
-            ttl = ttl.saturating_add(self.ttl_increment);
-            if ttl > self.ttl_threshold {
-                return self.net_diameter;
-            }
-        }
-        ttl.min(self.net_diameter)
-    }
-
-    fn discovery_timeout(&self, ttl: u8) -> SimDuration {
-        self.node_traversal_time.saturating_mul(2 * u64::from(ttl.max(1)))
+        AodvConfig { max_attempts: 5 }
     }
 }
 
@@ -136,8 +78,6 @@ pub struct Aodv {
     /// Strongest RREP forwarded per (orig, dst): (seq, hops, expiry).
     forwarded: FxMap<(NodeId, NodeId), (u32, u8, SimTime)>,
     pending: Discoveries,
-    /// Hello-based link sensing: neighbour -> liveness deadline.
-    neighbors: FxMap<NodeId, SimTime>,
     next_rreqid: u32,
     clock: SimTime,
 }
@@ -155,7 +95,6 @@ impl Aodv {
             seen: FxMap::with_capacity_and_hasher(256, Default::default()),
             forwarded: FxMap::default(),
             pending: Discoveries::default(),
-            neighbors: FxMap::default(),
             next_rreqid: 0,
             clock: SimTime::ZERO,
         }
@@ -260,7 +199,7 @@ impl Aodv {
 
     fn queue_and_discover(&mut self, ctx: &mut Ctx, data: DataPacket) {
         let dest = data.dst;
-        if let Some(token) = self.pending.buffer_or_open(ctx, data, self.cfg.buffer_cap) {
+        if let Some(token) = self.pending.buffer_or_open(ctx, data) {
             self.send_rreq(ctx, dest, 1, token);
         }
     }
@@ -273,7 +212,7 @@ impl Aodv {
         // break-time inflation below, is what Fig. 7 measures.
         self.own_seq = self.own_seq.wrapping_add(1);
         ctx.count(ProtoCounter::SeqnoIncrement);
-        let ttl = self.cfg.ttl_for_attempt(attempt);
+        let ttl = discovery::ring_ttl(TTL_START, attempt);
         let rreqid = self.next_rreqid;
         self.next_rreqid += 1;
         let rreq = Rreq {
@@ -284,10 +223,10 @@ impl Aodv {
             src_seq: self.own_seq,
             hop_count: 0,
             ttl,
-            dest_only: self.cfg.destination_only,
+            dest_only: false,
         };
         ctx.broadcast(ControlKind::Rreq, rreq.encode(), true);
-        ctx.set_timer(self.cfg.discovery_timeout(ttl), token);
+        ctx.set_timer(discovery::discovery_timeout(ttl), token);
     }
 
     fn finish_success(&mut self, ctx: &mut Ctx, dest: NodeId) {
@@ -296,7 +235,7 @@ impl Aodv {
         for p in queue {
             match self.active(dest, now).map(|r| r.next) {
                 Some(next) => {
-                    self.refresh(dest, now + self.cfg.active_route_timeout);
+                    self.refresh(dest, now + ACTIVE_ROUTE_TIMEOUT);
                     ctx.send_data(next, p);
                 }
                 None => ctx.drop_data(p, DropReason::NoRoute),
@@ -315,7 +254,7 @@ impl Aodv {
         if self.seen.get(&key).is_some_and(|&e| e > now) {
             return;
         }
-        self.seen.insert(key, now + self.cfg.rreq_cache_ttl);
+        self.seen.insert(key, now + PATH_DISCOVERY_TIME);
 
         let hops = u32::from(rreq.hop_count) + 1;
         // Reverse route to the originator.
@@ -325,7 +264,7 @@ impl Aodv {
             hops,
             prev,
             now,
-            now + self.cfg.active_route_timeout,
+            now + ACTIVE_ROUTE_TIMEOUT,
         );
 
         if rreq.dst == self.id {
@@ -346,7 +285,7 @@ impl Aodv {
                 dst_seq: self.own_seq,
                 orig: rreq.src,
                 hop_count: 0,
-                lifetime_ms: self.cfg.my_route_timeout.as_millis() as u32,
+                lifetime_ms: MY_ROUTE_TIMEOUT.as_millis() as u32,
             };
             ctx.unicast_control(prev, ControlKind::Rrep, rrep.encode(), true, true);
             return;
@@ -399,15 +338,6 @@ impl Aodv {
 
     fn handle_rrep(&mut self, ctx: &mut Ctx, prev: NodeId, rrep: Rrep) {
         let now = ctx.now();
-        if rrep.orig == rrep.dst {
-            // A hello (RFC 3561 §6.9): refresh the neighbour route and
-            // liveness, never forward.
-            let life = SimDuration::from_millis(u64::from(rrep.lifetime_ms));
-            self.update_route(prev, Some(rrep.dst_seq), 1, prev, now, now + life);
-            self.refresh(prev, now + life);
-            self.neighbors.insert(prev, now + life);
-            return;
-        }
         let hops = u32::from(rrep.hop_count) + 1;
         let lifetime = SimDuration::from_millis(u64::from(rrep.lifetime_ms));
         let installed =
@@ -438,7 +368,7 @@ impl Aodv {
         }
         self.forwarded.insert(
             fkey,
-            (rrep.dst_seq, rrep.hop_count.saturating_add(1), now + self.cfg.rreq_cache_ttl),
+            (rrep.dst_seq, rrep.hop_count.saturating_add(1), now + PATH_DISCOVERY_TIME),
         );
         let fwd = Rrep { hop_count: rrep.hop_count.saturating_add(1), ..rrep };
         ctx.unicast_control(rev_next, ControlKind::Rrep, fwd.encode(), false, true);
@@ -475,11 +405,6 @@ impl RoutingProtocol for Aodv {
     fn start(&mut self, ctx: &mut Ctx) {
         self.clock = ctx.now();
         ctx.set_timer(CLEANUP_INTERVAL, CLEANUP_TOKEN);
-        if let Some(interval) = self.cfg.hello_interval {
-            // Stagger first hellos across the interval.
-            let j = ctx.rng().below(interval.as_nanos().max(1));
-            ctx.set_timer(SimDuration::from_nanos(j), HELLO_TOKEN);
-        }
     }
 
     fn handle_reboot(&mut self, ctx: &mut Ctx) {
@@ -501,7 +426,6 @@ impl RoutingProtocol for Aodv {
         // them, ROADMAP item 3) can name a discovery opened after it. LDR
         // keeps its counter and cannot; unit tests pin each flavour.
         self.pending = Discoveries::default();
-        self.neighbors.clear();
         self.next_rreqid = 0;
         self.start(ctx);
     }
@@ -515,7 +439,7 @@ impl RoutingProtocol for Aodv {
         let now = ctx.now();
         match self.active(data.dst, now).map(|r| r.next) {
             Some(next) => {
-                self.refresh(data.dst, now + self.cfg.active_route_timeout);
+                self.refresh(data.dst, now + ACTIVE_ROUTE_TIMEOUT);
                 ctx.send_data(next, data);
             }
             None => self.queue_and_discover(ctx, data),
@@ -525,8 +449,8 @@ impl RoutingProtocol for Aodv {
     fn handle_data_packet(&mut self, ctx: &mut Ctx, prev_hop: NodeId, mut data: DataPacket) {
         self.clock = ctx.now();
         let now = ctx.now();
-        self.refresh(data.src, now + self.cfg.active_route_timeout);
-        self.refresh(prev_hop, now + self.cfg.active_route_timeout);
+        self.refresh(data.src, now + ACTIVE_ROUTE_TIMEOUT);
+        self.refresh(prev_hop, now + ACTIVE_ROUTE_TIMEOUT);
         if data.dst == self.id {
             ctx.deliver(data);
             return;
@@ -538,7 +462,7 @@ impl RoutingProtocol for Aodv {
         data.ttl -= 1;
         match self.active(data.dst, now).map(|r| r.next) {
             Some(next) => {
-                self.refresh(data.dst, now + self.cfg.active_route_timeout);
+                self.refresh(data.dst, now + ACTIVE_ROUTE_TIMEOUT);
                 ctx.send_data(next, data);
             }
             None => {
@@ -580,10 +504,6 @@ impl RoutingProtocol for Aodv {
                 Some(m) => self.handle_rerr(ctx, prev_hop, m),
                 None => ctx.drop_malformed(ControlKind::Rerr),
             },
-            ControlKind::Hello => match Rrep::decode(&ctrl.bytes) {
-                Some(m) => self.handle_rrep(ctx, prev_hop, m),
-                None => ctx.drop_malformed(ControlKind::Hello),
-            },
             _ => {}
         }
     }
@@ -595,41 +515,6 @@ impl RoutingProtocol for Aodv {
             self.seen.retain(|_, &mut e| e > now);
             self.forwarded.retain(|_, &mut (_, _, e)| e > now);
             ctx.set_timer(CLEANUP_INTERVAL, CLEANUP_TOKEN);
-            return;
-        }
-        if token == HELLO_TOKEN {
-            let Some(interval) = self.cfg.hello_interval else { return };
-            let now = ctx.now();
-            // Declare hello-silent neighbours lost.
-            let mut dead: Vec<NodeId> = self
-                .neighbors
-                .iter()
-                .filter(|(_, &deadline)| deadline <= now)
-                .map(|(&n, _)| n)
-                .collect();
-            // Hash-map iteration order must not decide the RERR emission
-            // order (it is observable through FEL sequencing).
-            dead.sort_unstable_by_key(|n| n.0);
-            for n in dead {
-                self.neighbors.remove(&n);
-                let lost = self.invalidate_via(n, now);
-                if !lost.is_empty() {
-                    ctx.broadcast(ControlKind::Rerr, Rerr { entries: lost }.encode(), true);
-                }
-            }
-            // Emit a hello if this node is part of any active route.
-            if self.routes.values().any(|r| r.is_active(now)) {
-                let life = interval.saturating_mul(u64::from(self.cfg.allowed_hello_loss) + 1);
-                let hello = Rrep {
-                    dst: self.id,
-                    dst_seq: self.own_seq,
-                    orig: self.id,
-                    hop_count: 0,
-                    lifetime_ms: life.as_millis() as u32,
-                };
-                ctx.broadcast(ControlKind::Hello, hello.encode(), true);
-            }
-            ctx.set_timer(interval, HELLO_TOKEN);
             return;
         }
         let Some(dest) = self.pending.dest_of(token) else { return };
@@ -751,14 +636,6 @@ impl ProtocolModel for Aodv {
         }
 
         self.pending.digest(out);
-
-        let mut nb: Vec<(&NodeId, &SimTime)> = self.neighbors.iter().collect();
-        nb.sort_unstable_by_key(|(n, _)| n.0);
-        put_u64(out, nb.len() as u64);
-        for (n, deadline) in nb {
-            put_u16(out, n.0);
-            put_u64(out, deadline.as_nanos());
-        }
     }
 
     fn discovery_pending(&self, dest: NodeId) -> bool {
@@ -767,12 +644,7 @@ impl ProtocolModel for Aodv {
 
     /// The expanding-ring attempts the TTL schedule needs.
     fn discovery_attempts(&self, dist: u32) -> Option<u32> {
-        let mut attempt = 1u32;
-        while attempt < self.cfg.max_attempts && u32::from(self.cfg.ttl_for_attempt(attempt)) < dist
-        {
-            attempt += 1;
-        }
-        (u32::from(self.cfg.ttl_for_attempt(attempt)) >= dist).then_some(attempt)
+        discovery::ring_attempts(dist, self.cfg.max_attempts)
     }
 }
 

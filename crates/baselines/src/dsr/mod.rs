@@ -34,28 +34,30 @@ use messages::{Rerr, Rrep, Rreq, SourceRoute};
 const CLEANUP_TOKEN: u64 = u64::MAX;
 const CLEANUP_INTERVAL: SimDuration = SimDuration::from_secs(10);
 
-/// DSR parameters.
+/// Route-cache capacity, in paths.
+const CACHE_CAPACITY: usize = 64;
+/// How long the request table remembers a seen `(initiator, id)`.
+const REQUEST_TABLE_HOLD: SimDuration = SimDuration::from_secs(30);
+/// RequestPeriod: the first retransmission timeout; it doubles per
+/// attempt.
+const REQUEST_PERIOD: SimDuration = SimDuration::from_millis(500);
+/// TTL of a propagating request.
+const FLOOD_TTL: u8 = 35;
+/// MaxSalvageCount: how often one packet may be salvaged.
+const MAX_SALVAGE_COUNT: u8 = 4;
+
+/// The DSR settings the two drafts and the model checker vary; the rest
+/// are the constants above, and discovery buffers up to
+/// [`manet_sim::discovery::DISCOVERY_BUFFER`] packets per destination.
 #[derive(Clone, Debug, PartialEq)]
 pub struct DsrConfig {
-    /// Maximum cached paths.
-    pub cache_cap: usize,
     /// Cache entry lifetime: `None` = draft-03 (never expires),
     /// `Some(300 s)` approximates draft-07's RouteCacheTimeout.
     pub cache_timeout: Option<SimDuration>,
-    /// RREQ dedup-table entry lifetime.
-    pub rreq_cache_ttl: SimDuration,
     /// Discovery attempts before giving up.
     pub max_attempts: u32,
-    /// First retransmission timeout; doubles per attempt.
-    pub backoff_base: SimDuration,
     /// First attempt is a non-propagating (TTL 1) neighbourhood query.
     pub non_propagating_first: bool,
-    /// Flood TTL for propagating requests.
-    pub flood_ttl: u8,
-    /// Packets buffered per destination during discovery.
-    pub buffer_cap: usize,
-    /// Maximum times one packet may be salvaged.
-    pub salvage_limit: u8,
 }
 
 impl Default for DsrConfig {
@@ -67,17 +69,7 @@ impl Default for DsrConfig {
 impl DsrConfig {
     /// Draft-03 behaviour (the paper's GloMoSim runs).
     pub fn draft3() -> Self {
-        DsrConfig {
-            cache_cap: 64,
-            cache_timeout: None,
-            rreq_cache_ttl: SimDuration::from_secs(30),
-            max_attempts: 6,
-            backoff_base: SimDuration::from_millis(500),
-            non_propagating_first: true,
-            flood_ttl: 35,
-            buffer_cap: 64,
-            salvage_limit: 4,
-        }
+        DsrConfig { cache_timeout: None, max_attempts: 6, non_propagating_first: true }
     }
 
     /// Draft-07 flavour (the paper's Qualnet cross-check, Fig. 6):
@@ -85,10 +77,12 @@ impl DsrConfig {
     pub fn draft7() -> Self {
         DsrConfig { cache_timeout: Some(SimDuration::from_secs(300)), ..Self::draft3() }
     }
+}
 
-    fn discovery_timeout(&self, attempt: u32) -> SimDuration {
-        self.backoff_base.saturating_mul(1u64 << (attempt - 1).min(10))
-    }
+/// The retransmission timeout of discovery attempt `attempt` (1-based):
+/// exponential backoff from RequestPeriod.
+fn discovery_timeout(attempt: u32) -> SimDuration {
+    REQUEST_PERIOD.saturating_mul(1u64 << (attempt - 1).min(10))
 }
 
 /// A DSR node.
@@ -106,7 +100,7 @@ pub struct Dsr {
 impl Dsr {
     /// A new node.
     pub fn new(id: NodeId, cfg: DsrConfig) -> Self {
-        let cache = RouteCache::new(id, cfg.cache_cap, cfg.cache_timeout);
+        let cache = RouteCache::new(id, CACHE_CAPACITY, cfg.cache_timeout);
         Dsr {
             id,
             cfg,
@@ -142,7 +136,7 @@ impl Dsr {
 
     fn queue_and_discover(&mut self, ctx: &mut Ctx, data: DataPacket) {
         let dest = data.dst;
-        if let Some(token) = self.pending.buffer_or_open(ctx, data, self.cfg.buffer_cap) {
+        if let Some(token) = self.pending.buffer_or_open(ctx, data) {
             self.send_rreq(ctx, dest, 1, token);
         }
     }
@@ -150,13 +144,12 @@ impl Dsr {
     /// Floods attempt number `attempt` of the discovery towards `dest`
     /// and arms its retry timer with `token`.
     fn send_rreq(&mut self, ctx: &mut Ctx, dest: NodeId, attempt: u32, token: u64) {
-        let ttl =
-            if attempt == 1 && self.cfg.non_propagating_first { 1 } else { self.cfg.flood_ttl };
+        let ttl = if attempt == 1 && self.cfg.non_propagating_first { 1 } else { FLOOD_TTL };
         let id = self.next_id;
         self.next_id += 1;
         let rreq = Rreq { src: self.id, dst: dest, id, ttl, route: vec![] };
         ctx.broadcast(ControlKind::Rreq, rreq.encode(), true);
-        ctx.set_timer(self.cfg.discovery_timeout(attempt), token);
+        ctx.set_timer(discovery_timeout(attempt), token);
     }
 
     fn finish_success(&mut self, ctx: &mut Ctx, dest: NodeId) {
@@ -226,7 +219,7 @@ impl Dsr {
         if self.seen.get(&key).is_some_and(|&e| e > now) {
             return;
         }
-        self.seen.insert(key, now + self.cfg.rreq_cache_ttl);
+        self.seen.insert(key, now + REQUEST_TABLE_HOLD);
 
         if m.dst == self.id {
             // Target reply: the accumulated record is the route. The
@@ -322,7 +315,7 @@ impl RoutingProtocol for Dsr {
     fn handle_reboot(&mut self, ctx: &mut Ctx) {
         // Everything DSR knows is soft state: the route cache, RREQ
         // dedup set and pending discoveries vanish with the power.
-        self.cache = RouteCache::new(self.id, self.cfg.cache_cap, self.cfg.cache_timeout);
+        self.cache = RouteCache::new(self.id, CACHE_CAPACITY, self.cfg.cache_timeout);
         self.seen.clear();
         // A fresh `Discoveries`, generation counter included: a retry
         // timer armed before the reboot (the simulator does not retire
@@ -451,7 +444,7 @@ impl RoutingProtocol for Dsr {
             self.handle_data_origination(ctx, data);
             return;
         }
-        if sr.salvage < self.cfg.salvage_limit {
+        if sr.salvage < MAX_SALVAGE_COUNT {
             if let Some(alt) = self.cache.lookup_avoiding(data.dst, self.id, next_hop, now) {
                 let mut path = Vec::with_capacity(alt.len() + 1);
                 path.push(self.id);

@@ -63,12 +63,12 @@ fn run_traced(
     plan: Option<FaultPlan>,
 ) -> TracedRun {
     let telemetry = TelemetryConfig::default();
+    let interval = telemetry.sample_interval;
     let mut world = build_world_telemetry(protocol, scenario, seed, plan, Some(telemetry));
     let sink = JsonlTrace::shared(seed, scenario.n_nodes);
     world.set_trace(Box::new(sink.clone()));
     world.run_until(SimTime::ZERO + SimDuration::from_secs(scenario.duration_secs));
     world.finalize();
-    let interval = world.sample_interval().unwrap_or(SimDuration::from_secs(1));
     let series = series_to_jsonl(seed, interval, world.telemetry_series());
     let metrics = world.metrics().clone();
     let prof = world.prof_snapshot().map(|snap| {

@@ -59,7 +59,7 @@ fn audited_run(proto: Protocol, level: u32) -> (Metrics, String) {
         audit_interval: Some(interval),
         invariant_audit: true,
         fault_plan: Some(trial_fault_plan(&sc, SEED, level)),
-        telemetry: Some(TelemetryConfig { sample_interval: Some(interval) }),
+        telemetry: Some(TelemetryConfig { sample_interval: interval }),
         profile: false,
     };
     let mobility = RandomWaypoint::new(

@@ -1,44 +1,24 @@
 //! LDR protocol parameters.
 
+use manet_sim::discovery::{ACTIVE_ROUTE_TIMEOUT, NET_DIAMETER, TTL_START};
 use manet_sim::time::SimDuration;
 
-/// Tunable protocol constants and the §4 optimisations.
+/// LOCAL_ADD_TTL (RFC 3561 §10): the TTL margin of the *optimal TTL*
+/// seed and of unicast path-reset forwarding.
+pub const LOCAL_ADD_TTL: u8 = 2;
+
+/// The discovery retry budget and the §4 optimisations.
 ///
-/// Defaults match the evaluation: AODV-compatible timing constants
-/// (ACTIVE_ROUTE_TIMEOUT etc.) with all five suggested optimisations
-/// enabled ("The LDR results reflect using the suggested
+/// Timing is AODV's, shared through `manet_sim::discovery`'s RFC 3561
+/// constants. Defaults match the evaluation, all five suggested
+/// optimisations enabled ("The LDR results reflect using the suggested
 /// optimizations"). Each optimisation can be disabled individually for
 /// the ablation benchmarks.
 #[derive(Clone, Debug, PartialEq)]
 pub struct LdrConfig {
-    /// Lifetime granted to a route on installation/refresh (AODV's
-    /// ACTIVE_ROUTE_TIMEOUT, 3 s).
-    pub active_route_timeout: SimDuration,
-    /// Lifetime a destination grants in its own replies (AODV's
-    /// MY_ROUTE_TIMEOUT, 6 s).
-    pub my_route_timeout: SimDuration,
-    /// Estimated per-hop latency (AODV's NODE_TRAVERSAL_TIME, 40 ms);
-    /// the discovery timer is `2 · ttl · latency` (Procedure 1).
-    pub node_traversal_time: SimDuration,
-    /// First expanding-ring TTL.
-    pub ttl_start: u8,
-    /// Expanding-ring TTL step.
-    pub ttl_increment: u8,
-    /// Last ring TTL before jumping to the network diameter.
-    pub ttl_threshold: u8,
-    /// Network-wide TTL.
-    pub net_diameter: u8,
     /// Total discovery attempts (ring steps plus network-wide retries)
     /// before the route request is abandoned.
     pub max_attempts: u32,
-    /// Data packets buffered per destination awaiting discovery.
-    pub buffer_cap: usize,
-    /// How long RREQ-cache (computation) state is retained; must cover
-    /// the flood and the replies (AODV's PATH_DISCOVERY_TIME ≈ 2.8 s).
-    pub rreq_cache_ttl: SimDuration,
-    /// Extra TTL margin for the *optimal TTL* optimisation and for
-    /// unicast path-reset forwarding (LOCAL_ADD_TTL).
-    pub local_add_ttl: u8,
 
     /// *Multiple RREPs*: a node may relay additional RREPs for the same
     /// `(originator, rreqid)` as long as only strictly stronger
@@ -56,35 +36,17 @@ pub struct LdrConfig {
     /// *Optimal TTL*: seed the expanding ring with
     /// `D − FD + LOCAL_ADD_TTL` when prior route state exists.
     pub opt_optimal_ttl: bool,
-    /// N-bit reverse probe: after completing a discovery whose RREP
-    /// carried the N bit, raise the own sequence number and unicast a
-    /// D-bit probe to rebuild the reverse path. The paper makes this
-    /// optional ("it *may* send a unicast RREQ probe"); it is off by
-    /// default because each probe inflates the origin's sequence
-    /// number, and the reverse path is rebuilt on demand anyway.
-    pub opt_reverse_probe: bool,
 }
 
 impl Default for LdrConfig {
     fn default() -> Self {
         LdrConfig {
-            active_route_timeout: SimDuration::from_secs(3),
-            my_route_timeout: SimDuration::from_secs(6),
-            node_traversal_time: SimDuration::from_millis(40),
-            ttl_start: 2,
-            ttl_increment: 2,
-            ttl_threshold: 7,
-            net_diameter: 35,
             max_attempts: 5,
-            buffer_cap: 64,
-            rreq_cache_ttl: SimDuration::from_millis(2800),
-            local_add_ttl: 2,
             opt_multiple_rreps: true,
             opt_request_as_error: true,
             opt_reduced_distance: Some(0.8),
             opt_minimum_lifetime: true,
             opt_optimal_ttl: true,
-            opt_reverse_probe: false,
         }
     }
 }
@@ -131,46 +93,31 @@ impl LdrConfig {
     /// is on, zero otherwise).
     pub fn min_reply_lifetime(&self) -> SimDuration {
         if self.opt_minimum_lifetime {
-            SimDuration::from_nanos(self.active_route_timeout.as_nanos() / 3)
+            SimDuration::from_nanos(ACTIVE_ROUTE_TIMEOUT.as_nanos() / 3)
         } else {
             SimDuration::ZERO
         }
     }
 
-    /// TTL of discovery attempt `attempt` (1-based). With prior route
-    /// state and *optimal TTL* enabled, the first attempt uses
-    /// `dist − fd# + LOCAL_ADD_TTL`; later attempts expand the ring and
-    /// finally use the network diameter.
-    pub fn ttl_for_attempt(&self, attempt: u32, prior: Option<(u32, u32)>) -> u8 {
-        let base = match (self.opt_optimal_ttl, prior) {
+    /// The first ring TTL of a discovery (Procedure 1). With prior
+    /// route state `(dist, fd#)` and *optimal TTL* enabled it is
+    /// `dist − fd# + LOCAL_ADD_TTL`, kept within
+    /// `[TTL_START, NET_DIAMETER]`; otherwise TTL_START.
+    pub fn ring_base(&self, prior: Option<(u32, u32)>) -> u8 {
+        match (self.opt_optimal_ttl, prior) {
             (true, Some((dist, fd_req))) if dist != u32::MAX => {
                 let extra = dist.saturating_sub(fd_req) as u8;
-                extra.saturating_add(self.local_add_ttl).clamp(self.ttl_start, self.net_diameter)
+                extra.saturating_add(LOCAL_ADD_TTL).clamp(TTL_START, NET_DIAMETER)
             }
-            _ => self.ttl_start,
-        };
-        let mut ttl = base;
-        for _ in 1..attempt {
-            if ttl >= self.ttl_threshold {
-                return self.net_diameter;
-            }
-            ttl = ttl.saturating_add(self.ttl_increment);
-            if ttl > self.ttl_threshold {
-                return self.net_diameter;
-            }
+            _ => TTL_START,
         }
-        ttl.min(self.net_diameter)
-    }
-
-    /// The discovery timeout for a given TTL: `2 · ttl · latency`.
-    pub fn discovery_timeout(&self, ttl: u8) -> SimDuration {
-        self.node_traversal_time.saturating_mul(2 * u64::from(ttl.max(1)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use manet_sim::discovery::{discovery_timeout, ring_ttl};
 
     #[test]
     fn defaults_enable_all_optimizations() {
@@ -199,32 +146,33 @@ mod tests {
     #[test]
     fn expanding_ring_ttl_sequence() {
         let c = LdrConfig { opt_optimal_ttl: false, ..LdrConfig::default() };
-        assert_eq!(c.ttl_for_attempt(1, None), 2);
-        assert_eq!(c.ttl_for_attempt(2, None), 4);
-        assert_eq!(c.ttl_for_attempt(3, None), 6);
-        assert_eq!(c.ttl_for_attempt(4, None), 35, "past threshold: diameter");
-        assert_eq!(c.ttl_for_attempt(5, None), 35);
+        let ttl = |attempt| ring_ttl(c.ring_base(Some((6, 4))), attempt);
+        assert_eq!(ttl(1), 2);
+        assert_eq!(ttl(2), 4);
+        assert_eq!(ttl(3), 6);
+        assert_eq!(ttl(4), 35, "past threshold: diameter");
+        assert_eq!(ttl(5), 35);
     }
 
     #[test]
     fn optimal_ttl_uses_known_distance() {
         let c = LdrConfig::default();
+        let first = |prior| ring_ttl(c.ring_base(prior), 1);
         // dist 6, requested fd 4: 6 - 4 + 2 = 4.
-        assert_eq!(c.ttl_for_attempt(1, Some((6, 4))), 4);
+        assert_eq!(first(Some((6, 4))), 4);
         // No history falls back to the ring start.
-        assert_eq!(c.ttl_for_attempt(1, None), 2);
+        assert_eq!(first(None), 2);
         // Infinite distance falls back too.
-        assert_eq!(c.ttl_for_attempt(1, Some((u32::MAX, 3))), 2);
+        assert_eq!(first(Some((u32::MAX, 3))), 2);
         // Never below ttl_start nor above the diameter.
-        assert_eq!(c.ttl_for_attempt(1, Some((3, 3))), 2);
-        assert_eq!(c.ttl_for_attempt(1, Some((200, 1))), 35);
+        assert_eq!(first(Some((3, 3))), 2);
+        assert_eq!(first(Some((200, 1))), 35);
     }
 
     #[test]
     fn discovery_timeout_scales_with_ttl() {
-        let c = LdrConfig::default();
-        assert_eq!(c.discovery_timeout(2), SimDuration::from_millis(160));
-        assert_eq!(c.discovery_timeout(35), SimDuration::from_millis(2800));
+        assert_eq!(discovery_timeout(2), SimDuration::from_millis(160));
+        assert_eq!(discovery_timeout(35), SimDuration::from_millis(2800));
     }
 
     #[test]

@@ -21,12 +21,14 @@
 //! All five §4 optimisations are implemented and individually
 //! switchable through [`LdrConfig`].
 
-use crate::config::LdrConfig;
+use crate::config::{LdrConfig, LOCAL_ADD_TTL};
 use crate::invariants::{self, Distance, Solicited, INFINITY};
 use crate::messages::{Rerr, RerrEntry, Rrep, Rreq};
 use crate::route_table::{AdvertOutcome, RouteEntry, RouteTable};
 use crate::seqno::SeqNo;
-use manet_sim::discovery::Discoveries;
+use manet_sim::discovery::{
+    self, Discoveries, ACTIVE_ROUTE_TIMEOUT, MY_ROUTE_TIMEOUT, PATH_DISCOVERY_TIME,
+};
 use manet_sim::hash::FxMap;
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{
@@ -193,7 +195,7 @@ impl Ldr {
 
     fn queue_and_discover(&mut self, ctx: &mut Ctx, data: DataPacket) {
         let dest = data.dst;
-        if let Some(token) = self.pending.buffer_or_open(ctx, data, self.cfg.buffer_cap) {
+        if let Some(token) = self.pending.buffer_or_open(ctx, data) {
             self.send_rreq(ctx, dest, 1, token);
         }
     }
@@ -204,7 +206,7 @@ impl Ldr {
         let inv = self.routes.invariants(dest);
         let fd_req = self.cfg.answering_distance(inv.fd);
         let prior = (inv.d != INFINITY).then_some((inv.d, fd_req));
-        let ttl = self.cfg.ttl_for_attempt(attempt, prior);
+        let ttl = discovery::ring_ttl(self.cfg.ring_base(prior), attempt);
         let rreqid = self.next_rreqid;
         self.next_rreqid += 1;
         let rreq = Rreq {
@@ -223,7 +225,7 @@ impl Ldr {
         ctx.broadcast(ControlKind::Rreq, rreq.encode(), true);
         let id = self.id;
         ctx.trace(|| TraceEvent::RreqStart { node: id, dest, rreqid, ttl });
-        ctx.set_timer(self.cfg.discovery_timeout(ttl), token);
+        ctx.set_timer(discovery::discovery_timeout(ttl), token);
     }
 
     fn finish_success(&mut self, ctx: &mut Ctx, dest: NodeId) {
@@ -232,7 +234,7 @@ impl Ldr {
         for p in queue {
             match self.routes.active(dest, now).copied() {
                 Some(e) => {
-                    self.routes.refresh(dest, now + self.cfg.active_route_timeout);
+                    self.routes.refresh(dest, now + ACTIVE_ROUTE_TIMEOUT);
                     ctx.send_data(e.next_hop, p);
                 }
                 None => ctx.drop_data(p, DropReason::NoRoute),
@@ -249,7 +251,7 @@ impl Ldr {
             return;
         }
         let now = ctx.now();
-        let art = self.cfg.active_route_timeout;
+        let art = ACTIVE_ROUTE_TIMEOUT;
 
         // The RREQ doubles as an advertisement of the origin: try to
         // install/refresh the reverse route (unless the N bit voided it).
@@ -295,7 +297,7 @@ impl Ldr {
                 key,
                 CacheEntry {
                     last_hop: prev,
-                    expires: now + self.cfg.rreq_cache_ttl,
+                    expires: now + PATH_DISCOVERY_TIME,
                     relayed: None,
                     replied: false,
                     reverse_ok,
@@ -342,7 +344,7 @@ impl Ldr {
                 && invariants::sdc_allows_ignoring_t(mine, sol)
             {
                 let st = invariants::strengthen(self.routes.invariants(rreq.dst), sol);
-                let needed = (e.dist.min(250) as u8).saturating_add(self.cfg.local_add_ttl);
+                let needed = (e.dist.min(250) as u8).saturating_add(LOCAL_ADD_TTL);
                 let fwd = Rreq {
                     sn_dst: st.sn,
                     fd: st.fd,
@@ -429,7 +431,7 @@ impl Ldr {
             src: rreq.src,
             rreqid: rreq.rreqid,
             dist: 0,
-            lifetime_ms: (self.cfg.my_route_timeout.as_millis()).min(u64::from(u32::MAX)) as u32,
+            lifetime_ms: MY_ROUTE_TIMEOUT.as_millis().min(u64::from(u32::MAX)) as u32,
             n_bit: rreq.n_bit || !reverse_ok,
         };
         ctx.unicast_control(prev, ControlKind::Rrep, rrep.encode(), true, true);
@@ -485,11 +487,7 @@ impl Ldr {
             // Terminus: the computation ends on the first feasible
             // advertisement.
             if self.routes.active(rrep.dst, now).is_some() {
-                let had_pending = self.pending.is_pending(rrep.dst);
                 self.finish_success(ctx, rrep.dst);
-                if rrep.n_bit && had_pending && self.cfg.opt_reverse_probe {
-                    self.send_reverse_probe(ctx, rrep.dst, now);
-                }
             }
             return;
         }
@@ -534,38 +532,6 @@ impl Ldr {
         let id = self.id;
         let (dest, dist) = (rrep.dst, e.dist);
         ctx.trace(|| TraceEvent::RrepSend { node: id, dest, to: last_hop, dist });
-    }
-
-    /// After completing a discovery whose RREP carried the N bit (no
-    /// reverse path), rebuild the reverse path: raise our own sequence
-    /// number and unicast a D-bit probe RREQ along the forward path.
-    fn send_reverse_probe(&mut self, ctx: &mut Ctx, dest: NodeId, now: SimTime) {
-        let Some(e) = self.routes.active(dest, now).copied() else { return };
-        let old = self.own_seqno.to_u64();
-        self.own_seqno.increment();
-        ctx.count(ProtoCounter::SeqnoIncrement);
-        let id = self.id;
-        let new = self.own_seqno.to_u64();
-        ctx.trace(|| TraceEvent::SeqnoReset { node: id, old, new });
-        let rreqid = self.next_rreqid;
-        self.next_rreqid += 1;
-        let inv = self.routes.invariants(dest);
-        let rreq = Rreq {
-            dst: dest,
-            sn_dst: inv.sn,
-            rreqid,
-            src: self.id,
-            sn_src: self.own_seqno,
-            fd: self.cfg.answering_distance(inv.fd),
-            dist: 0,
-            ttl: (e.dist.min(250) as u8).saturating_add(self.cfg.local_add_ttl),
-            t_bit: false,
-            n_bit: false,
-            d_bit: true,
-        };
-        let ttl = rreq.ttl;
-        ctx.unicast_control(e.next_hop, ControlKind::Rreq, rreq.encode(), true, false);
-        ctx.trace(|| TraceEvent::RreqStart { node: id, dest, rreqid, ttl });
     }
 
     // ----- errors -----------------------------------------------------------
@@ -631,7 +597,7 @@ impl RoutingProtocol for Ldr {
         let now = ctx.now();
         match self.routes.active(data.dst, now).copied() {
             Some(e) => {
-                self.routes.refresh(data.dst, now + self.cfg.active_route_timeout);
+                self.routes.refresh(data.dst, now + ACTIVE_ROUTE_TIMEOUT);
                 ctx.send_data(e.next_hop, data);
             }
             None => self.queue_and_discover(ctx, data),
@@ -642,7 +608,7 @@ impl RoutingProtocol for Ldr {
         self.clock = ctx.now();
         let now = ctx.now();
         // Data traffic keeps both route directions warm.
-        self.routes.refresh(data.src, now + self.cfg.active_route_timeout);
+        self.routes.refresh(data.src, now + ACTIVE_ROUTE_TIMEOUT);
         if data.dst == self.id {
             ctx.deliver(data);
             return;
@@ -654,7 +620,7 @@ impl RoutingProtocol for Ldr {
         data.ttl -= 1;
         match self.routes.active(data.dst, now).copied() {
             Some(e) => {
-                self.routes.refresh(data.dst, now + self.cfg.active_route_timeout);
+                self.routes.refresh(data.dst, now + ACTIVE_ROUTE_TIMEOUT);
                 ctx.send_data(e.next_hop, data);
             }
             None => {
@@ -860,16 +826,10 @@ impl ProtocolModel for Ldr {
 
     /// The expanding-ring attempts the *cold* TTL schedule needs
     /// (capped at `max_attempts`). The *optimal TTL* optimisation can
-    /// only seed the ring at `ttl_start` or above, so this is an upper
+    /// only seed the ring at TTL_START or above, so this is an upper
     /// bound for warm starts too.
     fn discovery_attempts(&self, dist: u32) -> Option<u32> {
-        let mut attempt = 1u32;
-        while attempt < self.cfg.max_attempts
-            && u32::from(self.cfg.ttl_for_attempt(attempt, None)) < dist
-        {
-            attempt += 1;
-        }
-        (u32::from(self.cfg.ttl_for_attempt(attempt, None)) >= dist).then_some(attempt)
+        discovery::ring_attempts(dist, self.cfg.max_attempts)
     }
 }
 

@@ -2,6 +2,7 @@
 //! inspecting the queued actions — no simulator required.
 
 use super::*;
+use manet_sim::discovery::DISCOVERY_BUFFER;
 use manet_sim::protocol::{successors, Action};
 use manet_sim::rng::SimRng;
 
@@ -228,10 +229,10 @@ fn second_packet_while_active_is_queued_not_reflooded() {
 
 #[test]
 fn buffer_overflow_drops_excess_packets() {
-    let cfg = LdrConfig { buffer_cap: 2, ..LdrConfig::default() };
-    let mut n = Node::with_cfg(0, cfg);
-    n.originate(data(0, 7));
-    n.originate(data(0, 7));
+    let mut n = Node::new(0);
+    for _ in 0..DISCOVERY_BUFFER {
+        assert!(dropped(&n.originate(data(0, 7))).is_empty());
+    }
     let acts = n.originate(data(0, 7));
     assert_eq!(dropped(&acts), vec![DropReason::BufferOverflow]);
 }
@@ -852,7 +853,7 @@ fn own_seqno_value_tracks_counter() {
     assert_eq!(n.ldr.own_seqno_value(), Some(1.0));
 }
 
-// ----- N bit and the reverse probe ------------------------------------------
+// ----- N bit (the origin never probes) ---------------------------------------
 
 #[test]
 fn relay_that_cannot_install_reverse_route_sets_n_bit() {
@@ -916,32 +917,6 @@ fn probe_disabled_by_default_no_seqno_inflation() {
     let acts = n.rrep_from(4, rrep);
     assert_eq!(n.ldr.own_seqno(), before, "no probe, no increment");
     assert!(sent_rreqs(&acts).is_empty());
-}
-
-#[test]
-fn probe_enabled_sends_dbit_unicast_with_raised_seqno() {
-    let cfg = LdrConfig { opt_reverse_probe: true, ..LdrConfig::default() };
-    let mut n = Node::with_cfg(0, cfg);
-    n.originate(data(0, 7));
-    let before = n.ldr.own_seqno();
-    let rrep = Rrep {
-        dst: NodeId(7),
-        sn_dst: sn(1),
-        src: NodeId(0),
-        rreqid: 0,
-        dist: 2,
-        lifetime_ms: 6000,
-        n_bit: true,
-    };
-    let acts = n.rrep_from(4, rrep);
-    assert!(n.ldr.own_seqno() > before, "the probe raises the origin's number");
-    let rreqs = sent_rreqs(&acts);
-    assert_eq!(rreqs.len(), 1);
-    let (probe, initiated, to) = &rreqs[0];
-    assert!(initiated);
-    assert_eq!(*to, Some(NodeId(4)), "unicast along the fresh forward path");
-    assert!(probe.d_bit && !probe.t_bit && !probe.n_bit);
-    assert_eq!(probe.sn_src, n.ldr.own_seqno());
 }
 
 // ----- housekeeping -----------------------------------------------------------

@@ -19,7 +19,6 @@ use crate::net::Scenario;
 use ldr::{Ldr, LdrConfig};
 use manet_baselines::{Aodv, AodvConfig, Dsr, DsrConfig, Olsr, OlsrConfig};
 use manet_sim::packet::NodeId;
-use manet_sim::time::SimDuration;
 
 /// LDR configuration used by the model-check scenarios.
 pub fn ldr_config() -> LdrConfig {
@@ -28,7 +27,7 @@ pub fn ldr_config() -> LdrConfig {
 
 /// AODV configuration used by the model-check scenarios.
 pub fn aodv_config() -> AodvConfig {
-    AodvConfig { max_attempts: 1, ..AodvConfig::default() }
+    AodvConfig { max_attempts: 1 }
 }
 
 /// DSR configuration used by the model-check scenarios: draft-07
@@ -38,19 +37,14 @@ pub fn aodv_config() -> AodvConfig {
 /// first flood would make every multi-hop discovery fail by
 /// construction, which verifies nothing.
 pub fn dsr_config() -> DsrConfig {
-    DsrConfig {
-        cache_timeout: Some(SimDuration::from_secs(300)),
-        max_attempts: 1,
-        non_propagating_first: false,
-        ..DsrConfig::default()
-    }
+    DsrConfig { max_attempts: 1, non_propagating_first: false, ..DsrConfig::draft7() }
 }
 
 /// OLSR configuration used by the model-check scenarios: no jitter
 /// queue (the queue only reorders broadcasts in wall-clock time, which
 /// the frozen-time model already explores by interleaving deliveries).
 pub fn olsr_config() -> OlsrConfig {
-    OlsrConfig { jitter_max: None, ..OlsrConfig::default() }
+    OlsrConfig { jitter_max: None }
 }
 
 /// Node factory for LDR scenarios.

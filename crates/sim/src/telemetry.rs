@@ -46,14 +46,14 @@ pub const SCHEMA_VERSION: u32 = 1;
 /// Telemetry knobs, carried by [`crate::config::SimConfig::telemetry`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct TelemetryConfig {
-    /// Sampling interval of the time-series sampler. `None` disables
-    /// sampling.
-    pub sample_interval: Option<SimDuration>,
+    /// Sampling interval of the time-series sampler. Telemetry off
+    /// (`SimConfig::telemetry: None`) is the one way to run without it.
+    pub sample_interval: SimDuration,
 }
 
 impl Default for TelemetryConfig {
     fn default() -> Self {
-        TelemetryConfig { sample_interval: Some(SimDuration::from_secs(1)) }
+        TelemetryConfig { sample_interval: SimDuration::from_secs(1) }
     }
 }
 

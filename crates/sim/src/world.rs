@@ -219,7 +219,7 @@ impl World {
         // allocation is monotone, so the relative order of all *other*
         // events is unchanged — sampling cannot perturb the run (its
         // handler draws no randomness and schedules only its successor).
-        if let Some(interval) = world.cfg.telemetry.as_ref().and_then(|t| t.sample_interval) {
+        if let Some(interval) = world.sample_interval() {
             world.fel.schedule(SimTime::ZERO + interval, Event::TelemetrySample);
         }
         // An empty plan is no plan: the sweep passes one at every fault
@@ -444,9 +444,9 @@ impl World {
         &self.series
     }
 
-    /// The configured sampling interval, if the sampler is on.
+    /// The configured sampling interval, if telemetry is on.
     pub fn sample_interval(&self) -> Option<SimDuration> {
-        self.cfg.telemetry.as_ref().and_then(|t| t.sample_interval)
+        self.cfg.telemetry.as_ref().map(|t| t.sample_interval)
     }
 
     /// Runs the loop auditor immediately; records and returns any
@@ -591,8 +591,7 @@ impl World {
                 self.prof_enter(PHASE_TELEMETRY_SAMPLE);
                 self.take_sample();
                 self.prof_exit();
-                if let Some(interval) = self.cfg.telemetry.as_ref().and_then(|t| t.sample_interval)
-                {
+                if let Some(interval) = self.sample_interval() {
                     let next = self.now + interval;
                     if next <= SimTime::ZERO + self.cfg.duration {
                         self.fel.schedule(next, Event::TelemetrySample);
@@ -1954,8 +1953,7 @@ mod tests {
     #[test]
     fn sampler_fires_on_the_configured_cadence() {
         let interval = SimDuration::from_millis(2500);
-        let mut w =
-            telemetry_world(4, 3, Some(TelemetryConfig { sample_interval: Some(interval) }));
+        let mut w = telemetry_world(4, 3, Some(TelemetryConfig { sample_interval: interval }));
         w.run_until(SimTime::from_secs(10));
         w.finalize();
         let series = w.telemetry_series();

@@ -207,33 +207,3 @@ fn continuous_traffic_keeps_routes_alive_without_rediscovery() {
         "route refresh must prevent re-discovery"
     );
 }
-
-#[test]
-fn aodv_hello_variant_detects_breaks_without_data_failures() {
-    use manet_sim::mobility::ScriptedMobility;
-    // 0 - 1 - 2 chain; node 2 walks away at t = 12 s. With hellos on,
-    // node 1 notices the silence and revokes the route even though no
-    // data was in flight to fail at the MAC.
-    let tracks = vec![
-        vec![(SimTime::ZERO, manet_sim::geometry::Position::new(0.0, 0.0))],
-        vec![(SimTime::ZERO, manet_sim::geometry::Position::new(200.0, 0.0))],
-        vec![
-            (SimTime::ZERO, manet_sim::geometry::Position::new(400.0, 0.0)),
-            (SimTime::from_secs(12), manet_sim::geometry::Position::new(400.0, 0.0)),
-            (SimTime::from_secs(13), manet_sim::geometry::Position::new(4000.0, 0.0)),
-        ],
-    ];
-    let cfg = SimConfig { duration: SimDuration::from_secs(30), seed: 63, ..SimConfig::default() };
-    let hello_cfg =
-        AodvConfig { hello_interval: Some(SimDuration::from_secs(1)), ..AodvConfig::default() };
-    let mut world =
-        World::new(cfg, Box::new(ScriptedMobility::new(tracks)), Aodv::factory(hello_cfg));
-    // One early packet builds the route; then silence.
-    world.schedule_app_packet(SimTime::from_secs(1), NodeId(0), NodeId(2), 512);
-    let m = world.run();
-    assert_eq!(m.data_delivered, 1);
-    assert!(
-        m.control_tx.get(&manet_sim::packet::ControlKind::Hello).copied().unwrap_or(0) > 5,
-        "hellos must flow while routes are active"
-    );
-}
