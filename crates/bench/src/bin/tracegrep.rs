@@ -16,6 +16,9 @@
 //!   cost table
 //! ```
 //!
+//! The two forms do not mix: `--prof` beside `--trace` or a trace
+//! query, or `--top` without `--prof`, is a usage error (exit 2).
+//!
 //! Without a trace on disk, export one first:
 //! `sweepbench --grid faults --telemetry-dir DIR` (trace, series and
 //! prof documents per row), or
@@ -29,6 +32,7 @@ use ldr_bench::profiling::{render_report, ProfView};
 use std::io::Write;
 use std::process::ExitCode;
 
+#[derive(Debug, PartialEq)]
 enum Query {
     Explain { flow: u64, seq: u64 },
     RouteLifetimes { dst: u64 },
@@ -36,23 +40,25 @@ enum Query {
     Loops,
 }
 
-struct Args {
-    trace: Option<String>,
-    queries: Vec<Query>,
-    prof: Vec<String>,
-    top: usize,
+/// The two modes: queries over one trace, or a profiler report.
+#[derive(Debug, PartialEq)]
+enum Args {
+    Trace { path: String, queries: Vec<Query> },
+    Prof { files: Vec<String>, top: usize },
 }
 
 const USAGE: &str = "usage: tracegrep --trace FILE \
 [--explain-packet FLOW,SEQ] [--route-lifetimes DST] [--drops] [--loops]
        tracegrep --prof FILE [FILE...] [--top K]";
 
-fn parse_args() -> Result<Args, String> {
+/// Parses the arguments after the program name. A mix of the two modes
+/// is an error rather than a silently dropped half.
+fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     let mut trace = None;
     let mut queries = Vec::new();
     let mut prof: Vec<String> = Vec::new();
-    let mut top = 10usize;
-    let mut it = std::env::args().skip(1).peekable();
+    let mut top = None;
+    let mut it = argv.peekable();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--trace" => {
@@ -60,16 +66,13 @@ fn parse_args() -> Result<Args, String> {
             }
             "--prof" => {
                 prof.push(it.next().ok_or("--prof needs at least one file path")?);
-                while let Some(next) = it.peek() {
-                    if next.starts_with("--") {
-                        break;
-                    }
-                    prof.push(it.next().unwrap_or_default());
+                while let Some(next) = it.next_if(|next| !next.starts_with("--")) {
+                    prof.push(next);
                 }
             }
             "--top" => {
                 let spec = it.next().ok_or("--top needs a value")?;
-                top = spec.trim().parse().map_err(|_| format!("bad --top value {spec:?}"))?;
+                top = Some(spec.trim().parse().map_err(|_| format!("bad --top value {spec:?}"))?);
             }
             "--explain-packet" => {
                 let spec = it.next().ok_or("--explain-packet needs FLOW,SEQ")?;
@@ -87,17 +90,21 @@ fn parse_args() -> Result<Args, String> {
             }
             "--drops" => queries.push(Query::Drops),
             "--loops" => queries.push(Query::Loops),
-            "--help" | "-h" => return Err(USAGE.into()),
-            other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
+            "--help" | "-h" => return Err(String::new()),
+            other => return Err(format!("unknown argument {other:?}")),
         }
     }
-    if trace.is_none() && prof.is_empty() {
-        return Err(USAGE.into());
+    if top.is_some() && prof.is_empty() {
+        return Err("--top applies to --prof only".into());
     }
-    if trace.is_some() && queries.is_empty() {
-        return Err(format!("no query given\n{USAGE}"));
+    match (trace, prof.is_empty()) {
+        (Some(_), false) => Err("--trace and --prof are separate runs".into()),
+        (Some(_), true) if queries.is_empty() => Err("no query given".into()),
+        (Some(path), true) => Ok(Args::Trace { path, queries }),
+        (None, false) if !queries.is_empty() => Err("trace queries need --trace".into()),
+        (None, false) => Ok(Args::Prof { files: prof, top: top.unwrap_or(10) }),
+        (None, true) => Err(String::new()),
     }
-    Ok(Args { trace, queries, prof, top })
 }
 
 /// Renders the `--prof` report for the given `manet-prof` files.
@@ -126,20 +133,18 @@ fn run_prof(files: &[String], top: usize) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let args = match parse_args() {
-        Ok(a) => a,
+    let (trace_path, queries) = match parse_args(std::env::args().skip(1)) {
+        Ok(Args::Trace { path, queries }) => (path, queries),
+        Ok(Args::Prof { files, top }) => return run_prof(&files, top),
         Err(msg) => {
-            eprintln!("{msg}");
+            if !msg.is_empty() {
+                eprintln!("tracegrep: {msg}");
+            }
+            eprintln!("{USAGE}");
             return ExitCode::from(2);
         }
     };
-    if !args.prof.is_empty() {
-        return run_prof(&args.prof, args.top);
-    }
-    let Some(trace_path) = &args.trace else {
-        return ExitCode::from(2);
-    };
-    let text = match std::fs::read_to_string(trace_path) {
+    let text = match std::fs::read_to_string(&trace_path) {
         Ok(t) => t,
         Err(e) => {
             eprintln!("tracegrep: cannot read {trace_path}: {e}");
@@ -169,7 +174,7 @@ fn main() -> ExitCode {
     {
         return ExitCode::SUCCESS;
     }
-    for q in &args.queries {
+    for q in &queries {
         let report = match q {
             Query::Explain { flow, seq } => forensics::explain_packet(&trace, *flow, *seq),
             Query::RouteLifetimes { dst } => forensics::route_lifetimes(&trace, *dst),
@@ -181,4 +186,74 @@ fn main() -> ExitCode {
         }
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn both_modes_parse() {
+        let a = parse(&[
+            "--trace",
+            "t.jsonl",
+            "--explain-packet",
+            "4, 0",
+            "--route-lifetimes",
+            "44",
+            "--drops",
+            "--loops",
+        ]);
+        let queries = vec![
+            Query::Explain { flow: 4, seq: 0 },
+            Query::RouteLifetimes { dst: 44 },
+            Query::Drops,
+            Query::Loops,
+        ];
+        assert_eq!(a, Ok(Args::Trace { path: "t.jsonl".into(), queries }));
+        let files = |names: &[&str]| names.iter().map(|s| s.to_string()).collect();
+        assert_eq!(parse(&["--prof", "a"]), Ok(Args::Prof { files: files(&["a"]), top: 10 }));
+        assert_eq!(
+            parse(&["--top", "8", "--prof", "a", "b"]),
+            Ok(Args::Prof { files: files(&["a", "b"]), top: 8 })
+        );
+    }
+
+    #[test]
+    fn a_mix_of_the_two_modes_is_rejected() {
+        for mix in [
+            &["--trace", "t.jsonl", "--loops", "--prof", "p.jsonl"][..],
+            &["--trace", "t.jsonl", "--drops", "--top", "3"],
+            &["--top", "3"],
+            &["--prof", "p.jsonl", "--loops"],
+        ] {
+            let err = parse(mix).expect_err("a mix runs neither mode");
+            assert!(!err.is_empty(), "{mix:?} says what is wrong");
+        }
+    }
+
+    #[test]
+    fn malformed_or_missing_values_are_errors_not_panics() {
+        for bad in [
+            &[][..],
+            &["--help"],
+            &["--trace"],
+            &["--trace", "t.jsonl"],
+            &["--prof"],
+            &["--prof", "p.jsonl", "--top"],
+            &["--prof", "p.jsonl", "--top", "-1"],
+            &["--trace", "t.jsonl", "--explain-packet", "4"],
+            &["--trace", "t.jsonl", "--explain-packet", "x,0"],
+            &["--trace", "t.jsonl", "--explain-packet", "4,y"],
+            &["--trace", "t.jsonl", "--route-lifetimes", "n44"],
+            &["--trace", "t.jsonl", "--route-lifetimes"],
+            &["--trace", "t.jsonl", "--drops", "--bogus"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be rejected");
+        }
+    }
 }
