@@ -1,9 +1,10 @@
 //! The experiment orchestrator: memoized, resumable parameter sweeps.
 //!
 //! A sweep is a list of **cells** — `(scenario, protocol, seed,
-//! fault level)` points — executed across the bounded
-//! [work-stealing pool](crate::workpool) and folded into the
-//! `BENCH_6.json` trajectory. Three properties make re-runs cheap and
+//! fault level)` points — executed on the bounded
+//! [worker pool](crate::workpool), whose workers claim cells in order
+//! from one shared cursor, and folded into the `BENCH_6.json`
+//! trajectory. Three properties make re-runs cheap and
 //! interruptions harmless:
 //!
 //! * **Content-addressed memoization** — every cell is keyed by a hash

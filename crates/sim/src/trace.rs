@@ -206,7 +206,7 @@ pub enum TraceEvent {
         cause: InvalidateCause,
     },
     /// A node raised its *own* destination sequence number (LDR path
-    /// reset, reverse probe, or an AODV-style increment).
+    /// reset or an AODV-style increment).
     SeqnoReset {
         /// The destination whose number rose.
         node: NodeId,

@@ -15,4 +15,3 @@ $B fig4 --trials 3 --duration 600                        > results/fig4.txt
 $B fig5 --trials 2 --duration 600 --pauses 0,120,600,900 > results/fig5.txt
 $B fig6 --trials 2 --duration 600 --pauses 0,120,600,900 > results/fig6.txt
 $B ablation --trials 3 --duration 900 --pauses 0,120,600 > results/ablation.txt
-echo DONE > results/ALL_DONE
