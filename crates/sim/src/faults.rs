@@ -458,6 +458,67 @@ mod tests {
         assert_ne!(a, c);
     }
 
+    /// The ladder plan at `level` for 10 nodes over a 30 s horizon.
+    fn ladder_plan(level: u32) -> FaultPlan {
+        let p = FaultIntensity::level(10, SimDuration::from_secs(30), level);
+        FaultPlan::random(&mut SimRng::stream(2024, "plan"), &p)
+    }
+
+    /// Per-kind counts `[crash, down, up, partition, heal, impair,
+    /// replay]` and an FNV-1a digest over every entry's nanosecond time
+    /// and action fields.
+    fn census(plan: &FaultPlan) -> ([usize; 7], u64) {
+        fn feed(h: &mut u64, v: u64) {
+            for b in v.to_le_bytes() {
+                *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        let mut counts = [0; 7];
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        for (t, action) in plan.entries() {
+            let (kind, fields): (usize, Vec<u64>) = match action {
+                FaultAction::CrashRestart { node, downtime } => {
+                    (0, vec![node.0.into(), downtime.as_nanos()])
+                }
+                FaultAction::LinkDown { a, b } => (1, vec![a.0.into(), b.0.into()]),
+                FaultAction::LinkUp { a, b } => (2, vec![a.0.into(), b.0.into()]),
+                FaultAction::Partition { group } => (
+                    3,
+                    std::iter::once(group.len() as u64)
+                        .chain(group.iter().map(|n| n.0.into()))
+                        .collect(),
+                ),
+                FaultAction::Heal => (4, vec![]),
+                FaultAction::LinkImpair { a, b, loss_ppm, corrupt_ppm } => {
+                    (5, vec![a.0.into(), b.0.into(), (*loss_ppm).into(), (*corrupt_ppm).into()])
+                }
+                FaultAction::ReplayLastControl { node } => (6, vec![node.0.into()]),
+            };
+            counts[kind] += 1;
+            feed(&mut h, t.as_nanos());
+            feed(&mut h, kind as u64);
+            fields.into_iter().for_each(|v| feed(&mut h, v));
+        }
+        (counts, h)
+    }
+
+    /// Pins the whole fault ladder, levels 0–4: what each level draws
+    /// and, through the digest, every draw's order and value.
+    #[test]
+    fn ladder_plans_are_pinned() {
+        let got: Vec<([usize; 7], u64)> = (0..5).map(|level| census(&ladder_plan(level))).collect();
+        assert_eq!(
+            got,
+            [
+                ([0, 0, 0, 0, 0, 0, 0], 0xcbf2_9ce4_8422_2325),
+                ([1, 2, 2, 0, 0, 1, 1], 0x427e_90b9_281c_5aef),
+                ([2, 4, 4, 1, 1, 2, 2], 0x3a5c_4fa5_79a3_7f1c),
+                ([3, 6, 6, 1, 1, 3, 3], 0xda09_9130_5bd0_4c7c),
+                ([4, 8, 8, 2, 2, 4, 4], 0xff6e_664c_2dfa_0e6d),
+            ]
+        );
+    }
+
     #[test]
     fn random_plan_pairs_churn_and_partitions() {
         let p = FaultIntensity {

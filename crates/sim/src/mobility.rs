@@ -619,6 +619,125 @@ mod tests {
         assert_eq!(tele.max_speed_mps(), None);
     }
 
+    fn bits(p: Position) -> (u64, u64) {
+        (p.x.to_bits(), p.y.to_bits())
+    }
+
+    /// `position(node, t)` is `motion_leg(node, t).pos_at(t)` bit for
+    /// bit, and the leg's promise covers `t`.
+    fn assert_leg_answers(m: &dyn MobilityModel, node: NodeId, t: SimTime) {
+        let leg = m.motion_leg(node, t);
+        assert!(t <= leg.valid_until, "{node:?} at {t:?}: leg ends {:?}", leg.valid_until);
+        let (p, q) = (m.position(node, t), leg.pos_at(t));
+        assert_eq!(bits(p), bits(q), "{node:?} at {t:?}: position {p:?}, leg {q:?}");
+    }
+
+    /// `t` and its two nanosecond neighbours.
+    fn around(t: SimTime) -> [SimTime; 3] {
+        let ns = t.as_nanos();
+        [ns.saturating_sub(1), ns, ns.saturating_add(1)].map(SimTime::from_nanos)
+    }
+
+    #[test]
+    fn static_position_is_its_leg() {
+        let m = StaticMobility::new(vec![Position::new(0.1, 299.9), Position::new(524.56, 3.159)]);
+        for node in [NodeId(0), NodeId(1)] {
+            for t in [SimTime::ZERO, SimTime::from_millis(1500), SimTime::from_secs(900)] {
+                assert_leg_answers(&m, node, t);
+            }
+            assert_leg_answers(&m, node, SimTime::MAX);
+        }
+    }
+
+    /// Node 0: a wait before its first keyframe, a move whose arrival
+    /// `p0 + (p1 - p0)` is not `p1` in floating point, a stationary
+    /// segment, a zero-span teleport, a last move and a park. Node 1: a
+    /// single keyframe. Node 2: a teleport at its first instant.
+    fn scripted_fixture() -> ScriptedMobility {
+        let s = SimTime::from_secs;
+        let p = Position::new;
+        ScriptedMobility::new(vec![
+            vec![
+                (s(2), p(524.56, 802.855)),
+                (s(7), p(3.159, 45.885)),
+                (s(9), p(3.159, 45.885)),
+                (s(9), p(700.25, 12.5)),
+                (s(12), p(150.0, 250.0)),
+            ],
+            vec![(s(3), p(40.0, 60.0))],
+            vec![(SimTime::ZERO, p(1.0, 1.0)), (SimTime::ZERO, p(5.0, 5.0)), (s(4), p(6.0, 5.0))],
+        ])
+    }
+
+    #[test]
+    fn scripted_position_is_its_leg() {
+        let m = scripted_fixture();
+        for node in 0..3 {
+            let mut times: Vec<SimTime> = (0..=60).map(|k| SimTime::from_millis(250 * k)).collect();
+            times.extend(m.tracks[node].iter().flat_map(|&(t, _)| around(t)));
+            times.sort_unstable();
+            times.dedup();
+            for t in times {
+                assert_leg_answers(&m, NodeId(node as u16), t);
+            }
+        }
+    }
+
+    /// The positions at every keyframe instant, as the model reported
+    /// them before it answered through legs.
+    #[test]
+    fn scripted_keyframe_positions_are_pinned() {
+        let m = scripted_fixture();
+        let got: Vec<(u16, u64, (u64, u64))> = (0..3u16)
+            .flat_map(|n| m.tracks[n as usize].iter().map(move |&(t, _)| (n, t)))
+            .map(|(n, t)| (n, t.as_nanos(), bits(m.position(NodeId(n), t))))
+            .collect();
+        let pinned = [
+            (0, 2_000_000_000, (0x4080_647a_e147_ae14, 0x4089_16d7_0a3d_70a4)),
+            // The arrival `p0 + (p1 - p0)`, 18 and 1 ulp off the keyframe.
+            (0, 7_000_000_000, (0x4009_45a1_cac0_8300, 0x4046_f147_ae14_7ae0)),
+            (0, 9_000_000_000, (0x4009_45a1_cac0_8312, 0x4046_f147_ae14_7ae1)),
+            (0, 9_000_000_000, (0x4009_45a1_cac0_8312, 0x4046_f147_ae14_7ae1)),
+            (0, 12_000_000_000, (0x4062_c000_0000_0000, 0x406f_4000_0000_0000)),
+            (1, 3_000_000_000, (0x4044_0000_0000_0000, 0x404e_0000_0000_0000)),
+            (2, 0, (0x3ff0_0000_0000_0000, 0x3ff0_0000_0000_0000)),
+            (2, 0, (0x3ff0_0000_0000_0000, 0x3ff0_0000_0000_0000)),
+            (2, 4_000_000_000, (0x4018_0000_0000_0000, 0x4014_0000_0000_0000)),
+        ];
+        assert_eq!(got, pinned);
+    }
+
+    /// Every leg boundary of every node, with its nanosecond
+    /// neighbours, plus the middle of each move.
+    fn assert_rwp_legs(pause: SimDuration) {
+        let terrain = Terrain::new(1000.0, 300.0);
+        let m = RandomWaypoint::new(4, terrain, pause, 1.0, 20.0, SimRng::stream(5, "mobility"));
+        let until = SimTime::from_secs(300);
+        for node in (0..4).map(NodeId) {
+            let mut t = SimTime::ZERO;
+            while t < until {
+                let leg = m.motion_leg(node, t);
+                let mid = leg.move_start.as_nanos() / 2 + leg.move_end.as_nanos() / 2;
+                let mut times = vec![t, SimTime::from_nanos(mid), leg.valid_until];
+                times.extend(around(leg.move_start));
+                times.extend(around(leg.move_end));
+                times.retain(|&x| x >= t && x <= leg.valid_until);
+                times.sort_unstable();
+                times.dedup();
+                for x in times {
+                    assert_leg_answers(&m, node, x);
+                }
+                t = SimTime::from_nanos(leg.valid_until.as_nanos() + 1);
+            }
+        }
+    }
+
+    #[test]
+    fn rwp_position_is_its_leg() {
+        assert_rwp_legs(SimDuration::ZERO);
+        assert_rwp_legs(SimDuration::from_secs(7));
+    }
+
     #[test]
     fn static_hold_is_forever() {
         let m = StaticMobility::line(2, 50.0);
