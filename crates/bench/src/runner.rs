@@ -4,13 +4,12 @@
 
 use crate::scenario::{Protocol, Scenario};
 use manet_sim::config::SimConfig;
-use manet_sim::faults::{FaultIntensity, FaultPlan};
+use manet_sim::faults::FaultPlan;
 use manet_sim::metrics::Metrics;
 use manet_sim::mobility::RandomWaypoint;
 use manet_sim::rng::SimRng;
 use manet_sim::telemetry::TelemetryConfig;
 use manet_sim::time::{SimDuration, SimTime};
-use manet_sim::traffic::TrafficConfig;
 use manet_sim::world::World;
 
 /// Runs one trial and returns its metrics. Fully deterministic in
@@ -72,7 +71,7 @@ pub fn build_world_telemetry(
     );
     let mut factory = protocol.factory();
     let mut world = World::new(cfg, Box::new(mobility), |id, n| factory(id, n));
-    world.with_cbr(TrafficConfig::paper(scenario.n_flows));
+    world.with_cbr(scenario.n_flows);
     world
 }
 
@@ -80,12 +79,12 @@ pub fn build_world_telemetry(
 /// but a pure function of `(scenario, seed, level)`, and shared across
 /// protocols so the comparison is apples-to-apples.
 pub fn trial_fault_plan(scenario: &Scenario, seed: u64, level: u32) -> FaultPlan {
-    let intensity = FaultIntensity::level(
+    FaultPlan::random(
+        &mut SimRng::stream(seed, "faultbench-plan"),
         scenario.n_nodes as u16,
         SimDuration::from_secs(scenario.duration_secs),
         level,
-    );
-    FaultPlan::random(&mut SimRng::stream(seed, "faultbench-plan"), &intensity)
+    )
 }
 
 /// The seed trial `k` of a scenario runs at: `seed_base` advanced by

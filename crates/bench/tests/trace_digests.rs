@@ -22,7 +22,6 @@ use manet_sim::mobility::RandomWaypoint;
 use manet_sim::rng::SimRng;
 use manet_sim::telemetry::{series_to_jsonl, TelemetryConfig};
 use manet_sim::time::{SimDuration, SimTime};
-use manet_sim::traffic::TrafficConfig;
 use manet_sim::world::World;
 use std::fmt::Write as _;
 
@@ -72,7 +71,7 @@ fn audited_run(proto: Protocol, level: u32) -> (Metrics, String) {
     );
     let mut factory = proto.factory();
     let mut world = World::new(cfg, Box::new(mobility), |id, n| factory(id, n));
-    world.with_cbr(TrafficConfig::paper(sc.n_flows));
+    world.with_cbr(sc.n_flows);
     world.run_until(SimTime::ZERO + SimDuration::from_secs(sc.duration_secs));
     world.finalize();
     let series = series_to_jsonl(SEED, interval, world.telemetry_series());

@@ -4,37 +4,44 @@ use crate::faults::FaultPlan;
 use crate::telemetry::TelemetryConfig;
 use crate::time::SimDuration;
 
+/// Channel bit rate: 802.11's 2 Mbit/s DSSS rate.
+pub const BANDWIDTH_BPS: u64 = 2_000_000;
+/// 802.11 DSSS `aSlotTime`, the backoff slot.
+pub const SLOT: SimDuration = SimDuration::from_micros(20);
+/// 802.11 DSSS `aSIFSTime`, the short inter-frame space before an ACK.
+pub const SIFS: SimDuration = SimDuration::from_micros(10);
+/// 802.11 DIFS (`SIFS + 2 · aSlotTime`), the distributed inter-frame
+/// space before data and backoff.
+pub const DIFS: SimDuration = SimDuration::from_micros(50);
+/// 802.11 DSSS `aCWmax`, the contention window's ceiling in slots.
+pub const CW_MAX: u32 = 1023;
+/// Interface (transmit) queue capacity in frames: ns-2's 50-packet
+/// `IFQ`.
+pub const IFQ_CAP: usize = 50;
+/// One-way propagation delay (constant; ≤ 275 m is under 1 µs).
+pub const PROP_DELAY: SimDuration = SimDuration::from_micros(1);
+/// 802.11 MAC framing (header + FCS) added to every payload frame, bytes.
+pub const MAC_HEADER_BYTES: usize = 34;
+/// Size of an 802.11 ACK frame, bytes.
+pub const ACK_BYTES: usize = 14;
+
 /// Physical- and link-layer parameters (an IEEE 802.11-DCF-style radio,
 /// matching the evaluation's 275 m transmission range and 2 Mbit/s rate).
+/// The fields are what Fig. 6's [`PhyConfig::alt_flavor`] varies, the
+/// range and the capture instrument; the rest of the radio is the
+/// constants above.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PhyConfig {
     /// Transmission/carrier-sense range in metres (unit-disk).
     pub range_m: f64,
-    /// Channel bit rate in bits per second.
-    pub bandwidth_bps: u64,
-    /// Backoff slot time.
-    pub slot: SimDuration,
-    /// Short inter-frame space (before ACKs).
-    pub sifs: SimDuration,
-    /// Distributed inter-frame space (before data/backoff).
-    pub difs: SimDuration,
-    /// Minimum contention window (slots, inclusive upper bound `cw`).
+    /// 802.11 `aCWmin`: the minimum contention window (slots, inclusive
+    /// upper bound `cw`).
     pub cw_min: u32,
-    /// Maximum contention window.
-    pub cw_max: u32,
-    /// Maximum transmission attempts for a unicast frame before the MAC
-    /// declares the link broken.
+    /// 802.11 `dot11ShortRetryLimit`: maximum transmission attempts for
+    /// a unicast frame before the MAC declares the link broken.
     pub retry_limit: u32,
-    /// Interface (transmit) queue capacity in frames.
-    pub ifq_cap: usize,
     /// PLCP preamble + header airtime prepended to every frame.
     pub preamble: SimDuration,
-    /// One-way propagation delay (constant; ≤ 275 m is under 1 µs).
-    pub prop_delay: SimDuration,
-    /// MAC framing overhead added to every payload frame, bytes.
-    pub mac_header_bytes: usize,
-    /// Size of an ACK frame, bytes.
-    pub ack_bytes: usize,
     /// Physical capture: when two frames overlap at a receiver, the
     /// earlier frame survives if its transmitter is at least this
     /// factor closer than the interferer (≈ the SNR capture threshold
@@ -47,18 +54,9 @@ impl Default for PhyConfig {
     fn default() -> Self {
         PhyConfig {
             range_m: 275.0,
-            bandwidth_bps: 2_000_000,
-            slot: SimDuration::from_micros(20),
-            sifs: SimDuration::from_micros(10),
-            difs: SimDuration::from_micros(50),
             cw_min: 31,
-            cw_max: 1023,
             retry_limit: 7,
-            ifq_cap: 50,
             preamble: SimDuration::from_micros(192),
-            prop_delay: SimDuration::from_micros(1),
-            mac_header_bytes: 34,
-            ack_bytes: 14,
             // Off by default: the recorded experiment results were
             // produced with overlap-corrupts-both physics. Enable for
             // more forgiving (capture-capable) radios.
@@ -71,24 +69,21 @@ impl PhyConfig {
     /// Airtime of a frame whose network-layer size is `bytes`
     /// (preamble + MAC framing + payload at the channel rate).
     pub fn tx_duration(&self, bytes: usize) -> SimDuration {
-        let total_bits = (bytes + self.mac_header_bytes) as u64 * 8;
-        let ns = total_bits * 1_000_000_000 / self.bandwidth_bps;
+        let total_bits = (bytes + MAC_HEADER_BYTES) as u64 * 8;
+        let ns = total_bits * 1_000_000_000 / BANDWIDTH_BPS;
         self.preamble + SimDuration::from_nanos(ns)
     }
 
     /// Airtime of an ACK frame.
     pub fn ack_duration(&self) -> SimDuration {
-        let ns = (self.ack_bytes as u64 * 8) * 1_000_000_000 / self.bandwidth_bps;
+        let ns = (ACK_BYTES as u64 * 8) * 1_000_000_000 / BANDWIDTH_BPS;
         self.preamble + SimDuration::from_nanos(ns)
     }
 
     /// How long a unicast sender waits for an ACK after its transmission
     /// ends before counting a failed attempt.
     pub fn ack_timeout(&self) -> SimDuration {
-        self.sifs
-            + self.ack_duration()
-            + self.prop_delay.saturating_mul(2)
-            + SimDuration::from_micros(5)
+        SIFS + self.ack_duration() + PROP_DELAY.saturating_mul(2) + SimDuration::from_micros(5)
     }
 
     /// An alternate parameterisation used by the Fig. 6 cross-check
@@ -97,7 +92,6 @@ impl PhyConfig {
     pub fn alt_flavor() -> Self {
         PhyConfig {
             cw_min: 15,
-            cw_max: 1023,
             retry_limit: 6,
             preamble: SimDuration::from_micros(96),
             ..PhyConfig::default()
@@ -183,8 +177,8 @@ mod tests {
     fn default_matches_paper_parameters() {
         let phy = PhyConfig::default();
         assert_eq!(phy.range_m, 275.0);
-        assert_eq!(phy.bandwidth_bps, 2_000_000);
-        assert_eq!(phy.ifq_cap, 50);
+        assert_eq!(BANDWIDTH_BPS, 2_000_000);
+        assert_eq!(IFQ_CAP, 50);
         let cfg = SimConfig::default();
         assert_eq!(cfg.duration.as_secs_f64(), 900.0);
     }

@@ -132,49 +132,6 @@ pub struct FaultPlan {
     entries: Vec<(SimTime, FaultAction)>,
 }
 
-/// Knobs for [`FaultPlan::random`]: how many faults of each kind a
-/// generated schedule contains, and how severe they are.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FaultIntensity {
-    /// Number of nodes in the world the plan targets.
-    pub n_nodes: u16,
-    /// Faults are scheduled in `(0, horizon)`.
-    pub horizon: SimDuration,
-    /// Number of crash/restart cycles.
-    pub crashes: u32,
-    /// Maximum downtime per crash (actual downtime is uniform in
-    /// `(0, max_downtime]`).
-    pub max_downtime: SimDuration,
-    /// Number of link down/up churn pairs.
-    pub link_churn: u32,
-    /// Number of partition/heal pairs.
-    pub partitions: u32,
-    /// Number of per-link impairment installations.
-    pub impairments: u32,
-    /// Maximum loss and corruption rate (ppm) per impairment.
-    pub max_impair_ppm: u32,
-    /// Number of stale-advert replay injections.
-    pub replays: u32,
-}
-
-impl FaultIntensity {
-    /// A graded intensity ladder for degradation tables: level 0 is
-    /// fault-free, and each higher level adds more of every fault kind.
-    pub fn level(n_nodes: u16, horizon: SimDuration, level: u32) -> Self {
-        FaultIntensity {
-            n_nodes,
-            horizon,
-            crashes: level,
-            max_downtime: SimDuration::from_millis(500).saturating_mul(u64::from(level.max(1))),
-            link_churn: 2 * level,
-            partitions: level / 2,
-            impairments: level,
-            max_impair_ppm: (50_000 * level).min(400_000),
-            replays: level,
-        }
-    }
-}
-
 impl FaultPlan {
     /// Builds a plan from `(time, action)` entries, sorting them by
     /// time (stably, so same-instant actions keep their given order).
@@ -198,46 +155,54 @@ impl FaultPlan {
         self.entries.is_empty()
     }
 
-    /// Generates a random plan of the given intensity, deterministically
-    /// from `rng`. Down/up and partition/heal actions are generated in
+    /// Generates a random plan at intensity `level` for an
+    /// `n_nodes`-node world, with every action in `(0, horizon)`,
+    /// deterministically from `rng`. Level 0 is fault-free; level `L`
+    /// schedules `L` crash/restarts (downtime uniform in
+    /// `(0, 500 ms · max(L, 1)]`), `2L` link down/up pairs, `L / 2`
+    /// partition/heal pairs, `L` link impairments (loss and corruption
+    /// each uniform in `[0, min(50 000 · L, 400 000)]` ppm) and `L`
+    /// stale-advert replays. Down/up and partition/heal actions come in
     /// matched pairs so a finite schedule always lets the network heal.
     ///
-    /// The generator draws nothing when the corresponding count is zero,
-    /// and is pure in `(rng state, intensity)` — it is the seed boundary
-    /// for property-based fault soaking.
-    pub fn random(rng: &mut SimRng, p: &FaultIntensity) -> Self {
+    /// The generator draws nothing for a kind whose count is zero, and
+    /// is pure in `(rng state, n_nodes, horizon, level)` — it is the
+    /// seed boundary for property-based fault soaking.
+    pub fn random(rng: &mut SimRng, n_nodes: u16, horizon: SimDuration, level: u32) -> Self {
+        let max_downtime = SimDuration::from_millis(500).saturating_mul(u64::from(level.max(1)));
+        let max_impair_ppm = (50_000 * level).min(400_000);
         let mut entries: Vec<(SimTime, FaultAction)> = Vec::new();
-        let horizon = p.horizon.as_nanos().max(2);
-        let n = u64::from(p.n_nodes.max(1));
+        let horizon = horizon.as_nanos().max(2);
+        let n = u64::from(n_nodes.max(1));
         let at = |rng: &mut SimRng| SimTime::from_nanos(1 + rng.below(horizon - 1));
 
-        for _ in 0..p.crashes {
+        for _ in 0..level {
             let node = NodeId(rng.below(n) as u16);
-            let downtime = SimDuration::from_nanos(1 + rng.below(p.max_downtime.as_nanos().max(1)));
+            let downtime = SimDuration::from_nanos(1 + rng.below(max_downtime.as_nanos()));
             entries.push((at(rng), FaultAction::CrashRestart { node, downtime }));
         }
-        for _ in 0..p.link_churn {
-            let (a, b) = distinct_pair(rng, p.n_nodes);
+        for _ in 0..2 * level {
+            let (a, b) = distinct_pair(rng, n_nodes);
             let down = at(rng);
             let up_ns = down.as_nanos() + 1 + rng.below(horizon / 2);
             entries.push((down, FaultAction::LinkDown { a, b }));
             entries.push((SimTime::from_nanos(up_ns), FaultAction::LinkUp { a, b }));
         }
-        for _ in 0..p.partitions {
-            let group = random_group(rng, p.n_nodes);
+        for _ in 0..level / 2 {
+            let group = random_group(rng, n_nodes);
             let cut = at(rng);
             let heal_ns = cut.as_nanos() + 1 + rng.below(horizon / 2);
             entries.push((cut, FaultAction::Partition { group }));
             entries.push((SimTime::from_nanos(heal_ns), FaultAction::Heal));
         }
-        for _ in 0..p.impairments {
-            let (a, b) = distinct_pair(rng, p.n_nodes);
-            let cap = u64::from(p.max_impair_ppm.max(1));
+        for _ in 0..level {
+            let (a, b) = distinct_pair(rng, n_nodes);
+            let cap = u64::from(max_impair_ppm);
             let loss_ppm = rng.below(cap + 1) as u32;
             let corrupt_ppm = rng.below(cap + 1) as u32;
             entries.push((at(rng), FaultAction::LinkImpair { a, b, loss_ppm, corrupt_ppm }));
         }
-        for _ in 0..p.replays {
+        for _ in 0..level {
             let node = NodeId(rng.below(n) as u16);
             entries.push((at(rng), FaultAction::ReplayLastControl { node }));
         }
@@ -437,6 +402,8 @@ impl FaultState {
 mod tests {
     use super::*;
 
+    const SECS_30: SimDuration = SimDuration::from_secs(30);
+
     #[test]
     fn plan_sorts_entries_by_time() {
         let plan = FaultPlan::new(vec![
@@ -450,18 +417,17 @@ mod tests {
 
     #[test]
     fn random_plan_is_deterministic_in_seed() {
-        let p = FaultIntensity::level(10, SimDuration::from_secs(30), 3);
-        let a = FaultPlan::random(&mut SimRng::stream(7, "plan"), &p);
-        let b = FaultPlan::random(&mut SimRng::stream(7, "plan"), &p);
+        let plan = |seed| FaultPlan::random(&mut SimRng::stream(seed, "plan"), 10, SECS_30, 3);
+        let a = plan(7);
+        let b = plan(7);
         assert_eq!(a, b);
-        let c = FaultPlan::random(&mut SimRng::stream(8, "plan"), &p);
+        let c = plan(8);
         assert_ne!(a, c);
     }
 
     /// The ladder plan at `level` for 10 nodes over a 30 s horizon.
     fn ladder_plan(level: u32) -> FaultPlan {
-        let p = FaultIntensity::level(10, SimDuration::from_secs(30), level);
-        FaultPlan::random(&mut SimRng::stream(2024, "plan"), &p)
+        FaultPlan::random(&mut SimRng::stream(2024, "plan"), 10, SECS_30, level)
     }
 
     /// Per-kind counts `[crash, down, up, partition, heal, impair,
@@ -519,37 +485,41 @@ mod tests {
         );
     }
 
+    /// Every down is followed by an up of the same link, and every
+    /// partition by a heal.
     #[test]
     fn random_plan_pairs_churn_and_partitions() {
-        let p = FaultIntensity {
-            n_nodes: 6,
-            horizon: SimDuration::from_secs(20),
-            crashes: 0,
-            max_downtime: SimDuration::from_secs(1),
-            link_churn: 4,
-            partitions: 2,
-            impairments: 0,
-            max_impair_ppm: 0,
-            replays: 0,
-        };
-        let plan = FaultPlan::random(&mut SimRng::from_seed(3), &p);
-        let downs = plan
-            .entries()
+        let plan = FaultPlan::random(&mut SimRng::from_seed(3), 6, SimDuration::from_secs(20), 4);
+        let entries = plan.entries();
+        let mut matched = vec![false; entries.len()];
+        let (mut downs, mut partitions) = (0, 0);
+        for (t, action) in entries {
+            let closes = |other: &FaultAction| match action {
+                FaultAction::LinkDown { a, b } => *other == FaultAction::LinkUp { a: *a, b: *b },
+                FaultAction::Partition { .. } => *other == FaultAction::Heal,
+                _ => false,
+            };
+            match action {
+                FaultAction::LinkDown { .. } => downs += 1,
+                FaultAction::Partition { .. } => partitions += 1,
+                _ => continue,
+            }
+            let close = (0..entries.len())
+                .find(|&j| !matched[j] && entries[j].0 > *t && closes(&entries[j].1));
+            let Some(j) = close else { panic!("{action:?} at {t:?} is never undone") };
+            matched[j] = true;
+        }
+        assert_eq!((downs, partitions), (8, 2));
+        let undos = entries
             .iter()
-            .filter(|(_, a)| matches!(a, FaultAction::LinkDown { .. }))
+            .filter(|(_, a)| matches!(a, FaultAction::LinkUp { .. } | FaultAction::Heal))
             .count();
-        let ups =
-            plan.entries().iter().filter(|(_, a)| matches!(a, FaultAction::LinkUp { .. })).count();
-        let heals = plan.entries().iter().filter(|(_, a)| matches!(a, FaultAction::Heal)).count();
-        assert_eq!(downs, 4);
-        assert_eq!(ups, 4);
-        assert_eq!(heals, 2);
+        assert_eq!(undos, downs + partitions, "an up or heal without its cause");
     }
 
     #[test]
     fn level_zero_is_fault_free() {
-        let p = FaultIntensity::level(10, SimDuration::from_secs(30), 0);
-        let plan = FaultPlan::random(&mut SimRng::from_seed(1), &p);
+        let plan = FaultPlan::random(&mut SimRng::from_seed(1), 10, SECS_30, 0);
         assert!(plan.is_empty());
     }
 

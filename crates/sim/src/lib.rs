@@ -101,7 +101,7 @@ pub mod wire;
 pub mod world;
 
 pub use config::{PhyConfig, SimConfig};
-pub use faults::{FaultAction, FaultIntensity, FaultPlan};
+pub use faults::{FaultAction, FaultPlan};
 pub use metrics::Metrics;
 pub use packet::{ControlKind, DataPacket, NodeId, Packet};
 pub use protocol::{Ctx, RoutingProtocol};

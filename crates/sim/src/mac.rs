@@ -9,7 +9,7 @@
 //! transitions (queueing, contention-window evolution, retry budget),
 //! which are unit-tested in isolation.
 
-use crate::config::PhyConfig;
+use crate::config::{PhyConfig, CW_MAX, DIFS, IFQ_CAP, SLOT};
 use crate::packet::{NodeId, Packet};
 use crate::rng::SimRng;
 use crate::time::SimTime;
@@ -99,10 +99,11 @@ impl Mac {
         }
     }
 
-    /// Enqueues a frame, honouring the interface-queue capacity.
-    /// Returns `false` (and counts the drop) if the queue was full.
-    pub fn enqueue(&mut self, frame: OutFrame, cap: usize) -> bool {
-        if self.queue.len() >= cap {
+    /// Enqueues a frame, honouring the interface-queue capacity
+    /// ([`IFQ_CAP`]). Returns `false` (and counts the drop) if the queue
+    /// was full.
+    pub fn enqueue(&mut self, frame: OutFrame) -> bool {
+        if self.queue.len() >= IFQ_CAP {
             self.ifq_drops += 1;
             return false;
         }
@@ -111,14 +112,14 @@ impl Mac {
     }
 
     /// Draws a DIFS + backoff interval for the current contention window.
-    pub fn draw_backoff(&mut self, phy: &PhyConfig) -> crate::time::SimDuration {
+    pub fn draw_backoff(&mut self) -> crate::time::SimDuration {
         let slots = self.rng.below(u64::from(self.cw) + 1);
-        phy.difs + phy.slot.saturating_mul(slots)
+        DIFS + SLOT.saturating_mul(slots)
     }
 
     /// Doubles the contention window (binary exponential backoff).
-    pub fn grow_cw(&mut self, phy: &PhyConfig) {
-        self.cw = ((self.cw * 2) + 1).min(phy.cw_max);
+    pub fn grow_cw(&mut self) {
+        self.cw = ((self.cw * 2) + 1).min(CW_MAX);
     }
 
     /// Resets the contention window after a success or a final failure.
@@ -182,21 +183,20 @@ mod tests {
     fn enqueue_respects_capacity() {
         let mut m = mac();
         for i in 0..50 {
-            assert!(m.enqueue(frame(i), 50));
+            assert!(m.enqueue(frame(i)));
         }
-        assert!(!m.enqueue(frame(99), 50));
+        assert!(!m.enqueue(frame(99)));
         assert_eq!(m.queue.len(), 50);
         assert_eq!(m.ifq_drops, 1);
     }
 
     #[test]
     fn backoff_within_window() {
-        let phy = PhyConfig::default();
         let mut m = mac();
         for _ in 0..200 {
-            let b = m.draw_backoff(&phy);
-            assert!(b >= phy.difs);
-            assert!(b <= phy.difs + phy.slot.saturating_mul(u64::from(m.cw)));
+            let b = m.draw_backoff();
+            assert!(b >= DIFS);
+            assert!(b <= DIFS + SLOT.saturating_mul(u64::from(m.cw)));
         }
     }
 
@@ -205,12 +205,12 @@ mod tests {
         let phy = PhyConfig::default();
         let mut m = mac();
         assert_eq!(m.cw, 31);
-        m.grow_cw(&phy);
+        m.grow_cw();
         assert_eq!(m.cw, 63);
         for _ in 0..10 {
-            m.grow_cw(&phy);
+            m.grow_cw();
         }
-        assert_eq!(m.cw, phy.cw_max);
+        assert_eq!(m.cw, CW_MAX);
         m.reset_cw(&phy);
         assert_eq!(m.cw, phy.cw_min);
     }
@@ -219,7 +219,7 @@ mod tests {
     fn retry_budget_gives_up_at_limit() {
         let phy = PhyConfig::default();
         let mut m = mac();
-        m.enqueue(frame(1), 50);
+        m.enqueue(frame(1));
         for _ in 0..(phy.retry_limit - 1) {
             assert_eq!(m.note_attempt_failed(&phy), RetryVerdict::Retry);
         }

@@ -4,6 +4,11 @@
 //! [1, 20] m/s, configurable pause time). Static and scripted models are
 //! provided for unit tests and worked examples.
 //!
+//! Every model answers "where is node `i` at time `t`" one way: with
+//! the [`MotionLeg`] the node is on ([`MobilityModel::motion_leg`]).
+//! [`MotionLeg::pos_at`] is the one interpolation formula, and
+//! [`MobilityModel::position`] is the two composed.
+//!
 //! # Determinism contract
 //!
 //! Mobility is a pure function of the trial seed: every model draws
@@ -29,10 +34,11 @@ use std::cell::RefCell;
 /// One straight-line motion segment plus the promise horizon through
 /// which it describes a node's trajectory exactly.
 ///
-/// `pos_at` is **the** canonical position formula: every model whose
-/// `position` can be phrased as a leg evaluates it through this method
-/// (and so does the epoch cache in [`crate::spatial`]), which is what
-/// makes cached and direct lookups bitwise identical.
+/// `pos_at` is **the** canonical position formula: every model answers
+/// position queries through it ([`MobilityModel::position`] is
+/// `motion_leg(node, t).pos_at(t)`), and so does the epoch cache in
+/// [`crate::spatial`], which is what makes cached and direct lookups
+/// bitwise identical.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MotionLeg {
     /// Where the node sits until `move_start`.
@@ -43,9 +49,10 @@ pub struct MotionLeg {
     pub move_start: SimTime,
     /// Arrival instant.
     pub move_end: SimTime,
-    /// The promise: for every `t ≤ valid_until`, `pos_at(t)` equals
-    /// `position(node, t)` bit for bit. Queries beyond it must fetch a
-    /// fresh leg — the epoch-cache invalidation rule.
+    /// The promise: for every `t'` from the query time through
+    /// `valid_until`, `pos_at(t')` equals `position(node, t')` bit for
+    /// bit. Queries beyond it must fetch a fresh leg — the epoch-cache
+    /// invalidation rule.
     pub valid_until: SimTime,
 }
 
@@ -76,7 +83,9 @@ impl MotionLeg {
     }
 }
 
-/// A mobility model answers "where is node `i` at time `t`".
+/// A mobility model answers "where is node `i` at time `t`" one way:
+/// with the [`MotionLeg`] the node is on, which a position cache may
+/// keep until the leg's promise runs out.
 ///
 /// Queries take `&self` so that position lookups compose with other
 /// immutable borrows of the simulator (`World::neighbors` is a
@@ -86,32 +95,18 @@ impl MotionLeg {
 /// (arbitrary re-queries at earlier times are not required to be exact
 /// for lazy models, and the built-in models never receive them).
 pub trait MobilityModel: Send {
-    /// Position of `node` at time `t`.
-    fn position(&self, node: NodeId, t: SimTime) -> Position;
+    /// The motion leg covering `node` at `t`, with
+    /// [`MotionLeg::valid_until`] `≥ t`.
+    fn motion_leg(&self, node: NodeId, t: SimTime) -> MotionLeg;
+    /// Position of `node` at time `t`: `motion_leg(node, t).pos_at(t)`.
+    fn position(&self, node: NodeId, t: SimTime) -> Position {
+        self.motion_leg(node, t).pos_at(t)
+    }
     /// Number of nodes this model covers.
     fn len(&self) -> usize;
     /// Whether the model covers zero nodes.
     fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-    /// Position of `node` at `t` plus a *hold promise*: the node sits
-    /// exactly at the returned position for every `t' ∈ [t, hold]`.
-    /// Position caches (the epoch cache in [`crate::spatial`]) may
-    /// serve queries inside the hold window without consulting the
-    /// model again. The default promises nothing (`hold == t`); models
-    /// with piecewise motion (pauses, static nodes) override it.
-    fn position_hold(&self, node: NodeId, t: SimTime) -> (Position, SimTime) {
-        (self.position(node, t), t)
-    }
-    /// The motion leg covering `node` at `t`
-    /// ([`MotionLeg::pos_at`] equals `position` for every query time up
-    /// to [`MotionLeg::valid_until`]). The default wraps
-    /// `position_hold` in a parked leg — exact, but it promises nothing
-    /// beyond the hold window; models with linear motion override it so
-    /// caches can serve a whole leg from one lookup.
-    fn motion_leg(&self, node: NodeId, t: SimTime) -> MotionLeg {
-        let (pos, hold) = self.position_hold(node, t);
-        MotionLeg::parked(pos, hold)
     }
     /// An upper bound on any node's speed in metres per second, if the
     /// model can promise one. The spatial neighbor index needs a finite
@@ -141,39 +136,14 @@ impl StaticMobility {
             positions: (0..n).map(|i| Position::new(i as f64 * spacing, 0.0)).collect(),
         }
     }
-
-    /// `n` nodes placed uniformly at random in `terrain`.
-    pub fn random(n: usize, terrain: Terrain, rng: &mut SimRng) -> Self {
-        StaticMobility { positions: (0..n).map(|_| terrain.random_position(rng)).collect() }
-    }
-
-    /// `n` nodes on a near-square grid filling `terrain`.
-    pub fn grid(n: usize, terrain: Terrain) -> Self {
-        let cols = (n as f64).sqrt().ceil().max(1.0) as usize;
-        let rows = n.div_ceil(cols);
-        let positions = (0..n)
-            .map(|i| {
-                let c = i % cols;
-                let r = i / cols;
-                Position::new(
-                    (c as f64 + 0.5) * terrain.width / cols as f64,
-                    (r as f64 + 0.5) * terrain.height / rows.max(1) as f64,
-                )
-            })
-            .collect();
-        StaticMobility { positions }
-    }
 }
 
 impl MobilityModel for StaticMobility {
-    fn position(&self, node: NodeId, _t: SimTime) -> Position {
-        self.positions[node.index()]
+    fn motion_leg(&self, node: NodeId, _t: SimTime) -> MotionLeg {
+        MotionLeg::parked(self.positions[node.index()], SimTime::MAX)
     }
     fn len(&self) -> usize {
         self.positions.len()
-    }
-    fn position_hold(&self, node: NodeId, _t: SimTime) -> (Position, SimTime) {
-        (self.positions[node.index()], SimTime::MAX)
     }
     fn max_speed_mps(&self) -> Option<f64> {
         Some(0.0)
@@ -205,116 +175,55 @@ impl ScriptedMobility {
 }
 
 impl MobilityModel for ScriptedMobility {
-    fn position(&self, node: NodeId, t: SimTime) -> Position {
+    fn motion_leg(&self, node: NodeId, t: SimTime) -> MotionLeg {
         let tr = &self.tracks[node.index()];
-        if t <= tr[0].0 {
-            return tr[0].1;
+        // `t` lies on the first keyframe pair ending at or after it;
+        // before the first keyframe that pair's leg has not departed.
+        let Some(&[(t0, p0), (t1, p1)]) = tr.windows(2).find(|w| t <= w[1].0) else {
+            // Past the final keyframe the node parks there for good.
+            return MotionLeg::parked(tr[tr.len() - 1].1, SimTime::MAX);
+        };
+        if t0 < t && t == t1 {
+            // At an arrival the script reads `p0 + (p1 - p0)`, which can
+            // miss `p1` by an ulp; `pos_at` would give `p1` exactly.
+            return MotionLeg::parked(p0.lerp(p1, 1.0), t1);
         }
-        for w in tr.windows(2) {
-            let (t0, p0) = w[0];
-            let (t1, p1) = w[1];
-            if t <= t1 {
-                let span = (t1 - t0).as_nanos();
-                if span == 0 {
-                    return p1;
-                }
-                let f = (t - t0).as_nanos() as f64 / span as f64;
-                return p0.lerp(p1, f);
-            }
-        }
-        // Past the final keyframe the node parks there. The constructor
-        // rejects empty tracks, so `last()` always yields; the fallback
-        // keeps this path panic-free anyway.
-        tr.last().map_or(tr[0].1, |kf| kf.1)
+        // The leg answers every instant up to the arrival (or, for a
+        // zero-span first pair, the single instant before it).
+        let valid_until = SimTime::from_nanos(t1.as_nanos().saturating_sub(1)).max(t0);
+        MotionLeg { from: p0, to: p1, move_start: t0, move_end: t1, valid_until }
     }
     fn len(&self) -> usize {
         self.tracks.len()
     }
-    fn position_hold(&self, node: NodeId, t: SimTime) -> (Position, SimTime) {
-        let tr = &self.tracks[node.index()];
-        if t <= tr[0].0 {
-            return (tr[0].1, tr[0].0);
-        }
-        for w in tr.windows(2) {
-            let (t0, p0) = w[0];
-            let (t1, p1) = w[1];
-            if t <= t1 {
-                let span = (t1 - t0).as_nanos();
-                if span == 0 {
-                    return (p1, t);
-                }
-                if p0 == p1 {
-                    // Stationary segment: parked at p0 through t1.
-                    return (p0, t1);
-                }
-                let f = (t - t0).as_nanos() as f64 / span as f64;
-                return (p0.lerp(p1, f), t);
-            }
-        }
-        // Parked at the final keyframe forever.
-        (tr.last().map_or(tr[0].1, |kf| kf.1), SimTime::MAX)
-    }
     fn max_speed_mps(&self) -> Option<f64> {
         let mut bound = 0.0f64;
-        for tr in &self.tracks {
-            for w in tr.windows(2) {
-                let (t0, p0) = w[0];
-                let (t1, p1) = w[1];
-                let span_s = (t1 - t0).as_nanos() as f64 / 1e9;
-                let dist = p0.distance(p1);
-                if span_s == 0.0 {
-                    if dist > 0.0 {
-                        // Instant teleport: no finite speed bound exists.
-                        return None;
-                    }
-                } else {
-                    bound = bound.max(dist / span_s);
-                }
+        for w in self.tracks.iter().flat_map(|tr| tr.windows(2)) {
+            let dist = w[0].1.distance(w[1].1);
+            match (w[1].0 - w[0].0).as_nanos() {
+                // Instant teleport: no finite speed bound exists.
+                0 if dist > 0.0 => return None,
+                0 => {}
+                span => bound = bound.max(dist / (span as f64 / 1e9)),
             }
         }
         Some(bound)
     }
 }
 
-/// One node's random-waypoint state: pause at `from` until `move_start`,
-/// travel to `to` arriving at `move_end`, then pause again, repeat.
-#[derive(Clone, Debug)]
-struct Leg {
-    from: Position,
-    to: Position,
-    move_start: SimTime,
-    move_end: SimTime,
-}
-
 /// The lazily advanced part of [`RandomWaypoint`], one entry per node:
-/// that node's private RNG stream and its current leg. Kept behind a
-/// `RefCell` so `position` can take `&self` (queries are logically
-/// read-only; the legs are a cache of the trajectory the seed
-/// determines). Because every node draws from its own stream, advancing
-/// one node's legs never perturbs another's — queries are
-/// order-independent, which the spatial grid's byte-identity guarantee
-/// relies on.
+/// that node's private RNG stream and its current leg (pause at `from`
+/// until `move_start`, travel to `to` arriving at `move_end`, then pause
+/// through `valid_until`). Kept behind a `RefCell` so queries can take
+/// `&self` (they are logically read-only; the legs are a cache of the
+/// trajectory the seed determines). Because every node draws from its
+/// own stream, advancing one node's legs never perturbs another's —
+/// queries are order-independent, which the spatial grid's
+/// byte-identity guarantee relies on.
 #[derive(Clone, Debug)]
 struct NodeRwp {
     rng: SimRng,
-    leg: Leg,
-}
-
-fn next_leg(
-    rng: &mut SimRng,
-    terrain: Terrain,
-    pause: SimDuration,
-    min_speed: f64,
-    max_speed: f64,
-    from: Position,
-    pause_from: SimTime,
-) -> Leg {
-    let to = terrain.random_position(rng);
-    let speed = rng.range_f64(min_speed, max_speed);
-    let dist = from.distance(to);
-    let move_start = pause_from + pause;
-    let travel = SimDuration::from_secs_f64(dist / speed);
-    Leg { from, to, move_start, move_end: move_start + travel }
+    leg: MotionLeg,
 }
 
 /// The random waypoint model of the evaluation (§4): each node pauses
@@ -350,81 +259,49 @@ impl RandomWaypoint {
             min_speed > 0.0 && min_speed <= max_speed,
             "speeds must satisfy 0 < min <= max (got {min_speed}..{max_speed})"
         );
+        let mut model =
+            RandomWaypoint { terrain, pause, min_speed, max_speed, state: RefCell::default() };
         let state = (0..n)
             .map(|_| {
                 let mut node_rng = rng.split();
                 // A real first leg (pause at the start, then move), all
                 // drawn from this node's private stream.
                 let start = terrain.random_position(&mut node_rng);
-                let leg = next_leg(
-                    &mut node_rng,
-                    terrain,
-                    pause,
-                    min_speed,
-                    max_speed,
-                    start,
-                    SimTime::ZERO,
-                );
+                let leg = model.next_leg(&mut node_rng, start, SimTime::ZERO);
                 NodeRwp { rng: node_rng, leg }
             })
             .collect();
-        RandomWaypoint { terrain, pause, min_speed, max_speed, state: RefCell::new(state) }
+        *model.state.get_mut() = state;
+        model
     }
 
-    /// Advances node `i` past any completed legs and returns its current
-    /// leg at `t` (cloned out of the cache).
-    fn leg_at(&self, i: usize, t: SimTime) -> Leg {
-        let mut st = self.state.borrow_mut();
-        let node = &mut st[i];
-        while t > node.leg.move_end + self.pause {
-            let arrived_at = node.leg.move_end;
-            let from = node.leg.to;
-            node.leg = next_leg(
-                &mut node.rng,
-                self.terrain,
-                self.pause,
-                self.min_speed,
-                self.max_speed,
-                from,
-                arrived_at,
-            );
-        }
-        node.leg.clone()
+    /// The leg that pauses at `from` from `pause_from` on, then travels
+    /// to a fresh destination at a fresh speed.
+    fn next_leg(&self, rng: &mut SimRng, from: Position, pause_from: SimTime) -> MotionLeg {
+        let to = self.terrain.random_position(rng);
+        let speed = rng.range_f64(self.min_speed, self.max_speed);
+        let dist = from.distance(to);
+        let move_start = pause_from + self.pause;
+        let move_end = move_start + SimDuration::from_secs_f64(dist / speed);
+        // The leg stays current through the post-arrival pause: at the next
+        // departure instant the node is still at `to`, the next leg's origin.
+        MotionLeg { from, to, move_start, move_end, valid_until: move_end + self.pause }
     }
 }
 
 impl MobilityModel for RandomWaypoint {
-    fn position(&self, node: NodeId, t: SimTime) -> Position {
-        self.motion_leg(node, t).pos_at(t)
+    /// Advances `node` past any completed legs and returns its current
+    /// leg at `t`.
+    fn motion_leg(&self, node: NodeId, t: SimTime) -> MotionLeg {
+        let mut st = self.state.borrow_mut();
+        let node = &mut st[node.index()];
+        while t > node.leg.valid_until {
+            node.leg = self.next_leg(&mut node.rng, node.leg.to, node.leg.move_end);
+        }
+        node.leg
     }
     fn len(&self) -> usize {
         self.state.borrow().len()
-    }
-    fn position_hold(&self, node: NodeId, t: SimTime) -> (Position, SimTime) {
-        let leg = self.motion_leg(node, t);
-        if t <= leg.move_start {
-            // Pausing at the leg origin until the move starts.
-            (leg.from, leg.move_start)
-        } else if t >= leg.move_end {
-            // Arrived: pausing at the destination through the departure
-            // of the next leg (at that exact instant the node is still
-            // at `to`, the new leg's own pause origin).
-            (leg.to, leg.valid_until)
-        } else {
-            (leg.pos_at(t), t)
-        }
-    }
-    fn motion_leg(&self, node: NodeId, t: SimTime) -> MotionLeg {
-        let leg = self.leg_at(node.index(), t);
-        MotionLeg {
-            from: leg.from,
-            to: leg.to,
-            move_start: leg.move_start,
-            move_end: leg.move_end,
-            // The leg stays current through the post-arrival pause;
-            // `leg_at` only advances once t passes `move_end + pause`.
-            valid_until: leg.move_end + self.pause,
-        }
     }
     fn max_speed_mps(&self) -> Option<f64> {
         Some(self.max_speed)
@@ -441,15 +318,6 @@ mod tests {
         assert_eq!(m.len(), 4);
         assert_eq!(m.position(NodeId(3), SimTime::from_secs(5)).x, 600.0);
         assert_eq!(m.position(NodeId(0), SimTime::ZERO).y, 0.0);
-    }
-
-    #[test]
-    fn static_grid_in_terrain() {
-        let terrain = Terrain::new(1000.0, 500.0);
-        let m = StaticMobility::grid(10, terrain);
-        for i in 0..10 {
-            assert!(terrain.contains(m.position(NodeId(i), SimTime::ZERO)));
-        }
     }
 
     #[test]
@@ -575,8 +443,8 @@ mod tests {
         }
     }
 
-    /// `position_hold` must agree with `position` at the query time and
-    /// the node must actually sit still through the promised hold.
+    /// A leg must agree with `position` through its whole promise, and
+    /// a node must sit still before departure and after arrival.
     #[test]
     fn rwp_position_hold_promise_is_sound() {
         let terrain = Terrain::new(1000.0, 1000.0);
@@ -585,14 +453,16 @@ mod tests {
         for step in 0..300 {
             let t = SimTime::from_secs(step);
             for n in 0..4 {
-                let (p, hold) = m.position_hold(NodeId(n), t);
-                assert_eq!(p, m.position(NodeId(n), t));
-                assert!(hold >= t);
-                if hold > t {
-                    // Sample inside and at the end of the hold window.
-                    let mid = t + SimDuration::from_nanos((hold - t).as_nanos() / 2);
-                    assert_eq!(m.position(NodeId(n), mid), p, "node {n} moved inside hold");
-                    assert_eq!(m.position(NodeId(n), hold), p, "node {n} moved at hold end");
+                let leg = m.motion_leg(NodeId(n), t);
+                let p = m.position(NodeId(n), t);
+                assert!(leg.valid_until >= t);
+                // Sample inside and at the end of the promise.
+                let mid = t + SimDuration::from_nanos((leg.valid_until - t).as_nanos() / 2);
+                for x in [mid, leg.valid_until] {
+                    assert_eq!(m.position(NodeId(n), x), leg.pos_at(x), "node {n} left its leg");
+                    if t <= leg.move_start && x <= leg.move_start || t >= leg.move_end {
+                        assert_eq!(leg.pos_at(x), p, "node {n} moved while parked");
+                    }
                 }
             }
         }
@@ -741,8 +611,8 @@ mod tests {
     #[test]
     fn static_hold_is_forever() {
         let m = StaticMobility::line(2, 50.0);
-        let (p, hold) = m.position_hold(NodeId(1), SimTime::from_secs(3));
-        assert_eq!(p.x, 50.0);
-        assert_eq!(hold, SimTime::MAX);
+        let leg = m.motion_leg(NodeId(1), SimTime::from_secs(3));
+        assert_eq!(leg.pos_at(SimTime::from_secs(3)).x, 50.0);
+        assert_eq!(leg.valid_until, SimTime::MAX);
     }
 }

@@ -1,51 +1,24 @@
 //! Constant-bit-rate traffic generation.
 //!
 //! The evaluation drives the network with a fixed number of concurrent
-//! CBR flows (10 or 30), each sending 512-byte packets at 4 packets/s
+//! CBR flows (10 or 30, the one input: [`World::with_cbr`]'s argument),
+//! each sending [`PAYLOAD_BYTES`]-byte packets every [`PACKET_INTERVAL`]
 //! between random distinct endpoints, with flow lifetimes drawn from an
-//! exponential distribution with mean 100 s; when a flow ends a new one
-//! replaces it, so the offered load is constant.
+//! exponential distribution with mean [`MEAN_FLOW_SECS`]; when a flow
+//! ends a new one replaces it, so the offered load is constant.
+//!
+//! [`World::with_cbr`]: crate::world::World::with_cbr
 
-use crate::time::SimDuration;
+use crate::time::{SimDuration, SimTime};
 
-/// CBR workload parameters.
-#[derive(Clone, Debug, PartialEq)]
-pub struct TrafficConfig {
-    /// Number of concurrent flows.
-    pub n_flows: usize,
-    /// Packets per second per flow.
-    pub pkts_per_sec: f64,
-    /// Application payload bytes per packet.
-    pub payload_len: u16,
-    /// Mean flow lifetime in seconds (exponential).
-    pub mean_flow_secs: f64,
-    /// Flow starts are staggered uniformly over this window.
-    pub start_window: SimDuration,
-}
-
-impl TrafficConfig {
-    /// The paper's workload: `n_flows` CBR flows of 512-byte packets at
-    /// 4 packets per second, mean flow length 100 s.
-    pub fn paper(n_flows: usize) -> Self {
-        TrafficConfig {
-            n_flows,
-            pkts_per_sec: 4.0,
-            payload_len: 512,
-            mean_flow_secs: 100.0,
-            start_window: SimDuration::from_secs(20),
-        }
-    }
-
-    /// Interval between packets of one flow.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `pkts_per_sec` is not positive.
-    pub fn packet_interval(&self) -> SimDuration {
-        assert!(self.pkts_per_sec > 0.0, "packet rate must be positive");
-        SimDuration::from_secs_f64(1.0 / self.pkts_per_sec)
-    }
-}
+/// Interval between packets of one flow: the paper's 4 packets/s.
+pub const PACKET_INTERVAL: SimDuration = SimDuration::from_millis(250);
+/// Application payload of every CBR packet: the paper's 512 bytes.
+pub const PAYLOAD_BYTES: u16 = 512;
+/// Mean flow lifetime in seconds (exponential): the paper's 100 s.
+pub const MEAN_FLOW_SECS: f64 = 100.0;
+/// Flow starts are staggered uniformly over this window.
+pub const START_WINDOW: SimDuration = SimDuration::from_secs(20);
 
 /// Internal state of one flow slot (the current flow occupying it).
 #[derive(Clone, Debug)]
@@ -59,7 +32,7 @@ pub(crate) struct FlowState {
     /// Next packet sequence number.
     pub next_seq: u32,
     /// When the current flow instance ends.
-    pub ends_at: crate::time::SimTime,
+    pub ends_at: SimTime,
 }
 
 #[cfg(test)]
@@ -68,22 +41,10 @@ mod tests {
 
     #[test]
     fn paper_defaults() {
-        let t = TrafficConfig::paper(10);
-        assert_eq!(t.n_flows, 10);
-        assert_eq!(t.payload_len, 512);
-        assert_eq!(t.packet_interval(), SimDuration::from_millis(250));
-    }
-
-    #[test]
-    fn packet_interval_from_rate() {
-        let t = TrafficConfig { pkts_per_sec: 8.0, ..TrafficConfig::paper(1) };
-        assert_eq!(t.packet_interval(), SimDuration::from_millis(125));
-    }
-
-    #[test]
-    #[should_panic]
-    fn zero_rate_rejected() {
-        let t = TrafficConfig { pkts_per_sec: 0.0, ..TrafficConfig::paper(1) };
-        let _ = t.packet_interval();
+        assert_eq!(PAYLOAD_BYTES, 512);
+        // Exactly what `from_secs_f64(1.0 / 4.0)` gave when the rate was
+        // a field: one flow's packets sit 250 000 000 ns apart.
+        assert_eq!(PACKET_INTERVAL, SimDuration::from_secs_f64(1.0 / 4.0));
+        assert_eq!(PACKET_INTERVAL.as_nanos(), 250_000_000);
     }
 }

@@ -26,7 +26,7 @@ use crate::spatial::NeighborGrid;
 use crate::telemetry::{SampleBaseline, SeriesSample};
 use crate::time::{SimDuration, SimTime};
 use crate::trace::{FaultKind, TraceEvent, TraceSink};
-use crate::traffic::{FlowState, TrafficConfig};
+use crate::traffic::{FlowState, MEAN_FLOW_SECS, PACKET_INTERVAL, PAYLOAD_BYTES, START_WINDOW};
 use std::cell::RefCell;
 
 mod medium;
@@ -81,7 +81,6 @@ pub struct World {
     fel: EventQueue,
     now: SimTime,
     metrics: Metrics,
-    traffic_cfg: Option<TrafficConfig>,
     flows: Vec<FlowState>,
     next_flow_id: u32,
     traffic_rng: SimRng,
@@ -138,8 +137,6 @@ pub struct World {
     /// reads a wall clock, and a profiled run mutates nothing but
     /// these counters.
     prof: Option<Box<Profiler>>,
-    /// First routing loop the auditor found, if any.
-    pub first_loop: Option<LoopViolation>,
 }
 
 impl World {
@@ -190,7 +187,6 @@ impl World {
             fel: EventQueue::new(),
             now: SimTime::ZERO,
             metrics: Metrics::new(),
-            traffic_cfg: None,
             flows: Vec::new(),
             next_flow_id: 0,
             manual: Vec::new(),
@@ -210,7 +206,6 @@ impl World {
             batch_pool: VecPool::new(POOL_SPARES),
             action_pool: VecPool::new(POOL_SPARES),
             prof,
-            first_loop: None,
         };
         if let Some(interval) = world.cfg.audit_interval {
             world.fel.schedule(SimTime::ZERO + interval, Event::Audit);
@@ -236,33 +231,31 @@ impl World {
         world
     }
 
-    /// Attaches the CBR workload (call before [`World::run`]).
+    /// Attaches the CBR workload of `n_flows` concurrent flows (call
+    /// before [`World::run`]; see [`crate::traffic`]).
     ///
     /// A world with fewer than two nodes cannot host a two-endpoint
     /// flow — the `src != dst` rejection sampling in flow setup could
     /// never terminate — so flow creation is skipped entirely and the
     /// run carries no traffic.
-    pub fn with_cbr(&mut self, tcfg: TrafficConfig) {
+    pub fn with_cbr(&mut self, n_flows: usize) {
         if self.nodes.len() < 2 {
             return;
         }
-        for slot in 0..tcfg.n_flows {
+        for slot in 0..n_flows {
             let start = SimTime::ZERO
-                + SimDuration::from_nanos(
-                    self.traffic_rng.below(tcfg.start_window.as_nanos().max(1)),
-                );
-            let Some(state) = self.fresh_flow(&tcfg, start) else { return };
+                + SimDuration::from_nanos(self.traffic_rng.below(START_WINDOW.as_nanos()));
+            let Some(state) = self.fresh_flow(start) else { return };
             self.flows.push(state);
             self.fel.schedule(start, Event::FlowPacket { flow: slot as u32 });
             self.fel.schedule(self.flows[slot].ends_at, Event::FlowEnd { flow: slot as u32 });
         }
-        self.traffic_cfg = Some(tcfg);
     }
 
     /// Draws a new flow's endpoints and lifetime, or `None` when no
     /// valid `src != dst` pair exists (single-node world) — the guard
     /// that keeps the rejection-sampling loop below total.
-    fn fresh_flow(&mut self, tcfg: &TrafficConfig, now: SimTime) -> Option<FlowState> {
+    fn fresh_flow(&mut self, now: SimTime) -> Option<FlowState> {
         let n = self.nodes.len() as u64;
         if n < 2 {
             return None;
@@ -272,7 +265,7 @@ impl World {
         while dst == src {
             dst = self.traffic_rng.below(n) as u16;
         }
-        let life = SimDuration::from_secs_f64(self.traffic_rng.exponential(tcfg.mean_flow_secs));
+        let life = SimDuration::from_secs_f64(self.traffic_rng.exponential(MEAN_FLOW_SECS));
         let flow_id = self.next_flow_id;
         self.next_flow_id += 1;
         Some(FlowState { flow_id, src, dst, next_seq: 0, ends_at: now + life })
@@ -456,9 +449,6 @@ impl World {
             self.nodes.iter().map(|s| successors(&s.protocol.route_table_dump())).collect();
         let violations = find_loops(&tables);
         self.metrics.loop_violations += violations.len() as u64;
-        if self.first_loop.is_none() {
-            self.first_loop = violations.first().cloned();
-        }
         violations
     }
 
@@ -774,7 +764,6 @@ impl World {
     // ----- traffic --------------------------------------------------------
 
     fn on_flow_packet(&mut self, slot: u32) {
-        let Some(tcfg) = self.traffic_cfg.clone() else { return };
         let end = SimTime::ZERO + self.cfg.duration;
         let flow = &mut self.flows[slot as usize];
         if self.now >= flow.ends_at || self.now >= end {
@@ -786,13 +775,13 @@ impl World {
             flow: flow.flow_id,
             seq: flow.next_seq,
             created: self.now,
-            payload_len: tcfg.payload_len,
+            payload_len: PAYLOAD_BYTES,
             ttl: DEFAULT_DATA_TTL,
             ext: Vec::new(),
         };
         flow.next_seq += 1;
         let src = NodeId(flow.src);
-        let next_at = self.now + tcfg.packet_interval();
+        let next_at = self.now + PACKET_INTERVAL;
         if next_at < flow.ends_at && next_at < end {
             self.fel.schedule(next_at, Event::FlowPacket { flow: slot });
         }
@@ -801,12 +790,11 @@ impl World {
     }
 
     fn on_flow_end(&mut self, slot: u32) {
-        let Some(tcfg) = self.traffic_cfg.clone() else { return };
         let end = SimTime::ZERO + self.cfg.duration;
         if self.now >= end {
             return;
         }
-        let Some(state) = self.fresh_flow(&tcfg, self.now) else { return };
+        let Some(state) = self.fresh_flow(self.now) else { return };
         let ends_at = state.ends_at;
         self.flows[slot as usize] = state;
         self.fel.schedule(self.now, Event::FlowPacket { flow: slot });
@@ -964,7 +952,7 @@ impl World {
         let uid = (u64::from(node.0) << 48) | slot.uid_ctr;
         let packet = Packet { uid, origin: node, body };
         let frame = OutFrame { packet, dst, notify_failure, attempts: 0, counted_tx: false };
-        if slot.mac.enqueue(frame, self.cfg.phy.ifq_cap) {
+        if slot.mac.enqueue(frame) {
             self.kick_now(node);
         }
     }
@@ -1028,7 +1016,7 @@ impl World {
                     return;
                 }
                 // Begin contention for the head frame.
-                let until = now + slot.mac.draw_backoff(&self.cfg.phy);
+                let until = now + slot.mac.draw_backoff();
                 slot.mac.state = MacState::Backoff { until };
                 self.schedule(until, Event::MacKick(node));
             }
@@ -1043,7 +1031,7 @@ impl World {
                 if let Some(busy_until) = self.medium_busy_until(node) {
                     // Non-persistent CSMA: re-draw after the medium frees.
                     let slot = &mut self.nodes[node.index()];
-                    let until = busy_until + slot.mac.draw_backoff(&self.cfg.phy);
+                    let until = busy_until + slot.mac.draw_backoff();
                     slot.mac.state = MacState::Backoff { until };
                     self.schedule(until, Event::MacKick(node));
                     return;
@@ -1121,7 +1109,7 @@ impl World {
         }
         match slot.mac.note_attempt_failed(phy) {
             RetryVerdict::Retry => {
-                slot.mac.grow_cw(phy);
+                slot.mac.grow_cw();
                 slot.mac.state = MacState::Idle;
                 self.kick_now(node);
             }
@@ -1274,7 +1262,7 @@ mod tests {
     #[test]
     fn run_until_never_moves_the_clock_backwards() {
         let mut w = small_world(3, 200.0, 17);
-        w.with_cbr(TrafficConfig::paper(2));
+        w.with_cbr(2);
         w.run_until(SimTime::from_secs(10));
         let events = w.events_executed();
         w.run_until(SimTime::from_secs(5));
@@ -1321,7 +1309,7 @@ mod tests {
             let mut w = small_world(5, 200.0, 19);
             let shared = MemoryTrace::shared();
             w.set_trace(Box::new(shared.clone()));
-            w.with_cbr(TrafficConfig::paper(3));
+            w.with_cbr(3);
             w.schedule_app_packet(t1, NodeId(0), NodeId(4), 512);
             for &until in stages {
                 w.run_until(until);
@@ -1346,7 +1334,7 @@ mod tests {
         let mut w = World::new(cfg, Box::new(mobility), move |id, _| {
             Box::new(StaticRouting::new(id, topo.clone()))
         });
-        w.with_cbr(TrafficConfig::paper(2));
+        w.with_cbr(2);
         let m = w.run();
         assert!(m.data_originated > 100, "expected CBR load, got {}", m.data_originated);
         assert!(
@@ -1597,11 +1585,13 @@ mod tests {
 
     #[test]
     fn faulted_runs_replay_identically() {
-        use crate::faults::{FaultIntensity, FaultPlan};
+        use crate::faults::FaultPlan;
         let run = || {
             let plan = FaultPlan::random(
                 &mut SimRng::stream(77, "plan"),
-                &FaultIntensity::level(5, SimDuration::from_secs(10), 2),
+                5,
+                SimDuration::from_secs(10),
+                2,
             );
             let mut w = faulted_world(5, plan, 25);
             for i in 0..30u64 {
@@ -1661,7 +1651,7 @@ mod tests {
         // A 1-node world has no valid (src, dst) pair: flow setup must
         // skip rather than rejection-sample forever.
         let mut w = small_world(1, 100.0, 41);
-        w.with_cbr(TrafficConfig::paper(3));
+        w.with_cbr(3);
         let m = w.run();
         assert_eq!(m.data_originated, 0);
         assert_eq!(m.data_delivered, 0);
@@ -1675,14 +1665,8 @@ mod tests {
     struct NoSpeedBound(crate::mobility::RandomWaypoint);
 
     impl MobilityModel for NoSpeedBound {
-        fn position(&self, node: NodeId, t: SimTime) -> crate::geometry::Position {
-            self.0.position(node, t)
-        }
         fn len(&self) -> usize {
             self.0.len()
-        }
-        fn position_hold(&self, node: NodeId, t: SimTime) -> (crate::geometry::Position, SimTime) {
-            self.0.position_hold(node, t)
         }
         fn motion_leg(&self, node: NodeId, t: SimTime) -> crate::mobility::MotionLeg {
             self.0.motion_leg(node, t)
@@ -1720,7 +1704,7 @@ mod tests {
             assert_eq!(w.grid.is_some(), bounded, "the speed bound alone selects the index");
             let shared = MemoryTrace::shared();
             w.set_trace(Box::new(shared.clone()));
-            w.with_cbr(TrafficConfig::paper(4));
+            w.with_cbr(4);
             let end = SimTime::ZERO + SimDuration::from_secs(20);
             w.run_until(end);
             w.finalize();
@@ -1796,7 +1780,7 @@ mod tests {
         });
         let shared = MemoryTrace::shared();
         w.set_trace(Box::new(shared.clone()));
-        w.with_cbr(TrafficConfig::paper(25));
+        w.with_cbr(25);
         for k in 0..60u64 {
             let at = SimTime::from_nanos(1_000_000_000 + k * 611_000_123);
             w.schedule_reboot(at, NodeId((7 * k % 40) as u16));
@@ -1881,7 +1865,7 @@ mod tests {
             });
             let shared = MemoryTrace::shared();
             w.set_trace(Box::new(shared.clone()));
-            w.with_cbr(TrafficConfig::paper(2));
+            w.with_cbr(2);
             w.run_until(SimTime::from_secs(10));
             w.finalize();
             // No fault state, so no per-receiver probes, no crash gate
@@ -1926,7 +1910,7 @@ mod tests {
         let mut w = World::new(cfg, Box::new(mobility), move |id, _| {
             Box::new(StaticRouting::new(id, topo.clone()))
         });
-        w.with_cbr(crate::traffic::TrafficConfig::paper(2));
+        w.with_cbr(2);
         w
     }
 

@@ -3,6 +3,7 @@
 //! of [`super`], so these `impl World` blocks see the private fields.
 
 use super::{take_pooled, World};
+use crate::config::{PROP_DELAY, SIFS};
 use crate::event::Event;
 use crate::faults::RxFate;
 use crate::hash::FxMap;
@@ -202,7 +203,7 @@ impl World {
         self.prof_enter(phase);
         self.in_range_into(sender, &mut in_range);
         self.prof_exit();
-        let end = now + self.cfg.phy.prop_delay + dur;
+        let end = now + PROP_DELAY + dur;
         let mut receivers = take_pooled(&mut self.batch_pool, self.prof.as_deref_mut());
         for &(m, dist_sq) in &in_range {
             // Fault layer: crashed receivers and administratively
@@ -347,7 +348,7 @@ impl World {
         if !slot.mac.radio_free(now) {
             return;
         }
-        let dur = self.cfg.phy.sifs + self.cfg.phy.ack_duration();
+        let dur = SIFS + self.cfg.phy.ack_duration();
         slot.mac.ack_busy_until = now + dur;
         slot.tx_ctr += 1;
         let tx_id = (u64::from(node.0) << 48) | slot.tx_ctr;
@@ -529,7 +530,7 @@ mod tests {
         mac.state = MacState::Backoff { until: at };
         let bytes = mac.queue.back().map_or(0, |f| f.packet.wire_size());
         w.fel.schedule(at, Event::MacKick(NodeId(node)));
-        w.cfg.phy.prop_delay + w.cfg.phy.tx_duration(bytes)
+        PROP_DELAY + w.cfg.phy.tx_duration(bytes)
     }
 
     #[test]
@@ -685,7 +686,7 @@ mod tests {
             retriable: false,
             payload: FramePayload::Ack { acked_tx: 0 },
         };
-        let dur = w.cfg.phy.sifs + w.cfg.phy.ack_duration();
+        let dur = SIFS + w.cfg.phy.ack_duration();
         w.propagate(NodeId(0), ack, w.nodes[0].tx_ctr, dur);
         assert_eq!(in_flight(&w, 0), [(NodeId(1), true)]);
         assert!(w.nodes[0].rx.clean.is_none());

@@ -26,20 +26,14 @@ use manet_sim::mobility::RandomWaypoint;
 use manet_sim::packet::NodeId;
 use manet_sim::protocol::RoutingProtocol;
 use manet_sim::rng::SimRng;
-use manet_sim::time::SimDuration;
-use manet_sim::traffic::TrafficConfig;
+use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::world::World;
 
 fn churn_run(
     mut factory: Box<dyn FnMut(NodeId, usize) -> Box<dyn RoutingProtocol>>,
     seed: u64,
 ) -> (u64, Option<String>) {
-    let cfg = SimConfig {
-        duration: SimDuration::from_secs(120),
-        seed,
-        audit_interval: Some(SimDuration::from_secs(1)),
-        ..SimConfig::default()
-    };
+    let cfg = SimConfig { duration: SimDuration::from_secs(120), seed, ..SimConfig::default() };
     let mobility = RandomWaypoint::new(
         50,
         Terrain::new(1500.0, 300.0),
@@ -49,12 +43,16 @@ fn churn_run(
         SimRng::stream(seed, "mobility"),
     );
     let mut world = World::new(cfg, Box::new(mobility), |id, n| factory(id, n));
-    world.with_cbr(TrafficConfig::paper(20));
-    world.run_until(manet_sim::time::SimTime::from_secs(120));
+    world.with_cbr(20);
+    // Audit once per simulated second, keeping the first cycle found.
+    let mut first_loop = None;
+    for s in 1..=120 {
+        world.run_until(SimTime::from_secs(s));
+        let loops = world.audit_now();
+        first_loop = first_loop.or_else(|| loops.first().map(|v| v.to_string()));
+    }
     world.finalize();
-    let loops = world.metrics().loop_violations;
-    let example = world.first_loop.as_ref().map(|v| v.to_string());
-    (loops, example)
+    (world.metrics().loop_violations, first_loop)
 }
 
 /// Runs a smaller churn scenario with the every-mutation auditor on.
@@ -78,8 +76,8 @@ fn forensic_run(
         SimRng::stream(seed, "mobility"),
     );
     let mut world = World::new(cfg, Box::new(mobility), |id, n| factory(id, n));
-    world.with_cbr(TrafficConfig::paper(10));
-    world.run_until(manet_sim::time::SimTime::from_secs(30));
+    world.with_cbr(10);
+    world.run_until(SimTime::from_secs(30));
     world.finalize();
     let checks = world.metrics().invariant_checks;
     let breaches = world.metrics().invariant_breaches;

@@ -10,7 +10,6 @@ use manet_sim::geometry::Terrain;
 use manet_sim::mobility::RandomWaypoint;
 use manet_sim::rng::SimRng;
 use manet_sim::time::SimDuration;
-use manet_sim::traffic::TrafficConfig;
 use manet_sim::world::World;
 
 fn main() {
@@ -36,7 +35,7 @@ fn main() {
         SimRng::stream(seed, "mobility"),
     );
     let mut world = World::new(cfg, Box::new(mobility), Ldr::factory(LdrConfig::default()));
-    world.with_cbr(TrafficConfig::paper(10));
+    world.with_cbr(10);
     let m = world.run();
 
     println!("\n--- traffic ---");

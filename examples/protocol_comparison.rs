@@ -15,7 +15,6 @@ use manet_sim::packet::NodeId;
 use manet_sim::protocol::RoutingProtocol;
 use manet_sim::rng::SimRng;
 use manet_sim::time::SimDuration;
-use manet_sim::traffic::TrafficConfig;
 use manet_sim::world::World;
 
 fn run(
@@ -41,7 +40,7 @@ fn run(
         SimRng::stream(seed, "mobility"),
     );
     let mut world = World::new(cfg, Box::new(mobility), |id, n| factory(id, n));
-    world.with_cbr(TrafficConfig::paper(flows));
+    world.with_cbr(flows);
     (name.to_string(), world.run())
 }
 

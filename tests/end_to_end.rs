@@ -12,7 +12,6 @@ use manet_sim::packet::NodeId;
 use manet_sim::protocol::RoutingProtocol;
 use manet_sim::rng::SimRng;
 use manet_sim::time::{SimDuration, SimTime};
-use manet_sim::traffic::TrafficConfig;
 use manet_sim::world::World;
 
 type Factory = Box<dyn FnMut(NodeId, usize) -> Box<dyn RoutingProtocol>>;
@@ -104,7 +103,7 @@ fn mobile_run(mut factory: Factory, flows: usize, pause: u64, seed: u64) -> Metr
         SimRng::stream(seed, "mobility"),
     );
     let mut world = World::new(cfg, Box::new(mobility), |id, nn| factory(id, nn));
-    world.with_cbr(TrafficConfig::paper(flows));
+    world.with_cbr(flows);
     world.run()
 }
 

@@ -11,7 +11,7 @@
 use ldr::{Ldr, LdrConfig};
 use manet_baselines::{Aodv, AodvConfig};
 use manet_sim::config::SimConfig;
-use manet_sim::faults::{FaultAction, FaultIntensity, FaultPlan};
+use manet_sim::faults::{FaultAction, FaultPlan};
 use manet_sim::geometry::{Position, Terrain};
 use manet_sim::metrics::Metrics;
 use manet_sim::mobility::{RandomWaypoint, StaticMobility};
@@ -19,7 +19,6 @@ use manet_sim::packet::NodeId;
 use manet_sim::rng::SimRng;
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::MemoryTrace;
-use manet_sim::traffic::TrafficConfig;
 use manet_sim::world::World;
 use proptest::prelude::*;
 use proptest::strategy::Strategy;
@@ -42,8 +41,7 @@ impl Strategy for FaultPlanStrategy {
     fn generate(&self, rng: &mut TestRng) -> FaultPlan {
         let seed = rng.next_u64();
         let level = 1 + rng.below(u64::from(self.max_level)) as u32;
-        let intensity = FaultIntensity::level(self.nodes, self.horizon, level);
-        FaultPlan::random(&mut SimRng::stream(seed, "fault-plan"), &intensity)
+        FaultPlan::random(&mut SimRng::stream(seed, "fault-plan"), self.nodes, self.horizon, level)
     }
 
     fn shrink(&self, value: &FaultPlan) -> Vec<FaultPlan> {
@@ -90,7 +88,7 @@ fn ldr_faulted_run(seed: u64, plan: FaultPlan, flows: usize) -> Metrics {
         SimRng::stream(seed, "mobility"),
     );
     let mut world = World::new(cfg, Box::new(mobility), Ldr::factory(LdrConfig::default()));
-    world.with_cbr(TrafficConfig::paper(flows));
+    world.with_cbr(flows);
     world.run()
 }
 
@@ -222,7 +220,9 @@ fn faulted_trials_replay_byte_identically() {
     let run = || {
         let plan = FaultPlan::random(
             &mut SimRng::stream(4242, "fault-plan"),
-            &FaultIntensity::level(8, SimDuration::from_secs(12), 2),
+            8,
+            SimDuration::from_secs(12),
+            2,
         );
         let cfg = SimConfig {
             duration: SimDuration::from_secs(12),
@@ -241,7 +241,7 @@ fn faulted_trials_replay_byte_identically() {
             SimRng::stream(99, "mobility"),
         );
         let mut world = World::new(cfg, Box::new(mobility), Ldr::factory(LdrConfig::default()));
-        world.with_cbr(TrafficConfig::paper(3));
+        world.with_cbr(3);
         let sink = Arc::new(Mutex::new(MemoryTrace::default()));
         world.set_trace(Box::new(Arc::clone(&sink)));
         let m = world.run();

@@ -9,7 +9,6 @@ use manet_sim::metrics::Metrics;
 use manet_sim::mobility::RandomWaypoint;
 use manet_sim::rng::SimRng;
 use manet_sim::time::SimDuration;
-use manet_sim::traffic::TrafficConfig;
 use manet_sim::world::World;
 use proptest::prelude::*;
 
@@ -29,7 +28,7 @@ fn ldr_run(seed: u64, nodes: usize, flows: usize, pause: u64, secs: u64) -> Metr
         SimRng::stream(seed, "mobility"),
     );
     let mut world = World::new(cfg, Box::new(mobility), Ldr::factory(LdrConfig::default()));
-    world.with_cbr(TrafficConfig::paper(flows));
+    world.with_cbr(flows);
     world.run()
 }
 

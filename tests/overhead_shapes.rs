@@ -12,7 +12,6 @@ use manet_sim::packet::NodeId;
 use manet_sim::protocol::RoutingProtocol;
 use manet_sim::rng::SimRng;
 use manet_sim::time::SimDuration;
-use manet_sim::traffic::TrafficConfig;
 use manet_sim::world::World;
 
 fn run(
@@ -33,7 +32,7 @@ fn run(
         SimRng::stream(seed, "mobility"),
     );
     let mut world = World::new(cfg, Box::new(mobility), |id, n| factory(id, n));
-    world.with_cbr(TrafficConfig::paper(10));
+    world.with_cbr(10);
     world.run()
 }
 
