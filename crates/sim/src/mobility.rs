@@ -198,13 +198,20 @@ impl MobilityModel for ScriptedMobility {
     }
     fn max_speed_mps(&self) -> Option<f64> {
         let mut bound = 0.0f64;
-        for w in self.tracks.iter().flat_map(|tr| tr.windows(2)) {
-            let dist = w[0].1.distance(w[1].1);
-            match (w[1].0 - w[0].0).as_nanos() {
-                // Instant teleport: no finite speed bound exists.
-                0 if dist > 0.0 => return None,
-                0 => {}
-                span => bound = bound.max(dist / (span as f64 / 1e9)),
+        for tr in &self.tracks {
+            for w in tr.windows(2) {
+                let (t0, p0) = w[0];
+                let (t1, p1) = w[1];
+                let span_s = (t1 - t0).as_nanos() as f64 / 1e9;
+                let dist = p0.distance(p1);
+                if span_s == 0.0 {
+                    if dist > 0.0 {
+                        // Instant teleport: no finite speed bound exists.
+                        return None;
+                    }
+                } else {
+                    bound = bound.max(dist / span_s);
+                }
             }
         }
         Some(bound)
@@ -224,6 +231,25 @@ impl MobilityModel for ScriptedMobility {
 struct NodeRwp {
     rng: SimRng,
     leg: MotionLeg,
+}
+
+fn next_leg(
+    rng: &mut SimRng,
+    terrain: Terrain,
+    pause: SimDuration,
+    min_speed: f64,
+    max_speed: f64,
+    from: Position,
+    pause_from: SimTime,
+) -> MotionLeg {
+    let to = terrain.random_position(rng);
+    let speed = rng.range_f64(min_speed, max_speed);
+    let dist = from.distance(to);
+    let move_start = pause_from + pause;
+    let move_end = move_start + SimDuration::from_secs_f64(dist / speed);
+    // The leg stays current through the post-arrival pause: at the next
+    // departure instant the node is still at `to`, the next leg's origin.
+    MotionLeg { from, to, move_start, move_end, valid_until: move_end + pause }
 }
 
 /// The random waypoint model of the evaluation (§4): each node pauses
@@ -259,33 +285,25 @@ impl RandomWaypoint {
             min_speed > 0.0 && min_speed <= max_speed,
             "speeds must satisfy 0 < min <= max (got {min_speed}..{max_speed})"
         );
-        let mut model =
-            RandomWaypoint { terrain, pause, min_speed, max_speed, state: RefCell::default() };
         let state = (0..n)
             .map(|_| {
                 let mut node_rng = rng.split();
                 // A real first leg (pause at the start, then move), all
                 // drawn from this node's private stream.
                 let start = terrain.random_position(&mut node_rng);
-                let leg = model.next_leg(&mut node_rng, start, SimTime::ZERO);
+                let leg = next_leg(
+                    &mut node_rng,
+                    terrain,
+                    pause,
+                    min_speed,
+                    max_speed,
+                    start,
+                    SimTime::ZERO,
+                );
                 NodeRwp { rng: node_rng, leg }
             })
             .collect();
-        *model.state.get_mut() = state;
-        model
-    }
-
-    /// The leg that pauses at `from` from `pause_from` on, then travels
-    /// to a fresh destination at a fresh speed.
-    fn next_leg(&self, rng: &mut SimRng, from: Position, pause_from: SimTime) -> MotionLeg {
-        let to = self.terrain.random_position(rng);
-        let speed = rng.range_f64(self.min_speed, self.max_speed);
-        let dist = from.distance(to);
-        let move_start = pause_from + self.pause;
-        let move_end = move_start + SimDuration::from_secs_f64(dist / speed);
-        // The leg stays current through the post-arrival pause: at the next
-        // departure instant the node is still at `to`, the next leg's origin.
-        MotionLeg { from, to, move_start, move_end, valid_until: move_end + self.pause }
+        RandomWaypoint { terrain, pause, min_speed, max_speed, state: RefCell::new(state) }
     }
 }
 
@@ -296,7 +314,15 @@ impl MobilityModel for RandomWaypoint {
         let mut st = self.state.borrow_mut();
         let node = &mut st[node.index()];
         while t > node.leg.valid_until {
-            node.leg = self.next_leg(&mut node.rng, node.leg.to, node.leg.move_end);
+            node.leg = next_leg(
+                &mut node.rng,
+                self.terrain,
+                self.pause,
+                self.min_speed,
+                self.max_speed,
+                node.leg.to,
+                node.leg.move_end,
+            );
         }
         node.leg
     }
