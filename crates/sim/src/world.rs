@@ -1756,6 +1756,21 @@ mod tests {
     /// land mid-reception; returns `(events executed, collisions, trace
     /// events, FNV-1a of format!("{:?}{:?}", metrics, trace))`.
     fn capture_and_reboots_cell(capture: Option<f64>, seed: u64) -> (u64, u64, usize, u64) {
+        capture_and_crashes_cell(capture, seed, false)
+    }
+
+    /// [`capture_and_reboots_cell`] with its 60 reboots taken down the
+    /// fault path, as a plan of `CrashRestart`s with no downtime.
+    fn capture_and_crash_restarts_cell(capture: Option<f64>, seed: u64) -> (u64, u64, usize, u64) {
+        capture_and_crashes_cell(capture, seed, true)
+    }
+
+    fn capture_and_crashes_cell(
+        capture: Option<f64>,
+        seed: u64,
+        via_plan: bool,
+    ) -> (u64, u64, usize, u64) {
+        use crate::faults::{FaultAction, FaultPlan};
         use crate::geometry::Terrain;
         use crate::mobility::RandomWaypoint;
         use crate::trace::MemoryTrace;
@@ -1768,10 +1783,26 @@ mod tests {
             20.0,
             SimRng::stream(seed, "mobility"),
         );
+        let crashes: Vec<(SimTime, NodeId)> = (0..60u64)
+            .map(|k| {
+                let at = SimTime::from_nanos(1_000_000_000 + k * 611_000_123);
+                (at, NodeId((7 * k % 40) as u16))
+            })
+            .collect();
+        let plan = via_plan.then(|| {
+            FaultPlan::new(
+                (crashes.iter())
+                    .map(|&(at, node)| {
+                        (at, FaultAction::CrashRestart { node, downtime: SimDuration::ZERO })
+                    })
+                    .collect(),
+            )
+        });
         let cfg = SimConfig {
             phy: PhyConfig { capture_distance_ratio: capture, ..PhyConfig::default() },
             duration: SimDuration::from_secs(40),
             seed,
+            fault_plan: plan,
             ..SimConfig::default()
         };
         let topo = StaticRouting::tables_for_line(40);
@@ -1781,9 +1812,10 @@ mod tests {
         let shared = MemoryTrace::shared();
         w.set_trace(Box::new(shared.clone()));
         w.with_cbr(25);
-        for k in 0..60u64 {
-            let at = SimTime::from_nanos(1_000_000_000 + k * 611_000_123);
-            w.schedule_reboot(at, NodeId((7 * k % 40) as u16));
+        if !via_plan {
+            for &(at, node) in &crashes {
+                w.schedule_reboot(at, node);
+            }
         }
         w.run_until(SimTime::from_secs(40));
         w.finalize();
@@ -1805,6 +1837,124 @@ mod tests {
         let rest = [(Some(3.16), 10), (Some(1.2), 11), (None, 12)]
             .map(|(capture, seed)| capture_and_reboots_cell(capture, seed).3);
         assert_eq!(rest, [0x7b73_e228_c19f_d396, 0xa828_11cc_6d8c_9ee0, 0xf951_a1be_6587_da0b]);
+    }
+
+    /// The 60 reboots of [`kernel_bytes_with_capture_and_reboots`] as
+    /// zero-downtime crash-restarts of a fault plan: the same instants,
+    /// nodes, capture ratios and seeds. The digests were computed while
+    /// the kernel still had a second, test-only crash path; a kernel
+    /// change that moves one of them changed behaviour.
+    #[test]
+    fn kernel_bytes_with_capture_and_crash_restarts() {
+        let first = capture_and_crash_restarts_cell(Some(1.5), 9);
+        assert_eq!(first, (175_414, 167_242, 203_492, 0x7499_02fb_9053_5308));
+        let rest = [(Some(3.16), 10), (Some(1.2), 11), (None, 12)]
+            .map(|(capture, seed)| capture_and_crash_restarts_cell(capture, seed).3);
+        assert_eq!(rest, [0x1d0f_a7b9_8ba1_6776, 0x42d6_3e89_c485_bd55, 0xb27e_16ab_623c_8d02]);
+    }
+
+    /// `StaticRouting` that logs the instant of every `handle_reboot`.
+    struct RebootLog(StaticRouting, std::sync::Arc<std::sync::Mutex<Vec<SimTime>>>);
+
+    impl RoutingProtocol for RebootLog {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn handle_data_origination(&mut self, ctx: &mut Ctx, data: DataPacket) {
+            self.0.handle_data_origination(ctx, data);
+        }
+        fn handle_data_packet(&mut self, ctx: &mut Ctx, prev_hop: NodeId, data: DataPacket) {
+            self.0.handle_data_packet(ctx, prev_hop, data);
+        }
+        fn handle_control(
+            &mut self,
+            ctx: &mut Ctx,
+            prev_hop: NodeId,
+            ctrl: &crate::packet::ControlPacket,
+            was_broadcast: bool,
+        ) {
+            self.0.handle_control(ctx, prev_hop, ctrl, was_broadcast);
+        }
+        fn handle_timer(&mut self, ctx: &mut Ctx, token: u64) {
+            self.0.handle_timer(ctx, token);
+        }
+        fn handle_unicast_failure(&mut self, ctx: &mut Ctx, next_hop: NodeId, packet: Packet) {
+            self.0.handle_unicast_failure(ctx, next_hop, packet);
+        }
+        fn handle_reboot(&mut self, ctx: &mut Ctx) {
+            self.1.lock().expect("no panic holds the log").push(ctx.now());
+        }
+        fn route_table_dump(&self) -> Vec<crate::protocol::RouteDump> {
+            self.0.route_table_dump()
+        }
+    }
+
+    /// A crash-restart with no downtime is one instant: the crash and
+    /// the restart are traced there, in that order, the restart is
+    /// counted, the protocol's reboot hook runs once, the node's
+    /// duplicate cache starts over, and the frame it had on the air is
+    /// truncated, so its receiver hears a collision.
+    #[test]
+    fn a_zero_downtime_crash_restart_is_one_instant() {
+        use crate::faults::{FaultAction, FaultPlan};
+        use crate::trace::MemoryTrace;
+        use std::sync::{Arc, Mutex};
+        let crash = SimTime::from_nanos(201_500_000);
+        let plan = FaultPlan::new(vec![(
+            crash,
+            FaultAction::CrashRestart { node: NodeId(1), downtime: SimDuration::ZERO },
+        )]);
+        let cfg = SimConfig {
+            duration: SimDuration::from_secs(1),
+            seed: 28,
+            fault_plan: Some(plan),
+            ..SimConfig::default()
+        };
+        let reboots = Arc::new(Mutex::new(Vec::new()));
+        let (log, topo) = (Arc::clone(&reboots), StaticRouting::tables_for_line(2));
+        let mut w = World::new(cfg, Box::new(StaticMobility::line(2, 200.0)), move |id, _| {
+            Box::new(RebootLog(StaticRouting::new(id, topo.clone()), Arc::clone(&log)))
+        });
+        let shared = MemoryTrace::shared();
+        w.set_trace(Box::new(shared.clone()));
+        // Node 1 accepts a packet from node 0, then sends one back; the
+        // crash falls while that frame is on the air.
+        w.schedule_app_packet(SimTime::from_millis(100), NodeId(0), NodeId(1), 512);
+        w.schedule_app_packet(SimTime::from_millis(200), NodeId(1), NodeId(0), 512);
+        let fresh = format!("{:?}", RecentCache::new(2));
+        w.run_until(SimTime::from_nanos(crash.as_nanos() - 1));
+        assert_ne!(format!("{:?}", w.nodes[1].recent), fresh, "node 1 accepted nothing");
+        w.run_until(crash);
+        assert_eq!(format!("{:?}", w.nodes[1].recent), fresh, "the duplicate cache survived");
+        assert_eq!(*reboots.lock().expect("no panic holds the log"), [crash]);
+        assert_eq!((w.metrics.faults_injected, w.metrics.node_restarts), (1, 1));
+        w.run_until(SimTime::from_secs(1));
+        let trace: Vec<_> = shared.lock().map(|t| t.events().to_vec()).unwrap_or_default();
+        let faults: Vec<_> = (trace.iter())
+            .filter(|(_, e)| {
+                matches!(e, TraceEvent::FaultInjected { .. } | TraceEvent::NodeRestarted { .. })
+            })
+            .cloned()
+            .collect();
+        let crashed = TraceEvent::FaultInjected { node: NodeId(1), kind: FaultKind::Crash };
+        let restarted = TraceEvent::NodeRestarted { node: NodeId(1) };
+        assert_eq!(faults, [(crash, crashed), (crash, restarted)]);
+        let sent: Vec<_> = (trace.iter())
+            .filter(|(_, e)| matches!(e, TraceEvent::TxStart { node: NodeId(1), uid: Some(_), .. }))
+            .map(|(t, _)| *t)
+            .collect();
+        assert!(matches!(sent[..], [t] if t < crash), "node 1 sent {sent:?}");
+        let heard: Vec<_> = (trace.iter())
+            .filter(|(t, e)| {
+                *t > sent[0]
+                    && matches!(e, TraceEvent::RxOk { .. } | TraceEvent::RxCollision { .. })
+            })
+            .collect();
+        assert!(
+            matches!(heard[..], [(t, TraceEvent::RxCollision { node: NodeId(0), .. })] if *t > crash),
+            "node 0 heard {heard:?}"
+        );
+        assert_eq!((w.metrics.collisions, w.metrics.data_delivered), (1, 1));
     }
 
     /// The other side of the selection: a model with no finite speed
