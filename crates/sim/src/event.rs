@@ -55,11 +55,6 @@ pub enum Event {
         /// Index into the manual packet list.
         idx: u32,
     },
-    /// A node crashes and restarts, losing volatile protocol state.
-    Reboot {
-        /// The rebooting node.
-        node: NodeId,
-    },
     /// A scheduled fault-plan action fires
     /// (see [`crate::faults::FaultPlan`]).
     Fault {
@@ -89,9 +84,11 @@ impl Event {
     /// Stable wire names of the event kinds, indexed by
     /// [`Event::kind_index`]. Order is the enum's declaration order;
     /// appending a variant appends a name (telemetry schema stability).
-    /// `rx_end` is a retired slot: no variant maps to it, so its
-    /// counter reads 0 in every `manet-series`/`manet-prof` document,
-    /// and the column stays so those documents keep their bytes.
+    /// `rx_end` and `reboot` are retired slots: no variant maps to
+    /// them, so their counters read 0 in every `manet-series`/`manet-prof`
+    /// document, and the columns stay so those documents keep their
+    /// bytes. A crash-restart is [`Event::Fault`] then
+    /// [`Event::FaultRestart`].
     pub const KIND_NAMES: [&'static str; Self::KIND_COUNT] = [
         "mac_kick",
         "tx_end",
@@ -120,7 +117,6 @@ impl Event {
             Event::FlowPacket { .. } => 6,
             Event::FlowEnd { .. } => 7,
             Event::AppSend { .. } => 8,
-            Event::Reboot { .. } => 9,
             Event::Fault { .. } => 10,
             Event::FaultRestart { .. } => 11,
             Event::Audit => 12,

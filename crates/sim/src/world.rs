@@ -321,14 +321,6 @@ impl World {
         self.auditor.as_ref().and_then(|a| a.report())
     }
 
-    /// Schedules a crash-and-restart of `node` at time `at` (at
-    /// [`World::now`] if `at` has already passed): its MAC queue and
-    /// in-progress receptions are discarded and the routing protocol's
-    /// [`RoutingProtocol::handle_reboot`] hook runs.
-    pub fn schedule_reboot(&mut self, at: SimTime, node: NodeId) {
-        self.fel.schedule(at.max(self.now), Event::Reboot { node });
-    }
-
     /// Current simulated time.
     pub fn now(&self) -> SimTime {
         self.now
@@ -536,8 +528,7 @@ impl World {
                 Event::MacKick(node)
                 | Event::TxEnd { node, .. }
                 | Event::AckTimeout { node, .. }
-                | Event::ProtocolTimer { node, .. }
-                | Event::Reboot { node } => fs.node_down(node),
+                | Event::ProtocolTimer { node, .. } => fs.node_down(node),
                 _ => false,
             };
             if gated {
@@ -555,17 +546,6 @@ impl World {
             Event::FlowPacket { flow } => self.on_flow_packet(flow),
             Event::FlowEnd { flow } => self.on_flow_end(flow),
             Event::AppSend { idx } => self.on_app_send(idx),
-            Event::Reboot { node } => {
-                let phy = self.cfg.phy.clone();
-                {
-                    let slot = &mut self.nodes[node.index()];
-                    slot.mac.queue.clear();
-                    slot.mac.state = MacState::Idle;
-                    slot.mac.reset_cw(&phy);
-                }
-                self.clear_receptions(node);
-                self.call_protocol(node, |p, ctx| p.handle_reboot(ctx));
-            }
             Event::Fault { idx } => self.on_fault(idx),
             Event::FaultRestart { node } => self.on_fault_restart(node),
             Event::Audit => {
@@ -1272,16 +1252,19 @@ mod tests {
 
     #[test]
     fn past_dated_public_schedules_fire_now_not_in_the_past() {
+        use crate::faults::{FaultAction, FaultPlan};
         use crate::trace::MemoryTrace;
-        // Between stages the two public schedulers are handed times the
-        // clock has passed: the events must run at `now`, not rewind it.
-        let mut w = small_world(2, 100.0, 18);
+        // Between stages the public scheduler is handed a time the clock
+        // has passed: the event must run at `now`, not rewind it. The
+        // receiver crashes and restarts in the second stage.
+        let crash = FaultAction::CrashRestart { node: NodeId(1), downtime: SimDuration::ZERO };
+        let plan = FaultPlan::new(vec![(SimTime::from_millis(10_500), crash)]);
+        let mut w = faulted_world(2, plan, 18);
         let t10 = SimTime::from_secs(10);
         w.run_until(t10);
         let shared = MemoryTrace::shared();
         w.set_trace(Box::new(shared.clone()));
         w.schedule_app_packet(SimTime::from_secs(5), NodeId(0), NodeId(1), 512);
-        w.schedule_reboot(SimTime::from_secs(3), NodeId(1));
         for until in [t10, SimTime::from_secs(11)] {
             w.run_until(until);
             assert_eq!(w.now(), until);
@@ -1290,6 +1273,7 @@ mod tests {
         // and delivered there, so its latency is one hop's, from 10 s.
         let trace: Vec<_> = shared.lock().map(|t| t.events().to_vec()).unwrap_or_default();
         assert!(trace.iter().any(|(_, e)| matches!(e, TraceEvent::Delivered { .. })));
+        assert!(trace.iter().any(|(_, e)| matches!(e, TraceEvent::NodeRestarted { .. })));
         assert!(trace.iter().all(|(t, _)| *t >= t10), "a handler ran in the past: {trace:?}");
         assert!(trace.windows(2).all(|p| p[0].0 <= p[1].0), "the clock ran backwards");
         let m = w.into_metrics();
@@ -1752,24 +1736,11 @@ mod tests {
     }
 
     /// One 40-node, 40-s random-waypoint world with 25 CBR flows, a
-    /// trace sink and 60 reboots spread over the run, each likely to
-    /// land mid-reception; returns `(events executed, collisions, trace
-    /// events, FNV-1a of format!("{:?}{:?}", metrics, trace))`.
-    fn capture_and_reboots_cell(capture: Option<f64>, seed: u64) -> (u64, u64, usize, u64) {
-        capture_and_crashes_cell(capture, seed, false)
-    }
-
-    /// [`capture_and_reboots_cell`] with its 60 reboots taken down the
-    /// fault path, as a plan of `CrashRestart`s with no downtime.
+    /// trace sink and 60 zero-downtime crash-restarts spread over the
+    /// run, each likely to land mid-reception; returns `(events executed,
+    /// collisions, trace events, FNV-1a of format!("{:?}{:?}", metrics,
+    /// trace))`.
     fn capture_and_crash_restarts_cell(capture: Option<f64>, seed: u64) -> (u64, u64, usize, u64) {
-        capture_and_crashes_cell(capture, seed, true)
-    }
-
-    fn capture_and_crashes_cell(
-        capture: Option<f64>,
-        seed: u64,
-        via_plan: bool,
-    ) -> (u64, u64, usize, u64) {
         use crate::faults::{FaultAction, FaultPlan};
         use crate::geometry::Terrain;
         use crate::mobility::RandomWaypoint;
@@ -1783,26 +1754,20 @@ mod tests {
             20.0,
             SimRng::stream(seed, "mobility"),
         );
-        let crashes: Vec<(SimTime, NodeId)> = (0..60u64)
-            .map(|k| {
-                let at = SimTime::from_nanos(1_000_000_000 + k * 611_000_123);
-                (at, NodeId((7 * k % 40) as u16))
-            })
-            .collect();
-        let plan = via_plan.then(|| {
-            FaultPlan::new(
-                (crashes.iter())
-                    .map(|&(at, node)| {
-                        (at, FaultAction::CrashRestart { node, downtime: SimDuration::ZERO })
-                    })
-                    .collect(),
-            )
-        });
+        let plan = FaultPlan::new(
+            (0..60u64)
+                .map(|k| {
+                    let at = SimTime::from_nanos(1_000_000_000 + k * 611_000_123);
+                    let node = NodeId((7 * k % 40) as u16);
+                    (at, FaultAction::CrashRestart { node, downtime: SimDuration::ZERO })
+                })
+                .collect(),
+        );
         let cfg = SimConfig {
             phy: PhyConfig { capture_distance_ratio: capture, ..PhyConfig::default() },
             duration: SimDuration::from_secs(40),
             seed,
-            fault_plan: plan,
+            fault_plan: Some(plan),
             ..SimConfig::default()
         };
         let topo = StaticRouting::tables_for_line(40);
@@ -1812,31 +1777,12 @@ mod tests {
         let shared = MemoryTrace::shared();
         w.set_trace(Box::new(shared.clone()));
         w.with_cbr(25);
-        if !via_plan {
-            for &(at, node) in &crashes {
-                w.schedule_reboot(at, node);
-            }
-        }
         w.run_until(SimTime::from_secs(40));
         w.finalize();
         let trace = shared.lock().expect("no panic holds the trace lock");
         let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
         write!(digest, "{:?}{:?}", w.metrics(), trace.events()).expect("hashing cannot fail");
         (w.events_executed(), w.metrics().collisions, trace.events().len(), digest.0)
-    }
-
-    /// Pins the bytes of the two receive paths no cross-commit gate
-    /// covers: first-frame capture (off in every pinned artefact) and a
-    /// reboot in the middle of a reception. The digests were computed on
-    /// the commit before the receive half was rewritten (`0f0ac5c`); a
-    /// kernel change that moves one of them changed behaviour.
-    #[test]
-    fn kernel_bytes_with_capture_and_reboots() {
-        let first = capture_and_reboots_cell(Some(1.5), 9);
-        assert_eq!(first, (175_354, 167_224, 203_354, 0xf276_3703_e8c8_fbda));
-        let rest = [(Some(3.16), 10), (Some(1.2), 11), (None, 12)]
-            .map(|(capture, seed)| capture_and_reboots_cell(capture, seed).3);
-        assert_eq!(rest, [0x7b73_e228_c19f_d396, 0xa828_11cc_6d8c_9ee0, 0xf951_a1be_6587_da0b]);
     }
 
     /// The 60 reboots of [`kernel_bytes_with_capture_and_reboots`] as

@@ -89,7 +89,7 @@ pub(super) struct RxState {
     /// Latest end of any reception begun since the last clear.
     busy_until: SimTime,
     clean: Option<Clean>,
-    /// [`World::rx_epoch`] of the last clear (reboot, crash, restart);
+    /// [`World::rx_epoch`] of the last clear (crash, restart);
     /// receptions begun before it are void.
     cleared: u64,
 }
@@ -105,7 +105,7 @@ const RECENT_WINDOW: u64 = 128;
 /// in between: "among the last 128 uids accepted" is "the last retriable
 /// uid accepted from its sender, at most 128 accepts ago". Other frames
 /// only advance the window. A crash drops the cache with the node's
-/// other volatile state; `Event::Reboot` keeps it.
+/// other volatile state.
 #[derive(Debug)]
 pub(super) struct RecentCache {
     /// Frames accepted so far.
@@ -154,7 +154,7 @@ impl World {
         (until > self.now).then_some(until)
     }
 
-    /// Drops `node`'s receptions in progress (reboot, crash, restart):
+    /// Drops `node`'s receptions in progress (crash, restart):
     /// a new epoch voids their records in the transmissions' batches.
     pub(super) fn clear_receptions(&mut self, node: NodeId) {
         self.rx_epoch += 1;
@@ -615,22 +615,16 @@ mod tests {
     /// receiver, and the medium reads free again.
     #[test]
     fn a_clear_voids_a_reception_in_progress() {
-        for crash in [false, true] {
+        // Back up at once, or 1 ms later with the frame still arriving.
+        for downtime in [SimDuration::ZERO, SimDuration::from_millis(1)] {
             let t0 = SimTime::from_millis(100);
             let clear = t0 + SimDuration::from_millis(1);
-            // Back up 1 ms later, with the frame still arriving.
-            let downtime = SimDuration::from_millis(1);
-            let plan = crash.then(|| {
-                FaultPlan::new(vec![(
-                    clear,
-                    FaultAction::CrashRestart { node: NodeId(0), downtime },
-                )])
-            });
-            let mut w = hub_world(1, 6, plan);
+            let plan = FaultPlan::new(vec![(
+                clear,
+                FaultAction::CrashRestart { node: NodeId(0), downtime },
+            )]);
+            let mut w = hub_world(1, 6, Some(plan));
             let trace = traced(&mut w);
-            if !crash {
-                w.schedule_reboot(clear, NodeId(0));
-            }
             let end = t0 + transmit_at(&mut w, 1, Some(NodeId(0)), t0);
             assert!(end > clear + downtime);
             w.run_until(clear);
@@ -660,10 +654,10 @@ mod tests {
                 )
             };
             let stray: Vec<_> = trace_of(&trace).into_iter().filter(|(_, e)| heard(e)).collect();
-            assert_eq!(stray, [], "crash: {crash}");
+            assert_eq!(stray, [], "downtime {downtime:?}");
             // The sender's retry starts after the clear and is received.
             w.run_until(SimTime::from_secs(1));
-            assert_eq!(w.metrics.data_delivered, 1, "crash: {crash}");
+            assert_eq!(w.metrics.data_delivered, 1, "downtime {downtime:?}");
         }
     }
 

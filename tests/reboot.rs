@@ -7,16 +7,23 @@
 
 use ldr::{Ldr, LdrConfig};
 use manet_sim::config::SimConfig;
+use manet_sim::faults::{FaultAction, FaultPlan};
 use manet_sim::mobility::StaticMobility;
 use manet_sim::packet::NodeId;
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::world::World;
 
-fn chain_world(n: usize, seed: u64, secs: u64) -> World {
+/// An LDR chain of `n` nodes whose `reboots` crash and restart at once,
+/// with no downtime, each at its instant.
+fn chain_world(n: usize, seed: u64, secs: u64, reboots: &[(SimTime, u16)]) -> World {
+    let crashes = reboots.iter().map(|&(at, node)| {
+        (at, FaultAction::CrashRestart { node: NodeId(node), downtime: SimDuration::ZERO })
+    });
     let cfg = SimConfig {
         duration: SimDuration::from_secs(secs),
         seed,
         audit_interval: Some(SimDuration::from_millis(500)),
+        fault_plan: Some(FaultPlan::new(crashes.collect())),
         ..SimConfig::default()
     };
     World::new(cfg, Box::new(StaticMobility::line(n, 200.0)), Ldr::factory(LdrConfig::default()))
@@ -24,12 +31,11 @@ fn chain_world(n: usize, seed: u64, secs: u64) -> World {
 
 #[test]
 fn intermediate_reboot_loses_routes_but_traffic_recovers() {
-    let mut world = chain_world(4, 51, 40);
+    // The middle relay crashes mid-stream.
+    let mut world = chain_world(4, 51, 40, &[(SimTime::from_secs(10), 1)]);
     for k in 0..120u64 {
         world.schedule_app_packet(SimTime::from_millis(1000 + 250 * k), NodeId(0), NodeId(3), 512);
     }
-    // The middle relay crashes mid-stream.
-    world.schedule_reboot(SimTime::from_secs(10), NodeId(1));
     let m = world.run();
     assert!(
         m.data_delivered > 100,
@@ -37,22 +43,22 @@ fn intermediate_reboot_loses_routes_but_traffic_recovers() {
         m.data_delivered
     );
     assert!(m.data_delivered < 120, "packets in flight at the crash are lost");
+    assert_eq!((m.faults_injected, m.node_restarts), (1, 1));
     assert_eq!(m.loop_violations, 0);
 }
 
 #[test]
 fn rebooted_destination_participates_immediately_no_hold() {
-    let mut world = chain_world(4, 53, 40);
-    for k in 0..120u64 {
-        world.schedule_app_packet(SimTime::from_millis(1000 + 250 * k), NodeId(0), NodeId(3), 512);
-    }
     // The destination crashes, then the path's relay crashes moments
     // later, wiping the network's usable routes — the subsequent
     // re-discovery must be answered by the *rebooted* destination with
     // its fresh-epoch number, and accepted everywhere despite the
     // tight feasible-distance history the old epoch left behind.
-    world.schedule_reboot(SimTime::from_secs(10), NodeId(3));
-    world.schedule_reboot(SimTime::from_millis(10_500), NodeId(2));
+    let reboots = [(SimTime::from_secs(10), 3), (SimTime::from_millis(10_500), 2)];
+    let mut world = chain_world(4, 53, 40, &reboots);
+    for k in 0..120u64 {
+        world.schedule_app_packet(SimTime::from_millis(1000 + 250 * k), NodeId(0), NodeId(3), 512);
+    }
     world.run_until(SimTime::from_secs(40));
     world.finalize();
     let m = world.metrics();
@@ -61,6 +67,7 @@ fn rebooted_destination_participates_immediately_no_hold() {
         "no reboot-hold: the fresh epoch answers immediately: {}",
         m.data_delivered
     );
+    assert_eq!((m.faults_injected, m.node_restarts), (2, 2));
     assert_eq!(m.loop_violations, 0, "epoch jumps must stay loop-free");
     // The destination's number is now in epoch 2: its scalar value
     // dominates anything from epoch 1.
@@ -72,13 +79,13 @@ fn rebooted_destination_participates_immediately_no_hold() {
 fn reboot_mid_discovery_is_survivable() {
     // The destination reboots while a discovery for it is in flight;
     // the origin's retry must still converge.
-    let mut world = chain_world(4, 57, 30);
+    // Crash the destination a hair after the first RREQ goes out.
+    let mut world = chain_world(4, 57, 30, &[(SimTime::from_millis(1002), 3)]);
     for k in 0..80u64 {
         world.schedule_app_packet(SimTime::from_millis(1000 + 250 * k), NodeId(0), NodeId(3), 512);
     }
-    // Crash the destination a hair after the first RREQ goes out.
-    world.schedule_reboot(SimTime::from_millis(1002), NodeId(3));
     let m = world.run();
     assert!(m.data_delivered > 60, "{}", m.data_delivered);
+    assert_eq!((m.faults_injected, m.node_restarts), (1, 1));
     assert_eq!(m.loop_violations, 0);
 }
