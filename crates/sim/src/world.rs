@@ -9,7 +9,7 @@
 use crate::audit::{ForensicReport, InvariantAuditor};
 use crate::config::SimConfig;
 use crate::event::{Event, EventQueue};
-use crate::faults::{FaultAction, FaultState};
+use crate::faults::FaultState;
 use crate::loopcheck::{find_loops, LoopViolation};
 use crate::mac::{Mac, MacState, OutFrame, RetryVerdict};
 use crate::metrics::Metrics;
@@ -25,10 +25,11 @@ use crate::rng::SimRng;
 use crate::spatial::NeighborGrid;
 use crate::telemetry::{SampleBaseline, SeriesSample};
 use crate::time::{SimDuration, SimTime};
-use crate::trace::{FaultKind, TraceEvent, TraceSink};
+use crate::trace::{TraceEvent, TraceSink};
 use crate::traffic::{FlowState, MEAN_FLOW_SECS, PACKET_INTERVAL, PAYLOAD_BYTES, START_WINDOW};
 use std::cell::RefCell;
 
+mod faults;
 mod medium;
 use medium::{Batches, Frame, FramePayload, RecentCache, RxState};
 
@@ -617,130 +618,6 @@ impl World {
         });
     }
 
-    // ----- fault injection ------------------------------------------------
-
-    /// Applies the fault plan's entry `idx` (scheduled at world
-    /// construction; see [`crate::faults`]).
-    fn on_fault(&mut self, idx: u32) {
-        let Some(action) = self.faults.as_ref().and_then(|fs| fs.action(idx as usize)).cloned()
-        else {
-            return;
-        };
-        self.metrics.faults_injected += 1;
-        match action {
-            FaultAction::CrashRestart { node, downtime } => {
-                let crashed = self.faults.as_mut().is_some_and(|fs| fs.set_down(node));
-                if !crashed {
-                    return; // already down: a double crash is inert
-                }
-                self.emit(TraceEvent::FaultInjected { node, kind: FaultKind::Crash });
-                self.crash_node(node);
-                self.fel.schedule(self.now + downtime, Event::FaultRestart { node });
-            }
-            FaultAction::LinkDown { a, b } => {
-                if let Some(fs) = self.faults.as_mut() {
-                    fs.sever_link(a, b);
-                }
-                self.emit(TraceEvent::FaultInjected { node: a, kind: FaultKind::LinkDown });
-            }
-            FaultAction::LinkUp { a, b } => {
-                if let Some(fs) = self.faults.as_mut() {
-                    fs.restore_link(a, b);
-                }
-                self.emit(TraceEvent::FaultInjected { node: a, kind: FaultKind::LinkUp });
-            }
-            FaultAction::Partition { group } => {
-                if let Some(fs) = self.faults.as_mut() {
-                    fs.set_partition(&group);
-                }
-                let node = group.first().copied().unwrap_or(NodeId(0));
-                self.emit(TraceEvent::FaultInjected { node, kind: FaultKind::Partition });
-            }
-            FaultAction::Heal => {
-                if let Some(fs) = self.faults.as_mut() {
-                    fs.heal();
-                }
-                self.emit(TraceEvent::FaultInjected { node: NodeId(0), kind: FaultKind::Heal });
-            }
-            FaultAction::LinkImpair { a, b, loss_ppm, corrupt_ppm } => {
-                if let Some(fs) = self.faults.as_mut() {
-                    fs.set_impairment(a, b, loss_ppm, corrupt_ppm);
-                }
-                self.emit(TraceEvent::FaultInjected { node: a, kind: FaultKind::Impair });
-            }
-            FaultAction::ReplayLastControl { node } => {
-                if self.node_down(node) {
-                    return;
-                }
-                let (mut frame, tx_id, uid) = {
-                    let slot = &mut self.nodes[node.index()];
-                    let Some(frame) = slot.last_control.clone() else {
-                        return; // nothing sent yet
-                    };
-                    slot.uid_ctr += 1;
-                    let uid = (u64::from(node.0) << 48) | slot.uid_ctr;
-                    slot.tx_ctr += 1;
-                    let tx_id = (u64::from(node.0) << 48) | slot.tx_ctr;
-                    (frame, tx_id, uid)
-                };
-                // Fresh uid so MAC-level duplicate suppression does not
-                // swallow the replay; protocols must reject the stale
-                // content on their own (LDR: NDC, AODV: seen-cache). It
-                // goes out once, past the MAC queue: not retriable.
-                frame.retriable = false;
-                if let FramePayload::Packet(p) = &mut frame.payload {
-                    p.uid = uid;
-                }
-                let dur = match &frame.payload {
-                    FramePayload::Packet(p) => self.cfg.phy.tx_duration(p.wire_size()),
-                    FramePayload::Ack { .. } => self.cfg.phy.ack_duration(),
-                };
-                self.emit(TraceEvent::FaultInjected { node, kind: FaultKind::Replay });
-                self.propagate(node, frame, tx_id, dur);
-            }
-        }
-    }
-
-    /// Silences a crashing node: wipes its MAC queue and state, its
-    /// in-progress receptions and its duplicate cache, and truncates
-    /// any frame it was mid-transmission on (receivers see a corrupted
-    /// tail).
-    fn crash_node(&mut self, node: NodeId) {
-        let (phy, n) = (self.cfg.phy.clone(), self.nodes.len());
-        {
-            let slot = &mut self.nodes[node.index()];
-            slot.mac.queue.clear();
-            slot.mac.state = MacState::Idle;
-            slot.mac.ack_busy_until = SimTime::ZERO;
-            slot.mac.reset_cw(&phy);
-            slot.recent = RecentCache::new(n);
-        }
-        self.clear_receptions(node);
-        self.corrupt_frames_from(node);
-    }
-
-    /// Brings a crashed node back up with total state loss and runs the
-    /// protocol's restart callback.
-    fn on_fault_restart(&mut self, node: NodeId) {
-        let restarted = self.faults.as_mut().is_some_and(|fs| fs.set_up(node));
-        if !restarted {
-            return;
-        }
-        self.metrics.node_restarts += 1;
-        let phy = self.cfg.phy.clone();
-        {
-            let slot = &mut self.nodes[node.index()];
-            slot.mac.state = MacState::Idle;
-            slot.mac.reset_cw(&phy);
-        }
-        self.clear_receptions(node);
-        // Emit the restart before the callback runs: the invariant
-        // auditor drops the lost incarnation's fd baselines on this
-        // event, so the rebuilt table is judged as a fresh start.
-        self.emit(TraceEvent::NodeRestarted { node });
-        self.call_protocol(node, |p, ctx| p.handle_reboot(ctx));
-    }
-
     // ----- traffic --------------------------------------------------------
 
     fn on_flow_packet(&mut self, slot: u32) {
@@ -1134,6 +1011,7 @@ mod tests {
     use crate::protocol::DropReason;
     use crate::static_routing::StaticRouting;
     use crate::telemetry::TelemetryConfig;
+    use crate::trace::FaultKind;
 
     fn small_world(n: usize, spacing: f64, seed: u64) -> World {
         let mobility = StaticMobility::line(n, spacing);
