@@ -183,15 +183,10 @@ impl MobilityModel for ScriptedMobility {
             // Past the final keyframe the node parks there for good.
             return MotionLeg::parked(tr[tr.len() - 1].1, SimTime::MAX);
         };
-        if t0 < t && t == t1 {
-            // At an arrival the script reads `p0 + (p1 - p0)`, which can
-            // miss `p1` by an ulp; `pos_at` would give `p1` exactly.
-            return MotionLeg::parked(p0.lerp(p1, 1.0), t1);
-        }
-        // The leg answers every instant up to the arrival (or, for a
-        // zero-span first pair, the single instant before it).
-        let valid_until = SimTime::from_nanos(t1.as_nanos().saturating_sub(1)).max(t0);
-        MotionLeg { from: p0, to: p1, move_start: t0, move_end: t1, valid_until }
+        // The leg answers every instant through the arrival, where
+        // `pos_at` reads the keyframe `p1` itself (for a zero-span first
+        // pair: the single instant before it, at `p0`).
+        MotionLeg { from: p0, to: p1, move_start: t0, move_end: t1, valid_until: t1 }
     }
     fn len(&self) -> usize {
         self.tracks.len()
@@ -545,7 +540,7 @@ mod tests {
         }
     }
 
-    /// Node 0: a wait before its first keyframe, a move whose arrival
+    /// Node 0: a wait before its first keyframe, a move for which
     /// `p0 + (p1 - p0)` is not `p1` in floating point, a stationary
     /// segment, a zero-span teleport, a last move and a park. Node 1: a
     /// single keyframe. Node 2: a teleport at its first instant.
@@ -579,8 +574,9 @@ mod tests {
         }
     }
 
-    /// The positions at every keyframe instant, as the model reported
-    /// them before it answered through legs.
+    /// The positions at every keyframe instant: an arrival is its
+    /// keyframe's own bits, every other instant what the model reported
+    /// before it answered through legs.
     #[test]
     fn scripted_keyframe_positions_are_pinned() {
         let m = scripted_fixture();
@@ -590,8 +586,9 @@ mod tests {
             .collect();
         let pinned = [
             (0, 2_000_000_000, (0x4080_647a_e147_ae14, 0x4089_16d7_0a3d_70a4)),
-            // The arrival `p0 + (p1 - p0)`, 18 and 1 ulp off the keyframe.
-            (0, 7_000_000_000, (0x4009_45a1_cac0_8300, 0x4046_f147_ae14_7ae0)),
+            // An arrival reads its keyframe, where `p0 + (p1 - p0)` is 18
+            // and 1 ulp off.
+            (0, 7_000_000_000, (0x4009_45a1_cac0_8312, 0x4046_f147_ae14_7ae1)),
             (0, 9_000_000_000, (0x4009_45a1_cac0_8312, 0x4046_f147_ae14_7ae1)),
             (0, 9_000_000_000, (0x4009_45a1_cac0_8312, 0x4046_f147_ae14_7ae1)),
             (0, 12_000_000_000, (0x4062_c000_0000_0000, 0x406f_4000_0000_0000)),
