@@ -6,6 +6,7 @@
 //! [`Scenario::profile`]: crate::scenario::Scenario::profile
 
 use crate::forensics::Json;
+use manet_sim::prof::PROF_VERSION;
 use std::fmt::Write as _;
 
 /// A parsed profile of one run — everything the report renderer needs.
@@ -27,9 +28,8 @@ pub struct ProfView {
 }
 
 impl ProfView {
-    /// Parses one `manet-prof` JSONL document. Lines are read by name,
-    /// so version 1 files (which carry a `workers` header field and
-    /// `par_*` / `parallel_windows` lines) still load.
+    /// Parses one `manet-prof` JSONL document of the version the
+    /// profiler writes ([`PROF_VERSION`]).
     pub fn parse(doc: &str) -> Result<ProfView, String> {
         let mut lines = doc.lines();
         let head = lines.next().ok_or("empty prof document")?;
@@ -37,7 +37,7 @@ impl ProfView {
         if head.str_field("schema") != Some("manet-prof") {
             return Err(format!("not a manet-prof file (schema {:?})", head.str_field("schema")));
         }
-        if !matches!(head.u64_field("version"), Some(1 | 2)) {
+        if head.u64_field("version") != Some(u64::from(PROF_VERSION)) {
             return Err(format!("unsupported manet-prof version {:?}", head.u64_field("version")));
         }
         let mut view = ProfView {
@@ -215,14 +215,7 @@ mod tests {
     fn parse_rejects_foreign_documents() {
         assert!(ProfView::parse("").is_err());
         assert!(ProfView::parse("{\"schema\":\"manet-trace\",\"version\":1}").is_err());
+        assert!(ProfView::parse("{\"schema\":\"manet-prof\",\"version\":1}").is_err());
         assert!(ProfView::parse("{\"schema\":\"manet-prof\",\"version\":3}").is_err());
-    }
-
-    #[test]
-    fn version_1_documents_still_parse() {
-        let v1 = "{\"schema\":\"manet-prof\",\"version\":1,\"workers\":2,\"protocol\":\"LDR\"}\n\
-                  {\"i\":0,\"sect\":\"count\",\"name\":\"par_replay\",\"count\":4}";
-        let view = ProfView::parse(v1).expect("v1 parses");
-        assert_eq!((view.protocol.as_str(), view.count("par_replay")), ("LDR", 4));
     }
 }
