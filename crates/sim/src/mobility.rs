@@ -184,8 +184,8 @@ impl MobilityModel for ScriptedMobility {
             return MotionLeg::parked(tr[tr.len() - 1].1, SimTime::MAX);
         };
         // The leg answers every instant through the arrival, where
-        // `pos_at` reads the keyframe `p1` itself (for a zero-span first
-        // pair: the single instant before it, at `p0`).
+        // `pos_at` reads the keyframe `p1` itself (a zero-span first
+        // pair answers the instants through `t0`, at `p0`).
         MotionLeg { from: p0, to: p1, move_start: t0, move_end: t1, valid_until: t1 }
     }
     fn len(&self) -> usize {
