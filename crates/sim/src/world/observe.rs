@@ -15,24 +15,26 @@ use crate::time::SimDuration;
 
 impl World {
     /// The every-mutation auditor's first-violation forensic report, if
-    /// [`SimConfig::invariant_audit`] is on and a breach occurred.
-    /// Retrieve after [`World::run_until`]/[`World::finalize`] (the
-    /// consuming [`World::run`] drops the world).
+    /// [`SimConfig::invariant_audit`](crate::config::SimConfig::invariant_audit)
+    /// is on and a breach occurred. Retrieve after
+    /// [`World::run_until`]/[`World::finalize`] (the consuming
+    /// [`World::run`] drops the world).
     pub fn forensic_report(&self) -> Option<&ForensicReport> {
         self.auditor.as_ref().and_then(|a| a.report())
     }
 
     /// Routing-decision trace events emitted by protocols so far.
-    /// Intentionally not part of [`Metrics`]: protocols emit only when
-    /// a sink or auditor is attached.
+    /// Intentionally not part of [`Metrics`](crate::metrics::Metrics):
+    /// protocols emit only when a sink or auditor is attached.
     pub fn trace_events(&self) -> u64 {
         self.trace_events
     }
 
     /// A snapshot of the kernel profiler's accumulators, when
-    /// [`SimConfig::profile`] is on. The snapshot pairs the profiler's
-    /// own span counters with the kernel's dispatch counters. Render
-    /// with [`crate::prof::prof_to_jsonl`].
+    /// [`SimConfig::profile`](crate::config::SimConfig::profile) is on.
+    /// The snapshot pairs the profiler's own span counters with the
+    /// kernel's dispatch counters. Render with
+    /// [`crate::prof::prof_to_jsonl`].
     pub fn prof_snapshot(&self) -> Option<ProfSnapshot> {
         self.prof.as_ref().map(|p| p.snapshot(self.dispatch_counts, self.events_executed))
     }
