@@ -223,6 +223,176 @@ mod tests {
         assert!(c3.lookup(NodeId(9), t(10_000)).is_some());
     }
 
+    /// The first hop of what `lookup` (or, with `avoid`, `lookup_avoiding`)
+    /// returns, read the same whether the path comes back owned or
+    /// borrowed.
+    fn first_hop(c: &RouteCache, dst: u16, avoid: Option<(u16, u16)>, at: SimTime) -> Option<u16> {
+        match avoid {
+            None => c.lookup(NodeId(dst), at).map(|p| p[0].0),
+            Some((a, b)) => {
+                c.lookup_avoiding(NodeId(dst), NodeId(a), NodeId(b), at).map(|p| p[0].0)
+            }
+        }
+    }
+
+    /// Which of `candidates` (first hops of paths to 9) are still cached.
+    fn present(c: &RouteCache, candidates: &[u16]) -> Vec<u16> {
+        let mut v: Vec<u16> = c
+            .entries_sorted()
+            .iter()
+            .filter(|(p, _)| p.last() == Some(&NodeId(9)))
+            .map(|(p, _)| p[0].0)
+            .filter(|h| candidates.contains(h))
+            .collect();
+        v.sort_unstable();
+        v
+    }
+
+    #[test]
+    fn eviction_among_equal_ages_removes_the_earliest_inserted() {
+        for cap in [2usize, 3] {
+            let mut c = RouteCache::new(NodeId(0), cap, None);
+            let hops: Vec<u16> = (1..=cap as u16).collect();
+            for &h in &hops {
+                assert!(c.insert(&ids(&[h, 9]), t(0)));
+            }
+            // Full, every entry added at t(0): the first inserted goes.
+            assert!(c.insert(&ids(&[7, 9]), t(0)));
+            assert_eq!(c.len(), cap);
+            let mut expect: Vec<u16> = hops[1..].to_vec();
+            expect.push(7);
+            expect.sort_unstable();
+            assert_eq!(present(&c, &[1, 2, 3, 7]), expect, "cap {cap}");
+            // Then the second.
+            assert!(c.insert(&ids(&[8, 9]), t(0)));
+            assert!(!present(&c, &[1, 2, 3, 7, 8]).contains(&2), "cap {cap}");
+        }
+        // Refreshed at the same later instant, B first and A second: the
+        // tie in `added` still goes to insertion order, so A is evicted
+        // before B although B was refreshed earlier.
+        let mut c = RouteCache::new(NodeId(0), 3, None);
+        c.insert(&ids(&[1, 9]), t(0)); // A
+        c.insert(&ids(&[2, 9]), t(0)); // B
+        c.insert(&ids(&[3, 9]), t(0)); // C
+        assert!(c.insert(&ids(&[2, 9]), t(1)));
+        assert!(c.insert(&ids(&[1, 9]), t(1)));
+        c.insert(&ids(&[4, 9]), t(1)); // evicts C, the only t(0) entry
+        assert_eq!(present(&c, &[1, 2, 3, 4]), vec![1, 2, 4]);
+        c.insert(&ids(&[5, 9]), t(1)); // A, B, D tie at t(1): A goes
+        assert_eq!(present(&c, &[1, 2, 4, 5]), vec![2, 4, 5]);
+        c.insert(&ids(&[6, 9]), t(1)); // then B
+        assert_eq!(present(&c, &[2, 4, 5, 6]), vec![4, 5, 6]);
+    }
+
+    #[test]
+    fn a_refreshed_path_keeps_its_place_in_the_lookup_tie_break() {
+        let mut c = RouteCache::new(NodeId(0), 10, None);
+        c.insert(&ids(&[1, 5, 9]), t(0));
+        c.insert(&ids(&[2, 6, 9]), t(1));
+        c.insert(&ids(&[3, 7, 9]), t(2));
+        assert_eq!(first_hop(&c, 9, None, t(3)), Some(1));
+        // Refreshing later paths does not move them ahead of the first.
+        assert!(c.insert(&ids(&[3, 7, 9]), t(3)));
+        assert!(c.insert(&ids(&[2, 6, 9]), t(4)));
+        assert_eq!(first_hop(&c, 9, None, t(5)), Some(1));
+        // Refreshing the first does not move it behind them.
+        assert!(c.insert(&ids(&[1, 5, 9]), t(5)));
+        assert_eq!(first_hop(&c, 9, None, t(6)), Some(1));
+        // A shorter path still wins over the order.
+        c.insert(&ids(&[4, 9]), t(6));
+        assert_eq!(first_hop(&c, 9, None, t(7)), Some(4));
+    }
+
+    #[test]
+    fn lookup_avoiding_breaks_ties_in_insertion_order() {
+        let mut c = RouteCache::new(NodeId(0), 10, None);
+        c.insert(&ids(&[1, 5, 9]), t(0));
+        c.insert(&ids(&[2, 6, 9]), t(1));
+        c.insert(&ids(&[3, 7, 9]), t(2));
+        c.insert(&ids(&[2, 6, 9]), t(3)); // refreshed: keeps its place
+        assert_eq!(first_hop(&c, 9, Some((1, 5)), t(4)), Some(2));
+        assert_eq!(first_hop(&c, 9, Some((0, 1)), t(4)), Some(2));
+        assert_eq!(first_hop(&c, 9, Some((6, 9)), t(4)), Some(1));
+        assert_eq!(first_hop(&c, 9, Some((0, 2)), t(4)), Some(1));
+        c.insert(&ids(&[3, 7, 9]), t(5));
+        assert_eq!(first_hop(&c, 9, Some((5, 9)), t(6)), Some(2));
+    }
+
+    #[test]
+    fn remove_link_keeps_the_survivors_order() {
+        let fill = || {
+            let mut c = RouteCache::new(NodeId(0), 10, None);
+            for (i, h) in [1u16, 2, 3, 4, 5].into_iter().enumerate() {
+                c.insert(&ids(&[h, 10 + h, 9]), t(i as u64));
+            }
+            c
+        };
+        // Drain by successive first-hop removals: the order lookup
+        // reports is the insertion order of the survivors.
+        let drain = |c: &mut RouteCache| {
+            let mut order = Vec::new();
+            while let Some(h) = first_hop(c, 9, None, t(10)) {
+                order.push(h);
+                assert_eq!(c.remove_link(NodeId(0), NodeId(h)), 1);
+            }
+            order
+        };
+        // A first hop (owner → 3).
+        let mut c = fill();
+        assert_eq!(c.remove_link(NodeId(0), NodeId(3)), 1);
+        assert_eq!(drain(&mut c), vec![1, 2, 4, 5]);
+        // An interior link (12 → 9), then another (14 → 9).
+        let mut c = fill();
+        assert_eq!(c.remove_link(NodeId(12), NodeId(9)), 1);
+        assert_eq!(c.remove_link(NodeId(14), NodeId(9)), 1);
+        assert_eq!(drain(&mut c), vec![1, 3, 5]);
+        // The survivors also keep their place in the eviction order.
+        let mut c = RouteCache::new(NodeId(0), 3, None);
+        c.insert(&ids(&[1, 9]), t(0));
+        c.insert(&ids(&[2, 9]), t(0));
+        c.insert(&ids(&[3, 9]), t(0));
+        assert_eq!(c.remove_link(NodeId(0), NodeId(2)), 1);
+        c.insert(&ids(&[4, 9]), t(0));
+        c.insert(&ids(&[5, 9]), t(0)); // evicts 1, then 3 is oldest
+        assert_eq!(present(&c, &[1, 3, 4, 5]), vec![3, 4, 5]);
+        c.insert(&ids(&[6, 9]), t(0));
+        assert_eq!(present(&c, &[3, 4, 5, 6]), vec![4, 5, 6]);
+    }
+
+    #[test]
+    fn draft7_expiry_is_exactly_at_added_plus_timeout() {
+        let timeout = SimDuration::from_secs(300);
+        let added = SimTime::from_nanos(1_234_567);
+        let mut c = RouteCache::new(NodeId(0), 10, Some(timeout));
+        c.insert(&ids(&[1, 9]), added);
+        let last = SimTime::from_nanos(added.as_nanos() + timeout.as_nanos() - 1);
+        let gone = SimTime::from_nanos(added.as_nanos() + timeout.as_nanos());
+        assert_eq!(first_hop(&c, 9, None, last), Some(1));
+        assert_eq!(first_hop(&c, 9, Some((5, 6)), last), Some(1));
+        assert_eq!(c.live_paths(last), 1);
+        assert_eq!(first_hop(&c, 9, None, gone), None);
+        assert_eq!(first_hop(&c, 9, Some((5, 6)), gone), None);
+        assert_eq!(c.live_paths(gone), 0);
+        assert_eq!(c.len(), 1, "expired entries stay until evicted or removed");
+        // An expired path is refreshed, not re-added: insert says true.
+        assert!(c.insert(&ids(&[1, 9]), gone));
+        assert_eq!(c.len(), 1);
+        assert_eq!(first_hop(&c, 9, None, gone), Some(1));
+    }
+
+    #[test]
+    fn insert_returns_true_on_a_refresh() {
+        let mut c = RouteCache::new(NodeId(0), 2, None);
+        assert!(c.insert(&ids(&[1, 9]), t(0)));
+        assert!(c.insert(&ids(&[1, 9]), t(0)), "same instant");
+        assert!(c.insert(&ids(&[1, 9]), t(1)), "later");
+        assert_eq!(c.len(), 1);
+        assert!(c.insert(&ids(&[2, 9]), t(1)));
+        assert!(c.insert(&ids(&[1, 9]), t(2)), "full: refreshed, nothing evicted");
+        assert_eq!(present(&c, &[1, 2]), vec![1, 2]);
+        assert_eq!(c.entries_sorted()[0].1, t(2));
+    }
+
     #[test]
     fn reinsert_refreshes_age() {
         let mut c = RouteCache::new(NodeId(0), 10, Some(SimDuration::from_secs(5)));
