@@ -5,37 +5,136 @@
 //! removes the broken link, which is a major contributor to DSR's poor
 //! delivery under mobility (§4 of the paper). A draft-07-flavoured
 //! expiry is available via [`RouteCache::new`]'s `timeout`.
+//!
+//! # Order
+//!
+//! Every tie is broken by *insertion order*: the order in which the
+//! cached paths were first stored, which a refresh does not change. The
+//! shortest of several equal-length paths is the earliest inserted, and
+//! the oldest entry — the one a full cache evicts — is the one with the
+//! least `added`, the earliest inserted among equals.
+//!
+//! # Layout and cost
+//!
+//! An entry lives in a slot that never moves while the entry lives.
+//! Three columns are indexed by slot:
+//! - `keys`: one word per slot holding the destination, the first hop
+//!   and a fingerprint of the path (512 bytes at the production
+//!   capacity of 64);
+//! - `ages`: `added`, the insertion number that gives the order above,
+//!   a 64-bit mask of the path's nodes, and the links of the age list,
+//!   which runs from the oldest entry to the youngest by (`added`,
+//!   insertion number);
+//! - `paths`: the path buffers. A slot freed by a removal or an
+//!   eviction keeps its buffer, emptied, for the next path stored
+//!   there; a clone copies only the live paths.
+//!
+//! What each operation costs:
+//! - [`RouteCache::insert`]: one pass over the new path for its
+//!   fingerprint and mask, which also rejects the owner and repeated
+//!   nodes; one scan of the key column, eight keys per step; a path
+//!   compared only where its key matches. No allocation once a slot's
+//!   buffer has held as long a path.
+//! - A refresh relinks its entry in the age list, searching back from
+//!   the youngest end. While time does not go backwards, the only
+//!   entries it passes are those added at the same instant and
+//!   inserted after it.
+//! - Eviction takes the head of the age list: no scan, no shift.
+//! - [`RouteCache::lookup`] and [`RouteCache::lookup_avoiding`]: one
+//!   scan of the key column. Only an entry with the right destination
+//!   is read further: its path's length, and its path when a link is
+//!   to be avoided.
+//! - [`RouteCache::remove_link`] from the owner reads the key column
+//!   alone, since a path never holds its owner and only a first hop
+//!   can leave it. From another node it reads each entry's mask, and
+//!   the path only where both ends of the link are in the mask.
+//! - [`RouteCache::remove_dest`]: the key column.
 
 use manet_sim::packet::NodeId;
 use manet_sim::time::{SimDuration, SimTime};
 
-/// One cached path (this node excluded; `path[0]` is the first hop and
-/// `path.last()` the destination).
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct CachedPath {
-    path: Vec<NodeId>,
+/// No slot: the end of the age list.
+const NIL: u32 = u32::MAX;
+
+/// A slot's inline key, one word: the destination (bits 48–63), the
+/// first hop (32–47) and a fingerprint of the path (0–31), which is odd
+/// for a stored path. A free slot's key is 0.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Key(u64);
+
+impl Key {
+    const FREE: Key = Key(0);
+
+    fn new(dest: NodeId, first: NodeId, fp: u32) -> Key {
+        Key(u64::from(dest.0) << 48 | u64::from(first.0) << 32 | u64::from(fp))
+    }
+
+    fn live(self) -> bool {
+        self != Key::FREE
+    }
+
+    fn dest(self) -> NodeId {
+        NodeId((self.0 >> 48) as u16)
+    }
+
+    fn first(self) -> NodeId {
+        NodeId((self.0 >> 32) as u16)
+    }
+}
+
+/// A slot's place in the age list, which runs from the oldest entry to
+/// the youngest by (`added`, `seq`), and its path's node mask.
+#[derive(Clone, Copy, Debug)]
+struct Age {
     added: SimTime,
+    /// Insertion number: the entry's place in every tie-break.
+    seq: u64,
+    /// Bit `n % 64` set for every node `n` on the path: a link whose
+    /// ends are not both in it is not on the path.
+    mask: u64,
+    prev: u32,
+    next: u32,
 }
 
 /// A bounded path cache.
 #[derive(Clone, Debug)]
 pub struct RouteCache {
     owner: NodeId,
-    paths: Vec<CachedPath>,
     cap: usize,
     timeout: Option<SimDuration>,
+    keys: Vec<Key>,
+    ages: Vec<Age>,
+    /// Each slot's path (this node excluded; `path[0]` is the first hop
+    /// and `path.last()` the destination); empty in a free slot.
+    paths: Vec<Vec<NodeId>>,
+    live: usize,
+    /// Oldest and youngest entries.
+    head: u32,
+    tail: u32,
+    next_seq: u64,
 }
 
 impl RouteCache {
     /// A cache for `owner` holding at most `cap` paths; `timeout` of
     /// `None` reproduces draft-03 behaviour (entries never expire).
     pub fn new(owner: NodeId, cap: usize, timeout: Option<SimDuration>) -> Self {
-        RouteCache { owner, paths: Vec::new(), cap, timeout }
+        RouteCache {
+            owner,
+            cap,
+            timeout,
+            keys: Vec::new(),
+            ages: Vec::new(),
+            paths: Vec::new(),
+            live: 0,
+            head: NIL,
+            tail: NIL,
+            next_seq: 0,
+        }
     }
 
-    fn alive(&self, p: &CachedPath, now: SimTime) -> bool {
+    fn alive(&self, slot: usize, now: SimTime) -> bool {
         match self.timeout {
-            Some(t) => now < p.added + t,
+            Some(t) => now < self.ages[slot].added + t,
             None => true,
         }
     }
@@ -43,39 +142,74 @@ impl RouteCache {
     /// Inserts a path from this node (`path[0]` = first hop, last =
     /// destination). Rejects paths containing the owner or duplicate
     /// nodes (source routes must be loop-free by construction). Evicts
-    /// the oldest entry when full. Returns whether the path was stored.
+    /// the oldest entry when full. Returns whether the path was stored
+    /// (a refresh of a cached path counts).
     pub fn insert(&mut self, path: &[NodeId], now: SimTime) -> bool {
-        if path.is_empty() || path.contains(&self.owner) {
-            return false;
-        }
-        // Duplicate-node check: paths are a handful of hops, so a
-        // quadratic scan beats building a hash set (which allocated on
-        // every insert — this is DSR's hottest helper).
-        if path.iter().enumerate().any(|(i, n)| path[..i].contains(n)) {
-            return false;
-        }
-        if let Some(existing) = self.paths.iter_mut().find(|p| p.path == path) {
-            existing.added = now;
-            return true;
-        }
-        if self.paths.len() >= self.cap {
-            // Evict the oldest.
-            if let Some((i, _)) = self.paths.iter().enumerate().min_by_key(|(_, p)| p.added) {
-                self.paths.remove(i);
+        let (Some(&first), Some(&dest)) = (path.first(), path.last()) else { return false };
+        let Some((fp, mask)) = summary(path, self.owner) else { return false };
+        let key = Key::new(dest, first, fp);
+        // Eight keys at a time without a branch, then the chunk that
+        // holds the key (a different path only on a fingerprint clash).
+        for (c, chunk) in self.keys.chunks(8).enumerate() {
+            if !chunk.iter().fold(false, |hit, &k| hit | (k == key)) {
+                continue;
+            }
+            for (i, &k) in chunk.iter().enumerate() {
+                let slot = c * 8 + i;
+                if k == key && self.paths[slot] == path {
+                    self.unlink(slot);
+                    self.ages[slot].added = now;
+                    self.link_in_order(slot);
+                    return true;
+                }
             }
         }
-        self.paths.push(CachedPath { path: path.to_vec(), added: now });
+        let slot = match self.evict_if_full() {
+            Some(slot) => slot,
+            None => match self.keys.iter().position(|&k| !k.live()) {
+                Some(hole) => hole,
+                None => {
+                    self.keys.push(Key::FREE);
+                    self.ages.push(Age { added: now, seq: 0, mask: 0, prev: NIL, next: NIL });
+                    self.paths.push(Vec::with_capacity(path.len()));
+                    self.keys.len() - 1
+                }
+            },
+        };
+        self.keys[slot] = key;
+        self.paths[slot].extend_from_slice(path);
+        self.ages[slot] = Age { added: now, seq: self.next_seq, mask, prev: NIL, next: NIL };
+        self.next_seq += 1;
+        self.link_in_order(slot);
+        self.live += 1;
         true
     }
 
+    /// Frees the oldest entry's slot when the cache is full (or, at
+    /// `cap` 0, holds anything) and returns it.
+    fn evict_if_full(&mut self) -> Option<usize> {
+        if self.live < self.cap || self.head == NIL {
+            return None;
+        }
+        let slot = self.head as usize;
+        self.free(slot);
+        Some(slot)
+    }
+
+    /// The slot of the shortest live cached path to `dst` that `keep`
+    /// accepts, the earliest inserted among equals.
+    fn best(&self, dst: NodeId, now: SimTime, keep: impl Fn(&[NodeId]) -> bool) -> Option<usize> {
+        (0..self.keys.len())
+            .filter(|&slot| {
+                let k = self.keys[slot];
+                k.dest() == dst && k.live() && self.alive(slot, now) && keep(&self.paths[slot])
+            })
+            .min_by_key(|&slot| (self.paths[slot].len(), self.ages[slot].seq))
+    }
+
     /// The shortest live cached path to `dst`, if any.
-    pub fn lookup(&self, dst: NodeId, now: SimTime) -> Option<Vec<NodeId>> {
-        self.paths
-            .iter()
-            .filter(|p| self.alive(p, now))
-            .filter(|p| p.path.last() == Some(&dst))
-            .min_by_key(|p| p.path.len())
-            .map(|p| p.path.clone())
+    pub fn lookup(&self, dst: NodeId, now: SimTime) -> Option<&[NodeId]> {
+        self.best(dst, now, |_| true).map(|slot| self.paths[slot].as_slice())
     }
 
     /// A live cached path to `dst` that avoids the directed link
@@ -86,57 +220,178 @@ impl RouteCache {
         from: NodeId,
         to: NodeId,
         now: SimTime,
-    ) -> Option<Vec<NodeId>> {
-        self.paths
-            .iter()
-            .filter(|p| self.alive(p, now))
-            .filter(|p| p.path.last() == Some(&dst))
-            .filter(|p| !contains_link(self.owner, &p.path, from, to))
-            .min_by_key(|p| p.path.len())
-            .map(|p| p.path.clone())
+    ) -> Option<&[NodeId]> {
+        let owner = self.owner;
+        self.best(dst, now, |p| !contains_link(owner, p, from, to))
+            .map(|slot| self.paths[slot].as_slice())
     }
 
     /// Removes every path using the directed link `from → to`.
     /// Returns how many paths were dropped.
     pub fn remove_link(&mut self, from: NodeId, to: NodeId) -> usize {
-        let owner = self.owner;
-        let before = self.paths.len();
-        self.paths.retain(|p| !contains_link(owner, &p.path, from, to));
-        before - self.paths.len()
+        if from == self.owner {
+            // A path never holds its owner, so only a first hop can
+            // leave it.
+            self.remove_where(|k, _, _| k.first() == to)
+        } else {
+            let both = bit(from) | bit(to);
+            self.remove_where(|_, mask, p| {
+                mask & both == both && p.windows(2).any(|w| w[0] == from && w[1] == to)
+            })
+        }
     }
 
     /// Removes every path ending at `dest` (the model checker's
     /// cache-timeout transition). Returns how many paths were dropped.
     pub fn remove_dest(&mut self, dest: NodeId) -> usize {
-        let before = self.paths.len();
-        self.paths.retain(|p| p.path.last() != Some(&dest));
-        before - self.paths.len()
+        self.remove_where(|k, _, _| k.dest() == dest)
+    }
+
+    /// Frees every live slot `hit` accepts, given its key, node mask and
+    /// path.
+    fn remove_where(&mut self, hit: impl Fn(Key, u64, &[NodeId]) -> bool) -> usize {
+        let mut dropped = 0;
+        for slot in 0..self.keys.len() {
+            let k = self.keys[slot];
+            if k.live() && hit(k, self.ages[slot].mask, &self.paths[slot]) {
+                self.free(slot);
+                dropped += 1;
+            }
+        }
+        dropped
+    }
+
+    /// Unlinks a live slot and frees it, keeping its buffer.
+    fn free(&mut self, slot: usize) {
+        self.unlink(slot);
+        self.keys[slot] = Key::FREE;
+        self.paths[slot].clear();
+        self.live -= 1;
+    }
+
+    fn unlink(&mut self, slot: usize) {
+        let Age { prev, next, .. } = self.ages[slot];
+        match prev {
+            NIL => self.head = next,
+            p => self.ages[p as usize].next = next,
+        }
+        match next {
+            NIL => self.tail = prev,
+            n => self.ages[n as usize].prev = prev,
+        }
+    }
+
+    /// Links an unlinked slot into the age list at its (`added`, `seq`)
+    /// place, searching back from the youngest end.
+    fn link_in_order(&mut self, slot: usize) {
+        let me = (self.ages[slot].added, self.ages[slot].seq);
+        let mut prev = self.tail;
+        while prev != NIL {
+            let a = self.ages[prev as usize];
+            if (a.added, a.seq) < me {
+                break;
+            }
+            prev = a.prev;
+        }
+        let next = match prev {
+            NIL => std::mem::replace(&mut self.head, slot as u32),
+            p => std::mem::replace(&mut self.ages[p as usize].next, slot as u32),
+        };
+        match next {
+            NIL => self.tail = slot as u32,
+            n => self.ages[n as usize].prev = slot as u32,
+        }
+        self.ages[slot].prev = prev;
+        self.ages[slot].next = next;
     }
 
     /// Every cached entry as `(path, added)`, sorted by path — the
     /// canonical order for state digests and verification dumps.
     pub(crate) fn entries_sorted(&self) -> Vec<(&[NodeId], SimTime)> {
-        let mut v: Vec<(&[NodeId], SimTime)> =
-            self.paths.iter().map(|p| (p.path.as_slice(), p.added)).collect();
+        let mut v: Vec<(&[NodeId], SimTime)> = (0..self.keys.len())
+            .filter(|&slot| self.keys[slot].live())
+            .map(|slot| (self.paths[slot].as_slice(), self.ages[slot].added))
+            .collect();
         v.sort_unstable();
         v
     }
 
     /// Number of cached paths.
     pub fn len(&self) -> usize {
-        self.paths.len()
+        self.live
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.paths.is_empty()
+        self.live == 0
     }
 
     /// Number of cached paths still alive at `now` (all of them under
     /// draft-03's no-timeout behaviour).
     pub fn live_paths(&self, now: SimTime) -> usize {
-        self.paths.iter().filter(|p| self.alive(p, now)).count()
+        (0..self.keys.len()).filter(|&slot| self.keys[slot].live() && self.alive(slot, now)).count()
     }
+}
+
+#[cfg(test)]
+impl RouteCache {
+    /// Panics unless the age list holds exactly the live slots, sorted
+    /// by (`added`, `seq`) and linked both ways, and each live slot's key
+    /// and mask describe its path.
+    fn assert_consistent(&self) {
+        let (mut slot, mut prev, mut seen) = (self.head, NIL, 0);
+        while slot != NIL {
+            let a = self.ages[slot as usize];
+            assert_eq!(a.prev, prev, "back link of slot {slot}");
+            if prev != NIL {
+                let p = self.ages[prev as usize];
+                assert!((p.added, p.seq) < (a.added, a.seq), "age order at slot {slot}");
+            }
+            let (k, path) = (self.keys[slot as usize], &self.paths[slot as usize]);
+            let (fp, mask) = summary(path, self.owner).expect("a stored path is storable");
+            assert_eq!(k, Key::new(*path.last().unwrap(), path[0], fp), "key of slot {slot}");
+            assert_eq!(a.mask, mask, "mask of slot {slot}");
+            (prev, slot, seen) = (slot, a.next, seen + 1);
+        }
+        assert_eq!(self.tail, prev);
+        assert_eq!(seen, self.live);
+        let live = self.keys.iter().filter(|k| k.live()).count();
+        assert_eq!(live, self.live);
+        for (k, p) in self.keys.iter().zip(&self.paths) {
+            assert_eq!(k.live(), !p.is_empty());
+        }
+    }
+}
+
+/// The node-mask bit of `n`.
+fn bit(n: NodeId) -> u64 {
+    1 << (n.0 % 64)
+}
+
+/// Whether some node appears twice. The prefix is searched only for a
+/// node whose mask bit is already set.
+pub(crate) fn has_repeat(path: &[NodeId]) -> bool {
+    let mut mask = 0;
+    path.iter().enumerate().any(|(i, n)| {
+        let seen = mask & bit(*n) != 0 && path[..i].contains(n);
+        mask |= bit(*n);
+        seen
+    })
+}
+
+/// An odd 32-bit fingerprint of a storable path (FxHash's
+/// rotate-xor-multiply) and its node mask; `None` if the path holds
+/// `owner` or repeats a node.
+fn summary(path: &[NodeId], owner: NodeId) -> Option<(u32, u64)> {
+    let (mut h, mut mask) = (0u64, 0u64);
+    for (i, n) in path.iter().enumerate() {
+        if *n == owner || mask & bit(*n) != 0 && path[..i].contains(n) {
+            return None;
+        }
+        mask |= bit(*n);
+        h = (h.rotate_left(5) ^ u64::from(n.0)).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+    Some(((h >> 32) as u32 | 1, mask))
 }
 
 /// Whether the path (owned by `owner`, implicitly prefixed with it)
@@ -151,6 +406,219 @@ fn contains_link(owner: NodeId, path: &[NodeId], from: NodeId, to: NodeId) -> bo
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// `RouteCache` as it was before it became slot columns: one `Vec`
+    /// in insertion order, scanned by every operation. The oracle the
+    /// new cache is held to.
+    mod oracle {
+        use super::contains_link;
+        use manet_sim::packet::NodeId;
+        use manet_sim::time::{SimDuration, SimTime};
+
+        #[derive(Clone, Debug)]
+        struct CachedPath {
+            path: Vec<NodeId>,
+            added: SimTime,
+        }
+
+        #[derive(Clone, Debug)]
+        pub struct OldCache {
+            owner: NodeId,
+            paths: Vec<CachedPath>,
+            cap: usize,
+            timeout: Option<SimDuration>,
+        }
+
+        impl OldCache {
+            pub fn new(owner: NodeId, cap: usize, timeout: Option<SimDuration>) -> Self {
+                OldCache { owner, paths: Vec::new(), cap, timeout }
+            }
+
+            fn alive(&self, p: &CachedPath, now: SimTime) -> bool {
+                match self.timeout {
+                    Some(t) => now < p.added + t,
+                    None => true,
+                }
+            }
+
+            pub fn insert(&mut self, path: &[NodeId], now: SimTime) -> bool {
+                if path.is_empty() || path.contains(&self.owner) {
+                    return false;
+                }
+                if path.iter().enumerate().any(|(i, n)| path[..i].contains(n)) {
+                    return false;
+                }
+                if let Some(existing) = self.paths.iter_mut().find(|p| p.path == path) {
+                    existing.added = now;
+                    return true;
+                }
+                if self.paths.len() >= self.cap {
+                    if let Some((i, _)) = self.paths.iter().enumerate().min_by_key(|(_, p)| p.added)
+                    {
+                        self.paths.remove(i);
+                    }
+                }
+                self.paths.push(CachedPath { path: path.to_vec(), added: now });
+                true
+            }
+
+            pub fn lookup(&self, dst: NodeId, now: SimTime) -> Option<Vec<NodeId>> {
+                self.paths
+                    .iter()
+                    .filter(|p| self.alive(p, now))
+                    .filter(|p| p.path.last() == Some(&dst))
+                    .min_by_key(|p| p.path.len())
+                    .map(|p| p.path.clone())
+            }
+
+            pub fn lookup_avoiding(
+                &self,
+                dst: NodeId,
+                from: NodeId,
+                to: NodeId,
+                now: SimTime,
+            ) -> Option<Vec<NodeId>> {
+                self.paths
+                    .iter()
+                    .filter(|p| self.alive(p, now))
+                    .filter(|p| p.path.last() == Some(&dst))
+                    .filter(|p| !contains_link(self.owner, &p.path, from, to))
+                    .min_by_key(|p| p.path.len())
+                    .map(|p| p.path.clone())
+            }
+
+            pub fn remove_link(&mut self, from: NodeId, to: NodeId) -> usize {
+                let owner = self.owner;
+                let before = self.paths.len();
+                self.paths.retain(|p| !contains_link(owner, &p.path, from, to));
+                before - self.paths.len()
+            }
+
+            pub fn remove_dest(&mut self, dest: NodeId) -> usize {
+                let before = self.paths.len();
+                self.paths.retain(|p| p.path.last() != Some(&dest));
+                before - self.paths.len()
+            }
+
+            pub fn entries_sorted(&self) -> Vec<(&[NodeId], SimTime)> {
+                let mut v: Vec<(&[NodeId], SimTime)> =
+                    self.paths.iter().map(|p| (p.path.as_slice(), p.added)).collect();
+                v.sort_unstable();
+                v
+            }
+
+            pub fn len(&self) -> usize {
+                self.paths.len()
+            }
+
+            pub fn live_paths(&self, now: SimTime) -> usize {
+                self.paths.iter().filter(|p| self.alive(p, now)).count()
+            }
+        }
+    }
+
+    /// One operation of a random sequence: `(kind, path, a, b, step)`.
+    /// `kind` picks insert (twice as often, so that caches fill and
+    /// evict), refresh of an earlier path, `lookup`, `lookup_avoiding`,
+    /// `remove_link` or `remove_dest`; `a` and `b` are the destination
+    /// or link ends; `step` moves the clock 0 or 1 s forward (ties in
+    /// `added` are the common case), or 1 s back. Node numbers go
+    /// through [`node`].
+    type Op = (u8, Vec<u16>, u16, u16, u8);
+
+    fn ops() -> impl Strategy<Value = Vec<Op>> {
+        proptest::collection::vec(
+            (0u8..7, proptest::collection::vec(0u16..11, 0..5), 0u16..11, 0u16..11, 0u8..4),
+            0..60,
+        )
+    }
+
+    /// Nodes 0–7, then 64–66, which share the node-mask bits of 0 (the
+    /// owner), 1 and 2.
+    fn node(i: u16) -> NodeId {
+        NodeId(if i < 8 { i } else { i + 56 })
+    }
+
+    /// Runs `ops` on the new cache and the oracle side by side and
+    /// compares every answer and, after every step, the whole state.
+    fn same_as_oracle(cap: usize, timeout: Option<SimDuration>, ops: &[Op]) {
+        let owner = NodeId(0);
+        let (mut new, mut old) =
+            (RouteCache::new(owner, cap, timeout), oracle::OldCache::new(owner, cap, timeout));
+        let mut now = SimTime::from_secs(10);
+        let mut stored: Vec<Vec<NodeId>> = Vec::new();
+        for (step, (kind, path, a, b, dt)) in ops.iter().enumerate() {
+            now = match dt {
+                0 | 1 => now,
+                2 => now + SimDuration::from_secs(1),
+                _ => SimTime::from_nanos(now.as_nanos().saturating_sub(1_000_000_000)),
+            };
+            let (a, b) = (node(*a), node(*b));
+            let ctx = format!("step {step}: {kind} {path:?} {a:?} {b:?} at {now}");
+            match kind {
+                0 | 1 => {
+                    let p: Vec<NodeId> = path.iter().map(|&i| node(i)).collect();
+                    let got = new.insert(&p, now);
+                    assert_eq!(got, old.insert(&p, now), "{ctx}");
+                    if got {
+                        stored.push(p);
+                    }
+                }
+                2 => {
+                    if let Some(p) = stored.get(usize::from(a.0) * 7 % stored.len().max(1)) {
+                        assert_eq!(new.insert(p, now), old.insert(p, now), "{ctx}");
+                    }
+                }
+                3 => assert_eq!(
+                    new.lookup(a, now).map(<[NodeId]>::to_vec),
+                    old.lookup(a, now),
+                    "{ctx}"
+                ),
+                4 => {
+                    let dst = path.last().map_or(a, |&d| node(d));
+                    assert_eq!(
+                        new.lookup_avoiding(dst, a, b, now).map(<[NodeId]>::to_vec),
+                        old.lookup_avoiding(dst, a, b, now),
+                        "{ctx}"
+                    );
+                }
+                5 => assert_eq!(new.remove_link(a, b), old.remove_link(a, b), "{ctx}"),
+                _ => assert_eq!(new.remove_dest(a), old.remove_dest(a), "{ctx}"),
+            }
+            assert_eq!(new.entries_sorted(), old.entries_sorted(), "{ctx}");
+            assert_eq!((new.len(), new.is_empty()), (old.len(), old.len() == 0), "{ctx}");
+            assert_eq!(new.live_paths(now), old.live_paths(now), "{ctx}");
+            for d in (0..11).map(node) {
+                let got = new.lookup(d, now).map(<[NodeId]>::to_vec);
+                assert_eq!(got, old.lookup(d, now), "{ctx}: lookup {d:?}");
+            }
+            new.assert_consistent();
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Draft-03 (no expiry) at caps 0–4 and the production 64.
+        #[test]
+        fn cache_matches_the_old_body_under_draft3(
+            cap in proptest::sample::select(vec![0usize, 1, 2, 3, 4, 64]),
+            ops in ops(),
+        ) {
+            same_as_oracle(cap, None, &ops);
+        }
+
+        /// Draft-07: entries expire 2 s after they were added, so the
+        /// clock's steps take them in and out of `lookup`'s reach.
+        #[test]
+        fn cache_matches_the_old_body_under_draft7(
+            cap in proptest::sample::select(vec![0usize, 1, 2, 3, 4, 64]),
+            ops in ops(),
+        ) {
+            same_as_oracle(cap, Some(SimDuration::from_secs(2)), &ops);
+        }
+    }
 
     fn ids(v: &[u16]) -> Vec<NodeId> {
         v.iter().map(|&i| NodeId(i)).collect()
@@ -164,7 +632,7 @@ mod tests {
         let mut c = RouteCache::new(NodeId(0), 10, None);
         assert!(c.insert(&ids(&[1, 2, 9]), t(0)));
         assert!(c.insert(&ids(&[3, 9]), t(1)));
-        assert_eq!(c.lookup(NodeId(9), t(2)), Some(ids(&[3, 9])));
+        assert_eq!(c.lookup(NodeId(9), t(2)), Some(&ids(&[3, 9])[..]));
         assert_eq!(c.lookup(NodeId(7), t(2)), None);
     }
 
@@ -194,7 +662,7 @@ mod tests {
         c.insert(&ids(&[1, 2, 9]), t(0));
         c.insert(&ids(&[3, 4, 9]), t(0));
         assert_eq!(c.remove_link(NodeId(1), NodeId(2)), 1);
-        assert_eq!(c.lookup(NodeId(9), t(1)), Some(ids(&[3, 4, 9])));
+        assert_eq!(c.lookup(NodeId(9), t(1)), Some(&ids(&[3, 4, 9])[..]));
         // First-hop links count too (owner -> 3).
         assert_eq!(c.remove_link(NodeId(0), NodeId(3)), 1);
         assert_eq!(c.lookup(NodeId(9), t(1)), None);
@@ -206,9 +674,9 @@ mod tests {
         c.insert(&ids(&[1, 2, 9]), t(0));
         c.insert(&ids(&[3, 4, 9]), t(0));
         let got = c.lookup_avoiding(NodeId(9), NodeId(1), NodeId(2), t(1));
-        assert_eq!(got, Some(ids(&[3, 4, 9])));
+        assert_eq!(got, Some(&ids(&[3, 4, 9])[..]));
         let none = c.lookup_avoiding(NodeId(9), NodeId(0), NodeId(1), t(1));
-        assert_eq!(none, Some(ids(&[3, 4, 9])), "only the broken first hop is avoided");
+        assert_eq!(none, Some(&ids(&[3, 4, 9])[..]), "only the broken first hop is avoided");
     }
 
     #[test]

@@ -19,9 +19,9 @@
 pub mod cache;
 pub mod messages;
 
-use cache::RouteCache;
+use cache::{has_repeat, RouteCache};
 use manet_sim::discovery::Discoveries;
-use manet_sim::hash::{FxMap, FxSet};
+use manet_sim::hash::FxMap;
 use manet_sim::packet::{ControlKind, ControlPacket, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{
     Ctx, DropReason, ProtoCounter, ProtocolModel, RouteDump, RouteTelemetry, RoutingProtocol,
@@ -29,7 +29,7 @@ use manet_sim::protocol::{
 use manet_sim::time::{SimDuration, SimTime};
 use manet_sim::trace::{InvalidateCause, InvariantSnapshot, TraceEvent};
 use manet_sim::wire::{put_u16, put_u32, put_u64};
-use messages::{Rerr, Rrep, Rreq, SourceRoute};
+use messages::{Rerr, Rrep, RrepRef, Rreq, RreqRef, SourceRoute, SourceRouteRef};
 
 const CLEANUP_TOKEN: u64 = u64::MAX;
 const CLEANUP_INTERVAL: SimDuration = SimDuration::from_secs(10);
@@ -85,6 +85,20 @@ fn discovery_timeout(attempt: u32) -> SimDuration {
     REQUEST_PERIOD.saturating_mul(1u64 << (attempt - 1).min(10))
 }
 
+/// A node-local buffer for the paths a handler assembles (a reversed
+/// route record, a carried route, a cache reply's splice). What it
+/// holds means nothing once the callback returns, so a clone starts it
+/// empty: the model checker's per-state clones neither copy nor digest
+/// it.
+#[derive(Default)]
+struct Scratch(Vec<NodeId>);
+
+impl Clone for Scratch {
+    fn clone(&self) -> Self {
+        Scratch::default()
+    }
+}
+
 /// A DSR node.
 #[derive(Clone)]
 pub struct Dsr {
@@ -95,6 +109,7 @@ pub struct Dsr {
     pending: Discoveries,
     next_id: u32,
     clock: SimTime,
+    scratch: Scratch,
 }
 
 impl Dsr {
@@ -111,6 +126,7 @@ impl Dsr {
             pending: Discoveries::default(),
             next_id: 0,
             clock: SimTime::ZERO,
+            scratch: Scratch::default(),
         }
     }
 
@@ -124,14 +140,11 @@ impl Dsr {
         &self.cache
     }
 
-    fn send_with_route(&mut self, ctx: &mut Ctx, mut data: DataPacket, cached: Vec<NodeId>) {
-        let mut path = Vec::with_capacity(cached.len() + 1);
-        path.push(self.id);
-        path.extend_from_slice(&cached);
-        let sr = SourceRoute { path, idx: 1, salvage: 0 };
-        let next = cached[0];
-        data.ext = sr.encode();
-        ctx.send_data(next, data);
+    /// Sends `data` from `me` along the cached path `cached` (first hop
+    /// first), its source-route header written into its own `ext`.
+    fn send_with_route(ctx: &mut Ctx, me: NodeId, mut data: DataPacket, cached: &[NodeId]) {
+        SourceRoute::encode_into(&mut data.ext, 1, 0, me, cached);
+        ctx.send_data(cached[0], data);
     }
 
     fn queue_and_discover(&mut self, ctx: &mut Ctx, data: DataPacket) {
@@ -157,7 +170,7 @@ impl Dsr {
         let now = ctx.now();
         for p in queue {
             match self.cache.lookup(dest, now) {
-                Some(cached) => self.send_with_route(ctx, p, cached),
+                Some(cached) => Self::send_with_route(ctx, self.id, p, cached),
                 None => ctx.drop_data(p, DropReason::NoRoute),
             }
         }
@@ -169,13 +182,20 @@ impl Dsr {
     /// [`TraceEvent::RouteInstall`] when a path is actually stored. DSR
     /// has no `(sn, d, fd)` triple, so the snapshot scalarises the
     /// path: `d = fd =` hop count, no sequence number.
-    fn cache_insert(&mut self, ctx: &mut Ctx, path: &[NodeId], now: SimTime) {
-        if !self.cache.insert(path, now) {
+    /// (A function of the cache, not of `self`, so that `path` can be
+    /// the node's scratch buffer.)
+    fn cache_insert(
+        cache: &mut RouteCache,
+        node: NodeId,
+        ctx: &mut Ctx,
+        path: &[NodeId],
+        now: SimTime,
+    ) {
+        if !cache.insert(path, now) {
             return;
         }
         let (Some(&next), Some(&dest)) = (path.first(), path.last()) else { return };
         let hops = path.len() as u32;
-        let node = self.id;
         ctx.trace(|| TraceEvent::RouteInstall {
             node,
             dest,
@@ -205,90 +225,90 @@ impl Dsr {
 
     // ----- control ------------------------------------------------------------
 
-    fn handle_rreq(&mut self, ctx: &mut Ctx, _prev: NodeId, m: Rreq) {
-        if m.src == self.id || m.route.contains(&self.id) {
+    fn handle_rreq(&mut self, ctx: &mut Ctx, _prev: NodeId, m: RreqRef) {
+        if m.src == self.id || m.on_route(self.id) {
             return;
         }
         let now = ctx.now();
         // Learn the reverse path to the originator.
-        let mut back: Vec<NodeId> = m.route.iter().rev().copied().collect();
-        back.push(m.src);
-        self.cache_insert(ctx, &back, now);
+        let path = &mut self.scratch.0;
+        path.clear();
+        path.extend(m.route().rev());
+        path.push(m.src);
+        Self::cache_insert(&mut self.cache, self.id, ctx, path, now);
 
-        let key = (m.src, m.id);
-        if self.seen.get(&key).is_some_and(|&e| e > now) {
+        let expiry = self.seen.entry((m.src, m.id)).or_insert(SimTime::ZERO);
+        if *expiry > now {
             return;
         }
-        self.seen.insert(key, now + REQUEST_TABLE_HOLD);
+        *expiry = now + REQUEST_TABLE_HOLD;
 
+        // The accumulated record, this node appended.
+        path.clear();
+        path.push(m.src);
+        path.extend(m.route());
+        path.push(self.id);
         if m.dst == self.id {
-            // Target reply: the accumulated record is the route. The
-            // reply's idx always addresses the node it is sent to.
-            let mut path = Vec::with_capacity(m.route.len() + 2);
-            path.push(m.src);
-            path.extend_from_slice(&m.route);
-            path.push(self.id);
+            // Target reply: the record is the route. The reply's idx
+            // always addresses the node it is sent to.
             let idx = (path.len() - 2) as u8;
             let back_hop = path[path.len() - 2];
-            let rrep = Rrep { orig: m.src, id: m.id, path, idx };
-            ctx.unicast_control(back_hop, ControlKind::Rrep, rrep.encode(), true, true);
+            let rrep = Rrep::encode_parts(m.src, m.id, idx, path);
+            ctx.unicast_control(back_hop, ControlKind::Rrep, rrep, true, true);
             return;
         }
 
         // Cache reply: concatenate the record with a cached route,
         // provided the splice repeats no node.
         if let Some(cached) = self.cache.lookup(m.dst, now) {
-            let mut path = Vec::with_capacity(m.route.len() + cached.len() + 2);
-            path.push(m.src);
-            path.extend_from_slice(&m.route);
-            path.push(self.id);
-            path.extend_from_slice(&cached);
-            let mut uniq = FxSet::default();
-            if path.iter().all(|n| uniq.insert(*n)) {
+            path.extend_from_slice(cached);
+            if !has_repeat(path) {
                 // This node sits at position route.len() + 1; the reply
                 // goes to the previous hop, whose position is idx.
-                let idx = m.route.len() as u8;
+                let idx = m.route().len() as u8;
                 let back_hop = path[idx as usize];
-                let rrep = Rrep { orig: m.src, id: m.id, path, idx };
-                ctx.unicast_control(back_hop, ControlKind::Rrep, rrep.encode(), true, true);
+                let rrep = Rrep::encode_parts(m.src, m.id, idx, path);
+                ctx.unicast_control(back_hop, ControlKind::Rrep, rrep, true, true);
                 return;
             }
         }
 
-        if m.ttl <= 1 {
-            return;
+        if let Some(fwd) = m.forwarded(self.id) {
+            ctx.broadcast(ControlKind::Rreq, fwd, false);
         }
-        let mut route = m.route.clone();
-        route.push(self.id);
-        let fwd = Rreq { route, ttl: m.ttl - 1, ..m };
-        ctx.broadcast(ControlKind::Rreq, fwd.encode(), false);
     }
 
-    fn handle_rrep(&mut self, ctx: &mut Ctx, _prev: NodeId, m: Rrep) {
+    fn handle_rrep(&mut self, ctx: &mut Ctx, _prev: NodeId, m: RrepRef) {
         let now = ctx.now();
         let idx = m.idx as usize;
-        if m.path.get(idx) != Some(&self.id) {
+        if m.node_at(idx) != Some(self.id) {
             return;
         }
         // Learn both directions.
-        if idx + 1 < m.path.len() {
-            let fwd: Vec<NodeId> = m.path[idx + 1..].to_vec();
-            self.cache_insert(ctx, &fwd, now);
+        let path = &mut self.scratch.0;
+        path.clear();
+        path.extend(m.path());
+        let dst = path.last().copied();
+        if idx + 1 < path.len() {
+            Self::cache_insert(&mut self.cache, self.id, ctx, &path[idx + 1..], now);
         }
         if idx > 0 {
-            let back: Vec<NodeId> = m.path[..idx].iter().rev().copied().collect();
-            self.cache_insert(ctx, &back, now);
+            path.truncate(idx);
+            path.reverse();
+            Self::cache_insert(&mut self.cache, self.id, ctx, path, now);
         }
         ctx.count(ProtoCounter::RrepUsableRecv);
         if idx == 0 {
             // We are the originator.
-            if let Some(&dst) = m.path.last() {
+            if let Some(dst) = dst {
                 self.finish_success(ctx, dst);
             }
             return;
         }
-        let fwd = Rrep { idx: (idx - 1) as u8, ..m.clone() };
-        ctx.unicast_control(m.path[idx - 1], ControlKind::Rrep, fwd.encode(), false, true);
+        if let Some(back_hop) = m.node_at(idx - 1) {
+            let fwd = m.with_idx((idx - 1) as u8);
+            ctx.unicast_control(back_hop, ControlKind::Rrep, fwd, false, true);
+        }
     }
 
     fn handle_rerr(&mut self, ctx: &mut Ctx, _prev: NodeId, m: Rerr) {
@@ -333,7 +353,7 @@ impl RoutingProtocol for Dsr {
             return;
         }
         match self.cache.lookup(data.dst, ctx.now()) {
-            Some(cached) => self.send_with_route(ctx, data, cached),
+            Some(cached) => Self::send_with_route(ctx, self.id, data, cached),
             None => self.queue_and_discover(ctx, data),
         }
     }
@@ -341,23 +361,27 @@ impl RoutingProtocol for Dsr {
     fn handle_data_packet(&mut self, ctx: &mut Ctx, _prev_hop: NodeId, mut data: DataPacket) {
         self.clock = ctx.now();
         let now = ctx.now();
-        let Some(sr) = SourceRoute::decode(&data.ext) else {
+        let Some(sr) = SourceRouteRef::parse(&data.ext) else {
             ctx.drop_data(data, DropReason::BrokenSourceRoute);
             return;
         };
         let idx = sr.idx as usize;
-        if sr.path.get(idx) != Some(&self.id) {
+        if sr.node_at(idx) != Some(self.id) {
             ctx.drop_data(data, DropReason::BrokenSourceRoute);
             return;
         }
+        let next = sr.node_at(idx + 1);
         // Learn from the carried route.
-        if idx + 1 < sr.path.len() {
-            let fwd: Vec<NodeId> = sr.path[idx + 1..].to_vec();
-            self.cache_insert(ctx, &fwd, now);
+        let path = &mut self.scratch.0;
+        path.clear();
+        path.extend(sr.path());
+        if idx + 1 < path.len() {
+            Self::cache_insert(&mut self.cache, self.id, ctx, &path[idx + 1..], now);
         }
         if idx > 0 {
-            let back: Vec<NodeId> = sr.path[..idx].iter().rev().copied().collect();
-            self.cache_insert(ctx, &back, now);
+            path.truncate(idx);
+            path.reverse();
+            Self::cache_insert(&mut self.cache, self.id, ctx, path, now);
         }
         if data.dst == self.id {
             ctx.deliver(data);
@@ -368,12 +392,11 @@ impl RoutingProtocol for Dsr {
             return;
         }
         data.ttl -= 1;
-        let Some(next) = sr.next_hop() else {
+        let Some(next) = next else {
             ctx.drop_data(data, DropReason::BrokenSourceRoute);
             return;
         };
-        let fwd = SourceRoute { idx: sr.idx + 1, ..sr };
-        data.ext = fwd.encode();
+        SourceRouteRef::set_idx(&mut data.ext, (idx + 1) as u8);
         ctx.send_data(next, data);
     }
 
@@ -386,11 +409,11 @@ impl RoutingProtocol for Dsr {
     ) {
         self.clock = ctx.now();
         match ctrl.kind {
-            ControlKind::Rreq => match Rreq::decode(&ctrl.bytes) {
+            ControlKind::Rreq => match RreqRef::parse(&ctrl.bytes) {
                 Some(m) => self.handle_rreq(ctx, prev_hop, m),
                 None => ctx.drop_malformed(ControlKind::Rreq),
             },
-            ControlKind::Rrep => match Rrep::decode(&ctrl.bytes) {
+            ControlKind::Rrep => match RrepRef::parse(&ctrl.bytes) {
                 Some(m) => self.handle_rrep(ctx, prev_hop, m),
                 None => ctx.drop_malformed(ControlKind::Rrep),
             },
@@ -424,18 +447,21 @@ impl RoutingProtocol for Dsr {
         let now = ctx.now();
         self.cache_remove_link(ctx, self.id, next_hop, InvalidateCause::LinkFailure);
         let PacketBody::Data(mut data) = packet.body else { return };
-        let Some(sr) = SourceRoute::decode(&data.ext) else {
+        let Some(sr) = SourceRouteRef::parse(&data.ext) else {
             ctx.drop_data(data, DropReason::BrokenSourceRoute);
             return;
         };
-        // Report the broken link to the packet's source.
-        let holder = (sr.idx as usize).saturating_sub(1).min(sr.path.len().saturating_sub(1));
-        if let Some(&target) = sr.path.first() {
+        let salvage = sr.salvage;
+        // Report the broken link to the packet's source, back along the
+        // part of its route already travelled.
+        let holder = (sr.idx as usize).saturating_sub(1).min(sr.path().len().saturating_sub(1));
+        if let Some(target) = sr.node_at(0) {
             if target != self.id && holder > 0 {
-                let mut back: Vec<NodeId> = sr.path[..holder].iter().rev().copied().collect();
-                let first = back.remove(0);
-                let rerr = Rerr { from: self.id, to: next_hop, target, path: back };
-                ctx.unicast_control(first, ControlKind::Rerr, rerr.encode(), true, false);
+                let back = &mut self.scratch.0;
+                back.clear();
+                back.extend(sr.path().take(holder).rev());
+                let rerr = Rerr::encode_parts(self.id, next_hop, target, &back[1..]);
+                ctx.unicast_control(back[0], ControlKind::Rerr, rerr, true, false);
             }
         }
         // Salvage onto an alternate cached route, or drop / re-discover.
@@ -444,16 +470,11 @@ impl RoutingProtocol for Dsr {
             self.handle_data_origination(ctx, data);
             return;
         }
-        if sr.salvage < MAX_SALVAGE_COUNT {
+        if salvage < MAX_SALVAGE_COUNT {
             if let Some(alt) = self.cache.lookup_avoiding(data.dst, self.id, next_hop, now) {
-                let mut path = Vec::with_capacity(alt.len() + 1);
-                path.push(self.id);
-                path.extend_from_slice(&alt);
-                let next = alt[0];
-                let new_sr = SourceRoute { path, idx: 1, salvage: sr.salvage + 1 };
-                data.ext = new_sr.encode();
+                SourceRoute::encode_into(&mut data.ext, 1, salvage + 1, self.id, alt);
                 ctx.count(ProtoCounter::Salvage);
-                ctx.send_data(next, data);
+                ctx.send_data(alt[0], data);
                 return;
             }
         }

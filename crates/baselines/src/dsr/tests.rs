@@ -25,6 +25,20 @@ impl Node {
         f(&mut self.dsr, &mut ctx);
         actions
     }
+
+    /// Receives `bytes` as a control frame of `kind` from `prev`.
+    fn hear(&mut self, prev: u16, kind: ControlKind, bytes: Vec<u8>) -> Vec<Action> {
+        let ctrl = ControlPacket { kind, bytes };
+        self.call(|d, ctx| d.handle_control(ctx, NodeId(prev), &ctrl, false))
+    }
+
+    fn hear_rreq(&mut self, prev: u16, m: &Rreq) -> Vec<Action> {
+        self.hear(prev, ControlKind::Rreq, m.encode())
+    }
+
+    fn hear_rrep(&mut self, prev: u16, m: &Rrep) -> Vec<Action> {
+        self.hear(prev, ControlKind::Rrep, m.encode())
+    }
 }
 
 fn ids(v: &[u16]) -> Vec<NodeId> {
@@ -122,7 +136,7 @@ fn a_retry_timer_from_before_the_reboot_retries_the_discovery_after_it() {
 fn target_replies_with_accumulated_route() {
     let mut n = Node::new(9);
     let m = Rreq { src: NodeId(0), dst: NodeId(9), id: 7, ttl: 5, route: ids(&[2, 5]) };
-    let acts = n.call(|d, ctx| d.handle_rreq(ctx, NodeId(5), m));
+    let acts = n.hear_rreq(5, &m);
     let rreps = sent_rreps(&acts);
     assert_eq!(rreps.len(), 1);
     let (r, to) = &rreps[0];
@@ -136,7 +150,7 @@ fn cached_route_produces_spliced_reply() {
     let mut n = Node::new(5);
     n.dsr.cache.insert(&ids(&[6, 9]), n.now);
     let m = Rreq { src: NodeId(0), dst: NodeId(9), id: 7, ttl: 5, route: ids(&[2]) };
-    let acts = n.call(|d, ctx| d.handle_rreq(ctx, NodeId(2), m));
+    let acts = n.hear_rreq(2, &m);
     let rreps = sent_rreps(&acts);
     assert_eq!(rreps.len(), 1);
     assert_eq!(rreps[0].0.path, ids(&[0, 2, 5, 6, 9]));
@@ -150,7 +164,7 @@ fn splice_with_duplicate_node_falls_through_to_relay() {
     // Cached route goes back through 2, which is already on the record.
     n.dsr.cache.insert(&ids(&[2, 9]), n.now);
     let m = Rreq { src: NodeId(0), dst: NodeId(9), id: 7, ttl: 5, route: ids(&[2]) };
-    let acts = n.call(|d, ctx| d.handle_rreq(ctx, NodeId(2), m));
+    let acts = n.hear_rreq(2, &m);
     assert!(sent_rreps(&acts).is_empty(), "looping splice is forbidden");
     let rreqs = sent_rreqs(&acts);
     assert_eq!(rreqs.len(), 1);
@@ -161,30 +175,30 @@ fn splice_with_duplicate_node_falls_through_to_relay() {
 fn duplicate_rreq_suppressed_and_own_rreq_ignored() {
     let mut n = Node::new(5);
     let m = Rreq { src: NodeId(0), dst: NodeId(9), id: 7, ttl: 5, route: vec![] };
-    assert_eq!(sent_rreqs(&n.call(|d, ctx| d.handle_rreq(ctx, NodeId(0), m.clone()))).len(), 1);
-    assert!(n.call(|d, ctx| d.handle_rreq(ctx, NodeId(0), m)).is_empty());
+    assert_eq!(sent_rreqs(&n.hear_rreq(0, &m)).len(), 1);
+    assert!(n.hear_rreq(0, &m).is_empty());
     let own = Rreq { src: NodeId(5), dst: NodeId(9), id: 1, ttl: 5, route: vec![] };
-    assert!(n.call(|d, ctx| d.handle_rreq(ctx, NodeId(2), own)).is_empty());
+    assert!(n.hear_rreq(2, &own).is_empty());
 }
 
 #[test]
 fn rreq_with_self_in_record_ignored() {
     let mut n = Node::new(5);
     let m = Rreq { src: NodeId(0), dst: NodeId(9), id: 7, ttl: 5, route: ids(&[5, 3]) };
-    assert!(n.call(|d, ctx| d.handle_rreq(ctx, NodeId(3), m)).is_empty());
+    assert!(n.hear_rreq(3, &m).is_empty());
 }
 
 #[test]
 fn rrep_relay_moves_backwards_and_learns_routes() {
     let mut n = Node::new(2);
     let m = Rrep { orig: NodeId(0), id: 7, path: ids(&[0, 2, 5, 9]), idx: 1 };
-    let acts = n.call(|d, ctx| d.handle_rrep(ctx, NodeId(5), m));
+    let acts = n.hear_rrep(5, &m);
     let fwd = sent_rreps(&acts);
     assert_eq!(fwd.len(), 1);
     assert_eq!(fwd[0].1, NodeId(0));
     assert_eq!(fwd[0].0.idx, 0);
-    assert_eq!(n.dsr.cache.lookup(NodeId(9), n.now), Some(ids(&[5, 9])));
-    assert_eq!(n.dsr.cache.lookup(NodeId(0), n.now), Some(ids(&[0])));
+    assert_eq!(n.dsr.cache.lookup(NodeId(9), n.now), Some(&ids(&[5, 9])[..]));
+    assert_eq!(n.dsr.cache.lookup(NodeId(0), n.now), Some(&ids(&[0])[..]));
 }
 
 #[test]
@@ -193,7 +207,7 @@ fn rrep_at_origin_flushes_buffered_packets() {
     n.call(|d, ctx| d.handle_data_origination(ctx, data(0, 9)));
     n.call(|d, ctx| d.handle_data_origination(ctx, data(0, 9)));
     let m = Rrep { orig: NodeId(0), id: 0, path: ids(&[0, 2, 9]), idx: 0 };
-    let acts = n.call(|d, ctx| d.handle_rrep(ctx, NodeId(2), m));
+    let acts = n.hear_rrep(2, &m);
     let sent = sent_data(&acts);
     assert_eq!(sent.len(), 2);
     assert!(!n.dsr.discovery_pending(NodeId(9)));
@@ -311,7 +325,7 @@ fn stale_cache_answers_discoveries_with_dead_routes() {
     n.dsr.cache.insert(&ids(&[6, 9]), SimTime::from_secs(1));
     n.now = SimTime::from_secs(800); // 13+ minutes later
     let m = Rreq { src: NodeId(0), dst: NodeId(9), id: 7, ttl: 5, route: ids(&[2]) };
-    let acts = n.call(|d, ctx| d.handle_rreq(ctx, NodeId(2), m));
+    let acts = n.hear_rreq(2, &m);
     assert_eq!(sent_rreps(&acts).len(), 1, "stale reply served");
     // Draft-07 flavour expires it.
     let mut n7 = Node::new(5);
@@ -319,6 +333,6 @@ fn stale_cache_answers_discoveries_with_dead_routes() {
     n7.dsr.cache.insert(&ids(&[6, 9]), SimTime::from_secs(1));
     n7.now = SimTime::from_secs(800);
     let m = Rreq { src: NodeId(0), dst: NodeId(9), id: 7, ttl: 5, route: ids(&[2]) };
-    let acts = n7.call(|d, ctx| d.handle_rreq(ctx, NodeId(2), m));
+    let acts = n7.hear_rreq(2, &m);
     assert!(sent_rreps(&acts).is_empty(), "draft-07 cache expired");
 }
