@@ -1554,11 +1554,13 @@ mod tests {
         (w.events_executed(), w.metrics().collisions, trace.events().len(), digest.0)
     }
 
-    /// The 60 reboots of [`kernel_bytes_with_capture_and_reboots`] as
-    /// zero-downtime crash-restarts of a fault plan: the same instants,
-    /// nodes, capture ratios and seeds. The digests were computed while
-    /// the kernel still had a second, test-only crash path; a kernel
-    /// change that moves one of them changed behaviour.
+    /// 60 zero-downtime crash-restarts of a fault plan in a 40-node
+    /// random-waypoint cell on static line routes: the k-th (k = 0 … 59)
+    /// at 1 s + k · 0.611000123 s, of node 7k mod 40, under four capture
+    /// ratios and seeds. The
+    /// digests were computed while the kernel still had a second,
+    /// test-only crash path; a kernel change that moves one of them
+    /// changed behaviour.
     #[test]
     fn kernel_bytes_with_capture_and_crash_restarts() {
         let first = capture_and_crash_restarts_cell(Some(1.5), 9);
