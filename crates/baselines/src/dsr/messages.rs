@@ -292,16 +292,11 @@ impl Rrep {
 impl Rerr {
     /// Encodes the error.
     pub fn encode(&self) -> Vec<u8> {
-        Self::encode_parts(self.from, self.to, self.target, &self.path)
-    }
-
-    /// Encodes the error with these fields, without owning the path.
-    pub fn encode_parts(from: NodeId, to: NodeId, target: NodeId, path: &[NodeId]) -> Vec<u8> {
         let mut b = vec![3u8, 0];
-        b.extend_from_slice(&from.0.to_be_bytes());
-        b.extend_from_slice(&to.0.to_be_bytes());
-        b.extend_from_slice(&target.0.to_be_bytes());
-        push_node_list(&mut b, path);
+        b.extend_from_slice(&self.from.0.to_be_bytes());
+        b.extend_from_slice(&self.to.0.to_be_bytes());
+        b.extend_from_slice(&self.target.0.to_be_bytes());
+        push_node_list(&mut b, &self.path);
         b
     }
 

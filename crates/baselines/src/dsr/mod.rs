@@ -457,11 +457,10 @@ impl RoutingProtocol for Dsr {
         let holder = (sr.idx as usize).saturating_sub(1).min(sr.path().len().saturating_sub(1));
         if let Some(target) = sr.node_at(0) {
             if target != self.id && holder > 0 {
-                let back = &mut self.scratch.0;
-                back.clear();
-                back.extend(sr.path().take(holder).rev());
-                let rerr = Rerr::encode_parts(self.id, next_hop, target, &back[1..]);
-                ctx.unicast_control(back[0], ControlKind::Rerr, rerr, true, false);
+                let mut back: Vec<NodeId> = sr.path().take(holder).rev().collect();
+                let first = back.remove(0);
+                let rerr = Rerr { from: self.id, to: next_hop, target, path: back };
+                ctx.unicast_control(first, ControlKind::Rerr, rerr.encode(), true, false);
             }
         }
         // Salvage onto an alternate cached route, or drop / re-discover.
