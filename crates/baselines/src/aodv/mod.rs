@@ -408,25 +408,15 @@ impl RoutingProtocol for Aodv {
     }
 
     fn handle_reboot(&mut self, ctx: &mut Ctx) {
-        // RFC 3561 stores nothing across a power cycle: the routing
-        // table, dedup caches, pending discoveries AND the node's own
-        // sequence number are all gone. Restarting at own_seq = 0 is
+        // RFC 3561 stores nothing across a power cycle, the node's own
+        // sequence number included. Restarting at own_seq = 0 is
         // exactly the behaviour "Sequence Numbers Do Not Guarantee Loop
         // Freedom" exploits — neighbours still hold stale routes
         // *through* this node with higher destination numbers, so a
         // post-restart discovery can be answered from that stale state
         // and close a loop. We keep it honest rather than adopting the
         // (optional, rarely deployed) DELETE_PERIOD quarantine.
-        self.own_seq = 0;
-        self.routes.clear();
-        self.seen.clear();
-        self.forwarded.clear();
-        // A fresh `Discoveries`, generation counter included: a retry
-        // timer armed before the reboot (the simulator does not retire
-        // them, ROADMAP item 3) can name a discovery opened after it. LDR
-        // keeps its counter and cannot; unit tests pin each flavour.
-        self.pending = Discoveries::default();
-        self.next_rreqid = 0;
+        *self = Self::new(self.id, self.cfg.clone());
         self.start(ctx);
     }
 

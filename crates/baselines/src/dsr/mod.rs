@@ -335,14 +335,7 @@ impl RoutingProtocol for Dsr {
     fn handle_reboot(&mut self, ctx: &mut Ctx) {
         // Everything DSR knows is soft state: the route cache, RREQ
         // dedup set and pending discoveries vanish with the power.
-        self.cache = RouteCache::new(self.id, CACHE_CAPACITY, self.cfg.cache_timeout);
-        self.seen.clear();
-        // A fresh `Discoveries`, generation counter included: a retry
-        // timer armed before the reboot (the simulator does not retire
-        // them, ROADMAP item 3) can name a discovery opened after it. LDR
-        // keeps its counter and cannot; unit tests pin each flavour.
-        self.pending = Discoveries::default();
-        self.next_id = 0;
+        *self = Self::new(self.id, self.cfg.clone());
         self.start(ctx);
     }
 

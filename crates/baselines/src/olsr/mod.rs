@@ -939,17 +939,7 @@ impl RoutingProtocol for Olsr {
     fn handle_reboot(&mut self, ctx: &mut Ctx) {
         // Link-state soft state is all volatile; neighbours age the
         // crashed incarnation's TCs out on their own timers.
-        self.links.clear();
-        self.sets = Sets::new(self.id);
-        self.mpr_set.clear();
-        self.mpr_selectors.clear();
-        self.dup.clear();
-        self.table.clear();
-        self.dirty = false;
-        self.ansn = 0;
-        self.tc_seq = 0;
-        self.outq.clear();
-        self.drain_scheduled = false;
+        *self = Self::new(self.id, self.cfg.clone());
         self.start(ctx);
     }
 

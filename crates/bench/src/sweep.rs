@@ -49,7 +49,7 @@ use std::path::PathBuf;
 /// Bumped whenever simulator semantics change in a way that
 /// invalidates previously recorded cells (part of every cell key, so
 /// stale cache entries simply stop matching).
-pub const SWEEP_CODE_REV: &str = "pr10-r1";
+pub const SWEEP_CODE_REV: &str = "r2-timer-incarnations";
 
 // ----- cells ------------------------------------------------------------
 

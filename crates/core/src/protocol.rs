@@ -711,26 +711,19 @@ impl RoutingProtocol for Ldr {
         }
     }
 
+    /// A fresh node that carries over exactly two numbers. Its own
+    /// sequence number moves to the next epoch: the real-time clock
+    /// survives the crash, so the fresh epoch dominates every number
+    /// issued before it, and no AODV-style reboot hold is needed (§3).
+    /// `next_rreqid` survives too, so neighbours' duplicate caches do
+    /// not take the new incarnation's requests for old ones.
     fn handle_reboot(&mut self, ctx: &mut Ctx) {
-        // The explicit restart callback: driven by the simulator's
-        // fault layer (`FaultAction::CrashRestart`) and by the model
-        // checker's `Restart` transition, so destination sequence-number
-        // recovery is exercised honestly rather than assumed.
-        self.clock = ctx.now();
-        // Volatile state is gone. The real-time clock survives, so the
-        // fresh epoch dominates every number we issued before the crash
-        // — no AODV-style reboot-hold quarantine is needed (§3).
-        let epoch = self.own_seqno.epoch + 1;
-        self.own_seqno = SeqNo::after_reboot(epoch);
-        self.routes = RouteTable::new();
-        self.cache.clear();
-        // `clear`, not a fresh `Discoveries`: the generation counter
-        // keeps running, so a retry timer armed before the reboot (the
-        // simulator does not retire them, ROADMAP item 3) never matches a
-        // discovery opened after it. AODV and DSR start over at zero and
-        // can alias; each flavour is pinned by its protocol's unit tests.
-        self.pending.clear();
-        ctx.set_timer(CLEANUP_INTERVAL, CLEANUP_TOKEN);
+        *self = Ldr {
+            own_seqno: SeqNo::after_reboot(self.own_seqno.epoch + 1),
+            next_rreqid: self.next_rreqid,
+            ..Ldr::new(self.id, self.cfg.clone())
+        };
+        self.start(ctx);
     }
 
     fn route_table_dump(&self) -> Vec<RouteDump> {

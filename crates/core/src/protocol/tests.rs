@@ -993,16 +993,3 @@ fn post_reboot_replies_dominate_pre_crash_advertisements() {
     assert!(post.epoch > pre.epoch, "recovery is by epoch, not by counter");
 }
 
-#[test]
-fn a_retry_timer_from_before_the_reboot_finds_no_discovery_after_it() {
-    // The simulator does not retire a rebooted node's timers (ROADMAP
-    // item 3). LDR keeps counting generations across the reboot, so the
-    // survivor is stale; AODV and DSR start over and it is not. No sweep
-    // cell happens to show the difference, so each flavour is pinned here.
-    let mut n = Node::new(0);
-    n.originate(data(0, 7));
-    n.call(|l, ctx| l.handle_reboot(ctx));
-    n.originate(data(0, 7));
-    assert!(n.timer(Discoveries::token(NodeId(7), 0)).is_empty());
-    assert_eq!(sent_rreqs(&n.timer(Discoveries::token(NodeId(7), 1))).len(), 1);
-}

@@ -102,16 +102,6 @@ struct Discovery {
 ///   discovery that was closed, given up, or opened again under a new
 ///   generation leaves its timers in flight; [`Discoveries::dest_of`]
 ///   maps them to nothing and the caller ignores them.
-/// * **Reboot.** Timers also outlive a reboot in the simulator (ROADMAP
-///   item 3), and the two ways a protocol resets this value differ
-///   in what such a timer then meets. [`Discoveries::clear`] keeps the
-///   generation counter, so no pre-reboot token names a post-reboot
-///   discovery (LDR). Replacing the value with `Discoveries::default()`
-///   starts the counter at zero again, so it can (AODV, DSR — nothing
-///   survives their power cycle). A generation has to repeat for the
-///   same destination while the old timer is in flight, which no pinned
-///   sweep cell happens to contain; each protocol's unit tests pin its
-///   flavour until the kernel retires a rebooted node's timers.
 #[derive(Clone, Debug, Default)]
 pub struct Discoveries {
     pending: FxMap<NodeId, Discovery>,
@@ -188,12 +178,6 @@ impl Discoveries {
         let d = self.pending.remove(&dest)?;
         ctx.count(ProtoCounter::DiscoverySucceeded);
         Some(d.queue)
-    }
-
-    /// Forgets every open discovery and its packets but keeps counting
-    /// generations — see the type's note on reboots.
-    pub fn clear(&mut self) {
-        self.pending.clear();
     }
 
     /// Appends a canonical byte encoding of the complete state (sorted
@@ -324,12 +308,6 @@ mod tests {
         let (third, _) = buffer(&mut d, pkt(7, 5));
         assert_eq!(third, Some(Discoveries::token(NodeId(7), 2)));
         assert_eq!(d.dest_of(Discoveries::token(NodeId(7), 0)), None);
-        // `clear` keeps counting, a fresh value starts over.
-        d.clear();
-        assert!(!d.is_pending(NodeId(7)) && !d.is_pending(NodeId(9)));
-        assert_eq!(buffer(&mut d, pkt(7, 6)).0, Some(Discoveries::token(NodeId(7), 3)));
-        d = Discoveries::default();
-        assert_eq!(buffer(&mut d, pkt(7, 7)).0, Some(Discoveries::token(NodeId(7), 0)));
     }
 
     #[test]

@@ -37,6 +37,10 @@ pub enum Event {
     ProtocolTimer {
         /// Owning node.
         node: NodeId,
+        /// The owner's incarnation when it armed the timer
+        /// ([`crate::faults::FaultState::incarnation`]); a timer of an
+        /// incarnation a crash has ended is dropped at dispatch.
+        incarnation: u32,
         /// Protocol-chosen token.
         token: u64,
     },
@@ -76,6 +80,9 @@ pub enum Event {
     /// change a run's metrics or trace.
     TelemetrySample,
 }
+
+// The incarnation fits beside the node id: events stay two words.
+const _: () = assert!(std::mem::size_of::<Event>() == 16);
 
 impl Event {
     /// Number of event kinds (for fixed-size per-kind counters).

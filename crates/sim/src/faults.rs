@@ -25,8 +25,8 @@
 //!
 //! * **Crash/restart** ([`FaultAction::CrashRestart`]): the node goes
 //!   silent immediately — pending MAC state, in-progress receptions and
-//!   queued frames are discarded, and every protocol timer that fires
-//!   while the node is down is permanently lost. After `downtime` the
+//!   queued frames are discarded, and its incarnation ends: no protocol
+//!   timer armed before the crash is ever delivered. After `downtime` the
 //!   node restarts *with total state loss*: the kernel emits a
 //!   [`NodeRestarted`](crate::trace::TraceEvent::NodeRestarted) trace
 //!   event and invokes the protocol's restart callback
@@ -260,6 +260,8 @@ struct Impairment {
 pub struct FaultState {
     plan: FaultPlan,
     down: Vec<bool>,
+    /// Per node: how many times it has crashed.
+    incarnation: Vec<u32>,
     cut: BTreeSet<(u16, u16)>,
     partition: Vec<bool>,
     partitioned: bool,
@@ -285,6 +287,7 @@ impl FaultState {
         FaultState {
             plan,
             down: vec![false; n_nodes],
+            incarnation: vec![0; n_nodes],
             cut: BTreeSet::new(),
             partition: vec![false; n_nodes],
             partitioned: false,
@@ -303,12 +306,20 @@ impl FaultState {
         self.down.get(node.index()).copied().unwrap_or(false)
     }
 
-    /// Marks `node` crashed. Returns `false` (and does nothing) if it
-    /// was already down.
+    /// `node`'s incarnation: 0 until its first crash, and one more per
+    /// crash. Every timer the kernel delivers to `node` was armed in
+    /// the incarnation it is delivered in.
+    pub fn incarnation(&self, node: NodeId) -> u32 {
+        self.incarnation.get(node.index()).copied().unwrap_or(0)
+    }
+
+    /// Marks `node` crashed, ending its incarnation. Returns `false`
+    /// (and does nothing) if it was already down.
     pub fn set_down(&mut self, node: NodeId) -> bool {
         match self.down.get_mut(node.index()) {
             Some(d) if !*d => {
                 *d = true;
+                self.incarnation[node.index()] += 1;
                 true
             }
             _ => false,

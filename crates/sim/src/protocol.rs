@@ -322,10 +322,14 @@ pub trait RoutingProtocol: Send {
     /// The MAC exhausted retries sending `packet` to `next_hop`.
     fn handle_unicast_failure(&mut self, ctx: &mut Ctx, next_hop: NodeId, packet: Packet);
 
-    /// The node crashed and restarted: volatile state (routes, caches,
-    /// pending discoveries) is gone; only what survives a power cycle —
-    /// e.g. a real-time clock — may be retained. The default forgets
-    /// nothing, which is only right for stateless protocols.
+    /// The node crashed and restarted. It is called with no timer
+    /// pending: none armed before the crash is ever delivered, so the
+    /// new incarnation arms what it needs, as [`RoutingProtocol::start`]
+    /// does. Volatile state (routes, caches, pending discoveries) is
+    /// gone; a protocol may carry over only what a real node keeps in
+    /// stable storage across a power cycle, such as a real-time clock.
+    /// The default forgets nothing, which is only right for stateless
+    /// protocols.
     fn handle_reboot(&mut self, _ctx: &mut Ctx) {}
 
     /// The routing table, sorted by destination, with `valid` set on

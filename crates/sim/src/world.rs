@@ -474,16 +474,19 @@ impl World {
     // ----- event dispatch -------------------------------------------------
 
     fn dispatch(&mut self, event: Event) {
-        // A crashed node is silent: its MAC, reception and timer events
-        // are swallowed until the fault layer restarts it. A protocol
-        // timer firing while the node is down is permanently lost —
-        // honest state loss; `handle_reboot` must re-arm what it needs.
+        // A crashed node is silent: its MAC events are swallowed until
+        // the fault layer restarts it. A crash also ends the node's
+        // incarnation, and a protocol timer reaches only the
+        // incarnation that armed it: `handle_reboot` runs with no timer
+        // pending and arms what the new incarnation needs.
         if let Some(fs) = self.faults.as_ref() {
             let gated = match event {
                 Event::MacKick(node)
                 | Event::TxEnd { node, .. }
-                | Event::AckTimeout { node, .. }
-                | Event::ProtocolTimer { node, .. } => fs.node_down(node),
+                | Event::AckTimeout { node, .. } => fs.node_down(node),
+                Event::ProtocolTimer { node, incarnation, .. } => {
+                    incarnation != fs.incarnation(node)
+                }
                 _ => false,
             };
             if gated {
@@ -495,7 +498,7 @@ impl World {
             Event::TxEnd { node, tx_id } => self.on_tx_end(node, tx_id),
             Event::RxEndBatch { tx_id } => self.on_rx_end_batch(tx_id),
             Event::AckTimeout { node, tx_id } => self.on_ack_timeout(node, tx_id),
-            Event::ProtocolTimer { node, token } => {
+            Event::ProtocolTimer { node, token, .. } => {
                 self.call_protocol(node, |p, ctx| p.handle_timer(ctx, token));
             }
             Event::FlowPacket { flow } => self.on_flow_packet(flow),
@@ -692,7 +695,11 @@ impl World {
                     self.emit(TraceEvent::ControlDrop { node, kind });
                 }
                 Action::SetTimer { delay, token } => {
-                    self.schedule(self.now + delay, Event::ProtocolTimer { node, token });
+                    let incarnation = self.faults.as_ref().map_or(0, |fs| fs.incarnation(node));
+                    self.schedule(
+                        self.now + delay,
+                        Event::ProtocolTimer { node, incarnation, token },
+                    );
                 }
                 Action::Count { which, amount } => {
                     self.metrics.record_proto(which, amount);
