@@ -38,6 +38,7 @@ use crate::forensics::Json;
 use crate::runner::{run_world, trial_fault_plan, trial_seed};
 use crate::scenario::{paper_cases, Protocol, Scenario, SimFlavor};
 use crate::workpool;
+use manet_sim::hash::{fnv1a, FNV_OFFSET};
 use manet_sim::metrics::Metrics;
 use manet_sim::telemetry::json_escape;
 use std::collections::BTreeMap;
@@ -67,17 +68,6 @@ pub struct CellSpec {
     pub seed: u64,
     /// Fault-intensity level (0 = fault-free).
     pub fault_level: u32,
-}
-
-const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-
-fn fnv1a(bytes: &[u8], mut h: u64) -> u64 {
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(FNV_PRIME);
-    }
-    h
 }
 
 impl CellSpec {

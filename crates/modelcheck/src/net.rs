@@ -17,6 +17,7 @@
 //! AODV loop among them) ordinary reachable states instead of
 //! improbable schedules.
 
+use manet_sim::hash::{fnv1a, FNV_OFFSET};
 use manet_sim::packet::{ControlKind, DataPacket, NodeId, Packet, PacketBody};
 use manet_sim::protocol::{Action, Ctx, ProtocolModel};
 use manet_sim::rng::SimRng;
@@ -263,18 +264,8 @@ impl Event {
     }
 }
 
-/// FNV-1a over a byte slice with a caller-chosen offset basis.
-fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
-    let mut h = basis;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
-}
-
 fn short_hash(bytes: &[u8]) -> u32 {
-    fnv1a(bytes, 0xcbf2_9ce4_8422_2325) as u32
+    fnv1a(bytes, FNV_OFFSET) as u32
 }
 
 impl fmt::Display for Event {
@@ -670,7 +661,7 @@ impl<M: ProtocolModel> NetState<M> {
         bytes.extend_from_slice(&self.losses_left.to_le_bytes());
         bytes.extend_from_slice(&self.restarts_left.to_le_bytes());
         bytes.extend_from_slice(&self.toggles_done.to_le_bytes());
-        let h1 = fnv1a(&bytes, 0xcbf2_9ce4_8422_2325);
+        let h1 = fnv1a(&bytes, FNV_OFFSET);
         let h2 = fnv1a(&bytes, 0x6c62_272e_07bb_0142);
         (u128::from(h1) << 64) | u128::from(h2)
     }

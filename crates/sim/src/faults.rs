@@ -446,12 +446,10 @@ mod tests {
     /// and action fields.
     fn census(plan: &FaultPlan) -> ([usize; 7], u64) {
         fn feed(h: &mut u64, v: u64) {
-            for b in v.to_le_bytes() {
-                *h = (*h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
+            *h = crate::hash::fnv1a(&v.to_le_bytes(), *h);
         }
         let mut counts = [0; 7];
-        let mut h = 0xcbf2_9ce4_8422_2325;
+        let mut h = crate::hash::FNV_OFFSET;
         for (t, action) in plan.entries() {
             let (kind, fields): (usize, Vec<u64>) = match action {
                 FaultAction::CrashRestart { node, downtime } => {

@@ -66,6 +66,17 @@ impl Hasher for FxHasher {
     }
 }
 
+/// FNV-1a's 64-bit offset basis: the usual `basis` for [`fnv1a`].
+pub const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+/// 64-bit FNV-1a over `bytes`, starting from `basis`. Feeding a hash
+/// back in as the basis continues it: `fnv1a(b, fnv1a(a, h))` equals
+/// `fnv1a` of `a` then `b` from `h`. Cell keys, state fingerprints and
+/// test digests are built on it, so its values are pinned.
+pub fn fnv1a(bytes: &[u8], basis: u64) -> u64 {
+    bytes.iter().fold(basis, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
 /// `BuildHasher` for [`FxHasher`].
 pub type FxBuild = BuildHasherDefault<FxHasher>;
 
@@ -89,6 +100,15 @@ mod tests {
         assert_eq!(a, b, "same key must hash identically");
         let c = std::hash::BuildHasher::hash_one(&build, 43u64);
         assert_ne!(a, c, "neighbouring keys should not collide trivially");
+    }
+
+    #[test]
+    fn fnv1a_is_the_published_function_and_continues_across_calls() {
+        // The FNV-1a-64 test vectors: "" is the basis, "a" and "foobar".
+        assert_eq!(fnv1a(b"", FNV_OFFSET), FNV_OFFSET);
+        assert_eq!(fnv1a(b"a", FNV_OFFSET), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar", FNV_OFFSET), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a(b"bar", fnv1a(b"foo", FNV_OFFSET)), fnv1a(b"foobar", FNV_OFFSET));
     }
 
     #[test]

@@ -59,7 +59,10 @@ impl SimRng {
     /// change in how one component consumes randomness never perturbs
     /// another component's draws.
     pub fn stream(seed: u64, label: &str) -> Self {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325; // FNV-1a offset basis
+        // FNV-1a's loop and basis, but not its prime (2^40 + 0x1b3):
+        // this multiplier is 2^44 + 0x1b3, so it is not `hash::fnv1a`.
+        // Every stream of every pinned run is derived here; it stays.
+        let mut h = crate::hash::FNV_OFFSET;
         for b in label.as_bytes() {
             h ^= u64::from(*b);
             h = h.wrapping_mul(0x1000_0000_01b3);

@@ -1504,9 +1504,7 @@ mod tests {
 
     impl std::fmt::Write for Fnv {
         fn write_str(&mut self, s: &str) -> std::fmt::Result {
-            for &b in s.as_bytes() {
-                self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-            }
+            self.0 = crate::hash::fnv1a(s.as_bytes(), self.0);
             Ok(())
         }
     }
@@ -1556,7 +1554,7 @@ mod tests {
         w.run_until(SimTime::from_secs(40));
         w.finalize();
         let trace = shared.lock().expect("no panic holds the trace lock");
-        let mut digest = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut digest = Fnv(crate::hash::FNV_OFFSET);
         write!(digest, "{:?}{:?}", w.metrics(), trace.events()).expect("hashing cannot fail");
         (w.events_executed(), w.metrics().collisions, trace.events().len(), digest.0)
     }
