@@ -992,4 +992,3 @@ fn post_reboot_replies_dominate_pre_crash_advertisements() {
     assert!(post > pre);
     assert!(post.epoch > pre.epoch, "recovery is by epoch, not by counter");
 }
-
