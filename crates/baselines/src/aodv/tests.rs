@@ -343,6 +343,20 @@ impl Node {
 }
 
 #[test]
+fn a_retry_timer_from_before_the_reboot_retries_the_discovery_after_it() {
+    // Nothing survives AODV's power cycle, the generation count
+    // included, so the restarted node reopens the same discovery under
+    // the crashed incarnation's retry token, and that token, handed over
+    // anyway, retries it. Only the kernel keeps the two apart: it never
+    // delivers a timer armed before a crash (tests/reboot.rs).
+    let mut n = Node::new(0);
+    n.originate(data(0, 7));
+    n.call(|a, ctx| a.handle_reboot(ctx));
+    n.originate(data(0, 7));
+    assert_eq!(sent_rreqs(&n.timer(Discoveries::token(NodeId(7), 0))).len(), 1);
+}
+
+#[test]
 fn own_seqno_value_reflects_growth() {
     let mut n = Node::new(0);
     for _ in 0..30 {

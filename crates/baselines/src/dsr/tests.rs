@@ -120,6 +120,20 @@ fn origination_without_route_floods_nonpropagating_first() {
 }
 
 #[test]
+fn a_retry_timer_from_before_the_reboot_retries_the_discovery_after_it() {
+    // As in AODV (see its test of the same name): a rebooted DSR counts
+    // generations from zero again, so a pre-crash retry token names the
+    // post-reboot discovery. The kernel never delivers one
+    // (tests/reboot.rs).
+    let mut n = Node::new(0);
+    n.call(|d, ctx| d.handle_data_origination(ctx, data(0, 9)));
+    n.call(|d, ctx| d.handle_reboot(ctx));
+    n.call(|d, ctx| d.handle_data_origination(ctx, data(0, 9)));
+    let acts = n.call(|d, ctx| d.handle_timer(ctx, Discoveries::token(NodeId(9), 0)));
+    assert_eq!(sent_rreqs(&acts).len(), 1);
+}
+
+#[test]
 fn target_replies_with_accumulated_route() {
     let mut n = Node::new(9);
     let m = Rreq { src: NodeId(0), dst: NodeId(9), id: 7, ttl: 5, route: ids(&[2, 5]) };

@@ -992,3 +992,19 @@ fn post_reboot_replies_dominate_pre_crash_advertisements() {
     assert!(post > pre);
     assert!(post.epoch > pre.epoch, "recovery is by epoch, not by counter");
 }
+
+#[test]
+fn a_retry_timer_from_before_the_reboot_finds_no_discovery_after_it() {
+    // A reboot leaves a fresh `Ldr` with no open discovery, so the
+    // crashed incarnation's retry token names nothing and sends nothing.
+    // Once the same discovery is reopened, generations count from zero
+    // as in AODV and DSR; the kernel keeps the token from reaching it,
+    // since no timer armed before a crash is delivered after it
+    // (tests/reboot.rs, all four protocols).
+    let mut n = Node::new(0);
+    n.originate(data(0, 7));
+    assert!(n.ldr.pending.is_pending(NodeId(7)));
+    n.call(|l, ctx| l.handle_reboot(ctx));
+    assert!(!n.ldr.pending.is_pending(NodeId(7)));
+    assert!(n.timer(Discoveries::token(NodeId(7), 0)).is_empty());
+}
